@@ -8,15 +8,14 @@ self-reaching structure are the numerical chain components.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .flow import SwitchedSystem, integrate_segment
-from .graph import DirectedGraph, ValidationError, require_valid
+from .graph import Csr, DirectedGraph, ValidationError, require_valid, tarjan
 from .sequences import enumerate_admissible_words
 
 Node = int | tuple[int, int]  # cell index, or (cell index, vertex)
@@ -93,23 +92,31 @@ class Grid:
             multi.append(min(max(k, 0), c - 1))
         return self.flat_index(multi)
 
-    def cells_within(self, point: np.ndarray, dist: float) -> list[int]:
-        """Cells whose centers lie within Euclidean ``dist`` of ``point``."""
-        widths = self.widths
-        ranges = []
-        for p, (lo, _), c, w in zip(point, self.box, self.counts, widths):
-            k_lo = max(0, math.ceil((p - dist - lo) / w - 0.5))
-            k_hi = min(c - 1, math.floor((p + dist - lo) / w - 0.5))
-            if k_lo > k_hi:
-                return []
-            ranges.append(range(k_lo, k_hi + 1))
-        out = []
-        for multi in itertools.product(*ranges):
-            center = [lo + (k + 0.5) * w
-                      for (lo, _), k, w in zip(self.box, multi, widths)]
-            if math.dist(center, point) <= dist:
-                out.append(self.flat_index(multi))
-        return out
+    def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
+        """``(point index, cell)`` rows, one per cell whose center lies within
+        Euclidean ``dist`` of a row of ``points`` (shape ``(N, d)``), sorted
+        by point, then by cell."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        lo = np.array([b[0] for b in self.box])
+        w = np.array(self.widths)
+        counts = np.array(self.counts)
+        # per-axis index ranges [k_lo, k_hi], clipped to the grid
+        k_lo = np.clip(np.ceil((pts - dist - lo) / w - 0.5), 0, counts).astype(np.int64)
+        k_hi = np.clip(np.floor((pts + dist - lo) / w - 0.5), -1, counts - 1).astype(np.int64)
+        span = np.maximum(k_hi - k_lo + 1, 0).max(axis=0, initial=0)
+        stencil = np.indices(tuple(span)).reshape(self.dimension, -1).T
+        multi = k_lo[:, None, :] + stencil[None, :, :]
+        point, slot = np.nonzero(np.all(multi <= k_hi[:, None, :], axis=-1))
+        multi = multi[point, slot]
+        diff = lo + (multi + 0.5) * w - pts[point]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        keep = d <= dist
+        # math.dist rounds the last bit differently and does not underflow:
+        # let it decide near-ties, so the relation is exactly the scalar one
+        for i in np.flatnonzero((np.abs(d - dist) <= 1e-9 * dist) | (d < 1e-150)):
+            keep[i] = math.hypot(*diff[i]) <= dist
+        cell = np.ravel_multi_index(tuple(multi[keep].T), self.counts)
+        return np.column_stack((point[keep], cell))
 
 
 def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | int) -> Grid:
@@ -162,7 +169,12 @@ def step_image(sys: SwitchedSystem, g: DirectedGraph, grid: Grid, cell: int,
 @dataclass
 class ChainGraph:
     """Directed reachability relation between grid cells (optionally paired
-    with graph vertices), for one (epsilon, link-time) resolution."""
+    with graph vertices), for one (epsilon, link-time) resolution.
+
+    Node ``(cell, vertex)`` has id ``cell * k + vertex`` with ``k = graph.n``;
+    in free mode ``k = 1`` and a node is its cell.  ``adjacency`` holds the
+    edges between ids.
+    """
 
     mode: str
     grid: Grid
@@ -171,16 +183,33 @@ class ChainGraph:
     m: int
     q: int
     step: float
-    nodes: tuple[Node, ...]
-    adjacency: dict[Node, set[Node]]
+    adjacency: Csr
     word_expansion: dict[tuple, float] = field(default_factory=dict)
 
     @property
     def link_time(self) -> float:
         return self.m * self.step
 
+    @property
+    def k(self) -> int:
+        """Node ids per cell."""
+        return 1 if self.mode == FREE else self.graph.n
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return tuple(map(self.node, range(self.adjacency.n)))
+
+    def node(self, i: int) -> Node:
+        return i if self.mode == FREE else divmod(i, self.k)
+
+    def node_id(self, node: Node) -> int:
+        return node if self.mode == FREE else node[0] * self.k + node[1]
+
+    def successors(self, node: Node) -> set[Node]:
+        return set(map(self.node, self.adjacency.row(self.node_id(node)).tolist()))
+
     def has_edge(self, a: Node, b: Node) -> bool:
-        return b in self.adjacency.get(a, ())
+        return self.adjacency.has_edge(self.node_id(a), self.node_id(b))
 
     def project(self, node: Node) -> int:
         return node if self.mode == FREE else node[0]
@@ -201,7 +230,7 @@ def _sampled_expansion(images: np.ndarray, grid: Grid) -> float:
 
 def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
                       eps: float, m: int, mode: str = FREE, q: int = 1,
-                      max_work: int = 2_000_000, threads: int = 1) -> ChainGraph:
+                      max_work: int = 2_000_000) -> ChainGraph:
     """Construct the (epsilon, m*h) reachability graph over the grid.
 
     Free-switching: nodes are cells; an edge a -> b exists when some
@@ -237,73 +266,32 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
             durations = [tau] + [h] * (m - 1) + [h - tau]
             tasks.extend((w, durations) for w in split_words)
 
-    n_nodes = grid.n_cells * (1 if mode == FREE else g.n)
-    if n_nodes * len(tasks) > max_work:
+    k = 1 if mode == FREE else g.n
+    n = grid.n_cells * k
+    if n * len(tasks) > max_work:
         raise SizingError(
-            f"{n_nodes} nodes x {len(tasks)} words = {n_nodes * len(tasks)} exceeds "
+            f"{n} nodes x {len(tasks)} words = {n * len(tasks)} exceeds "
             f"the work bound {max_work}; use a coarser grid, a smaller m, or raise "
             "the bound")
 
-    centers = grid.all_centers()
+    # The node's vertex pins the word start (word[0] % k is 0 in free mode);
+    # admissibility constrains only the inside of the word.  Each link uses a
+    # fresh signal, so after the jump the next word may begin at any vertex v.
+    # Edge keys src * n + dst stay one ascending unique array: each word's
+    # keys are merged in by a stable sort of the two sorted runs.
     r = grid.radius
-    adjacency: dict[Node, set[Node]] = {}
+    keys = np.empty(0, dtype=np.int64)
     expansions: dict[tuple, float] = {}
-
-    if mode == FREE:
-        for cell in range(grid.n_cells):
-            adjacency[cell] = set()
-    else:
-        for cell in range(grid.n_cells):
-            for u in range(g.n):
-                adjacency[(cell, u)] = set()
-
-    def edges_for(word: tuple[int, ...], images: np.ndarray):
+    for word, images in _task_images(sys, grid.all_centers(), tasks):
         kappa = _sampled_expansion(images, grid)
-        reach = eps + r * kappa + r
-        local: list[tuple[Node, Node]] = []
-        if mode == FREE:
-            for a in range(grid.n_cells):
-                for b in grid.cells_within(images[a], reach):
-                    local.append((a, b))
-        else:
-            # The node's vertex pins the word start; admissibility constrains
-            # only the inside of the word.  Each link uses a fresh signal, so
-            # after the jump the next word may begin at any vertex.
-            u = word[0]
-            for a in range(grid.n_cells):
-                targets = grid.cells_within(images[a], reach)
-                for b in targets:
-                    for v in range(g.n):
-                        local.append(((a, u), (b, v)))
-        return word, kappa, local
-
-    def merge(word: tuple[int, ...], kappa: float, local: list[tuple[Node, Node]]) -> None:
-        expansions[tuple(word)] = max(expansions.get(tuple(word), 0.0), kappa)
-        for a, b in local:
-            adjacency[a].add(b)
-
-    # Images come in task order from one prefix stack; workers only assemble
-    # edges, and results merge in task order with at most 2*threads pending.
-    if threads > 1 and len(tasks) > 1:
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending: deque = deque()
-            for word, images in _task_images(sys, centers, tasks):
-                pending.append(pool.submit(edges_for, word, images))
-                if len(pending) >= 2 * threads:
-                    merge(*pending.popleft().result())
-            while pending:
-                merge(*pending.popleft().result())
-    else:
-        for word, images in _task_images(sys, centers, tasks):
-            merge(*edges_for(word, images))
-
-    if mode == FREE:
-        nodes: tuple[Node, ...] = tuple(range(grid.n_cells))
-    else:
-        nodes = tuple((c, u) for c in range(grid.n_cells) for u in range(g.n))
-    return ChainGraph(mode, grid, g, eps, m, q, h, nodes, adjacency, expansions)
+        expansions[word] = max(expansions.get(word, 0.0), kappa)
+        point, cell = grid.cells_within(images, eps + r * kappa + r).T
+        src = np.repeat(point * k + word[0] % k, k)
+        dst = (cell[:, None] * k + np.arange(k)).ravel()
+        keys = np.concatenate((keys, src * n + dst))
+        keys.sort(kind="stable")
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    return ChainGraph(mode, grid, g, eps, m, q, h, Csr.from_keys(keys, n), expansions)
 
 
 @dataclass(frozen=True)
@@ -312,73 +300,22 @@ class ChainComponent:
 
     nodes: frozenset[Node]
     cells: frozenset[int]
-    viable: bool
 
     @property
     def size(self) -> int:
         return len(self.nodes)
 
 
-def _tarjan(nodes: Sequence[Node], adjacency: Mapping[Node, set[Node]]) -> list[list[Node]]:
-    index: dict[Node, int] = {}
-    lowlink: dict[Node, int] = {}
-    on_stack: dict[Node, bool] = {}
-    stack: list[Node] = []
-    counter = 0
-    components: list[list[Node]] = []
-    for root in nodes:
-        if root in index:
-            continue
-        work: list[tuple[Node, Iterable | None]] = [(root, None)]
-        while work:
-            v, it = work[-1]
-            if it is None:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-                it = iter(sorted(adjacency.get(v, ())))
-                work[-1] = (v, it)
-            advanced = False
-            for w in it:
-                if w not in index:
-                    work.append((w, None))
-                    advanced = True
-                    break
-                if on_stack.get(w):
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return components
-
-
 def chain_components(cg: ChainGraph) -> list[ChainComponent]:
     """Strongly connected components of the chain graph, keeping only those
     that can reach themselves (non-trivial, or trivial with a self-edge),
     sorted by size then by smallest cell."""
-    raw = _tarjan(cg.nodes, cg.adjacency)
     kept = []
-    for comp in raw:
-        if len(comp) == 1:
-            node = comp[0]
-            if node not in cg.adjacency.get(node, ()):
-                continue
-        nodes = frozenset(comp)
-        cells = frozenset(cg.project(nd) for nd in nodes)
-        kept.append(ChainComponent(nodes, cells, True))
+    for comp in tarjan(cg.adjacency):
+        if len(comp) == 1 and not cg.adjacency.has_edge(comp[0], comp[0]):
+            continue
+        nodes = frozenset(map(cg.node, comp))
+        kept.append(ChainComponent(nodes, frozenset(map(cg.project, nodes))))
     kept.sort(key=lambda c: (-c.size, min(c.cells)))
     return kept
 
@@ -421,13 +358,12 @@ def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     for u in range(g.n):
         images = integrate_segment(sys, u, centers, sys.step)
         nexts = g.successors(u)
-        for i, c in enumerate(cell_list):
-            for b in grid.cells_within(images[i], slack):
-                if b not in cell_set:
-                    continue
-                for v in nexts:
-                    succ[(c, u)].add((b, v))
-                    pred[(b, v)].add((c, u))
+        for i, b in grid.cells_within(images, slack).tolist():
+            if b not in cell_set:
+                continue
+            for v in nexts:
+                succ[(cell_list[i], u)].add((b, v))
+                pred[(b, v)].add((cell_list[i], u))
 
     alive = set(nodes)
     queue = [nd for nd in nodes
@@ -464,14 +400,15 @@ def hausdorff_distance(points_a: Sequence, points_b: Sequence | None = None,
     if interval is not None:
         lo, hi = float(interval[0]), float(interval[1])
         pts = np.sort(a.ravel())
-        d_set_to_interval = max(max(lo - p, p - hi, 0.0) for p in pts)
-        candidates = [lo, hi]
-        for p0, p1 in zip(pts, pts[1:]):
-            mid = 0.5 * (p0 + p1)
-            if lo <= mid <= hi:
-                candidates.append(mid)
-        d_interval_to_set = max(min(abs(c - p) for p in pts) for c in candidates)
-        return max(d_set_to_interval, d_interval_to_set)
+        d_set_to_interval = np.maximum(np.maximum(lo - pts, pts - hi), 0.0).max()
+        mids = 0.5 * (pts[:-1] + pts[1:])
+        candidates = np.concatenate(([lo, hi], mids[(lo <= mids) & (mids <= hi)]))
+        # the nearest set point to a candidate is one of its sorted neighbours
+        j = np.searchsorted(pts, candidates)
+        left = pts[np.maximum(j - 1, 0)]
+        right = pts[np.minimum(j, len(pts) - 1)]
+        d_interval_to_set = np.minimum(abs(candidates - left), abs(candidates - right)).max()
+        return float(max(d_set_to_interval, d_interval_to_set))
     if points_b is None:
         raise ValidationError("need a second set or an interval")
     b = _as_points(points_b)

@@ -173,18 +173,13 @@ def _component_summary(comp_cells: list[int], grid, references) -> dict:
     return entry
 
 
-def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
     if cfg.analysis is None:
         raise ValidationError("config has no 'analysis' block")
     a = cfg.analysis
     grid = build_grid(cfg.system.box, a.cells)
-    try:
-        cg = build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m,
-                               mode=a.mode, q=a.q, max_work=a.max_work,
-                               threads=threads)
-    except SizingError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    cg = build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m,
+                           mode=a.mode, q=a.q, max_work=a.max_work)
     comps = chain_components(cg)
     rows: list[list] = []
     for cid, comp in enumerate(comps):
@@ -259,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--tol", type=float, default=None,
                         help="override run.tol for metric evaluations")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for edge construction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("analyze-graph", help="SCCs, order, per-component certificates")
@@ -303,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_metric(cfg, args.kind, args.a, args.b, tol,
                               args.check_isometry, args.x, args.y)
         if args.command == "chain-sets":
-            return cmd_chain_sets(cfg, out_dir, args.threads)
+            return cmd_chain_sets(cfg, out_dir)
         if args.command == "stitch-demo":
             return cmd_stitch_demo(cfg, out_dir, args.links, args.window, tol)
         raise ValidationError(f"unknown command {args.command!r}")

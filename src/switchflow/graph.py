@@ -12,6 +12,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class ValidationError(ValueError):
     """Raised when a graph or configuration fails a structural requirement."""
@@ -188,35 +190,76 @@ class SccDecomposition:
         return tuple(sorted(self.components[cid]))
 
 
-def scc(g: DirectedGraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative to avoid recursion limits."""
-    n = g.n
+@dataclass(frozen=True)
+class Csr:
+    """Directed edges over node ids 0..n-1 in compressed sparse rows: the
+    successors of ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Csr":
+        """From one ascending successor sequence per node."""
+        indptr = np.cumsum([0, *map(len, rows)])
+        return cls(indptr, np.array([w for row in rows for w in row], dtype=np.int64))
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, n: int) -> "Csr":
+        """From ascending unique edge keys ``source * n + target``."""
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return cls(indptr, keys % n)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+
+    def has_edge(self, i: int, j: int) -> bool:
+        row = self.row(i)
+        k = int(np.searchsorted(row, j))
+        return k < len(row) and bool(row[k] == j)
+
+
+def tarjan(csr: Csr) -> list[list[int]]:
+    """Strongly connected components, in Tarjan's emission order (reverse
+    topological), taking roots by ascending id and successors in row order.
+    Iterative to avoid recursion limits."""
+    ptr, adj = memoryview(csr.indptr), memoryview(csr.indices)
+    n = csr.n
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     counter = 0
-    raw_components: list[list[int]] = []
+    components: list[list[int]] = []
 
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, -1)]
         while work:
             v, pi = work[-1]
-            if pi == 0:
+            if pi == -1:
                 index[v] = lowlink[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
+                pi = ptr[v]
+            end = ptr[v + 1]
             advanced = False
-            succ = g.successors(v)
-            while pi < len(succ):
-                w = succ[pi]
+            while pi < end:
+                w = adj[pi]
                 pi += 1
                 if index[w] == -1:
                     work[-1] = (v, pi)
-                    work.append((w, 0))
+                    work.append((w, -1))
                     advanced = True
                     break
                 if on_stack[w]:
@@ -232,12 +275,17 @@ def scc(g: DirectedGraph) -> SccDecomposition:
                     comp.append(w)
                     if w == v:
                         break
-                raw_components.append(comp)
+                components.append(comp)
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return components
 
-    ordered = sorted(raw_components, key=min)
+
+def scc(g: DirectedGraph) -> SccDecomposition:
+    """Tarjan's components of the switching graph, with the condensation."""
+    n = g.n
+    ordered = sorted(tarjan(Csr.from_rows(g._succ)), key=min)
     component_of = [0] * n
     for cid, comp in enumerate(ordered):
         for v in comp:
@@ -252,28 +300,8 @@ def scc(g: DirectedGraph) -> SccDecomposition:
 
 
 def admissible_path(g: DirectedGraph, u: int, v: int) -> list[int] | None:
-    """Shortest directed path from u to v, inclusive; None if unreachable.
-
-    BFS over sorted successor lists, so ties break toward lower vertex
-    indices and results are reproducible.
-    """
-    if u == v:
-        return [u]
-    parent: dict[int, int] = {u: -1}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.successors(x):
-            if w in parent:
-                continue
-            parent[w] = x
-            if w == v:
-                path = [v]
-                while path[-1] != u:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.append(w)
-    return None
+    """Shortest directed path from u to v, inclusive; None if unreachable."""
+    return path_within(g, frozenset(range(g.n)), u, v)
 
 
 def morse_order(decomp: SccDecomposition) -> frozenset[tuple[int, int]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import DirectedGraph, ValidationError, connector, require_valid, scc
+from .graph import DirectedGraph, ValidationError, connector, require_valid
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,3 @@ def chaos_certificate(g: DirectedGraph, component: Iterable[int]) -> ChaosCertif
         raise ValidationError("component is not a single cycle")
     return ChaosCertificate("periodic_orbit", orbit=tuple(orbit))
 
-
-def component_of_vertex(g: DirectedGraph, v: int) -> frozenset[int]:
-    decomp = scc(g)
-    return decomp.components[decomp.component_of[v]]

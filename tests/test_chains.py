@@ -1,7 +1,11 @@
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchflow.chains import (
     CONSTRAINED,
@@ -16,6 +20,7 @@ from switchflow.chains import (
     lift_kernel,
     step_image,
 )
+from switchflow.config import ExperimentConfig
 from switchflow.fields import ExpressionField
 from switchflow.flow import SwitchedSystem, integrate_segment
 from switchflow.graph import DirectedGraph, ValidationError
@@ -63,6 +68,43 @@ class TestGrid:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValidationError):
             build_grid([(1.0, 1.0)], 10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cells_within_matches_brute_force(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        box = [(lo, lo + data.draw(st.floats(0.01, 5.0)))
+               for lo in data.draw(st.lists(st.floats(-5.0, 5.0),
+                                            min_size=dim, max_size=dim))]
+        grid = build_grid(box, data.draw(st.lists(st.integers(1, 6),
+                                                  min_size=dim, max_size=dim)))
+        # points up to a box width outside the box; radii past its diagonal
+        points = np.array(data.draw(st.lists(st.tuples(*[
+            st.floats(lo - (hi - lo), hi + (hi - lo)) for lo, hi in box]),
+            min_size=0, max_size=5)), dtype=float).reshape(-1, dim)
+        diagonal = math.dist(*zip(*box))
+        dist = data.draw(st.floats(0.0, 1.5 * diagonal))
+        centers = [grid.center(c).tolist() for c in range(grid.n_cells)]
+        expected = [(i, c) for i, p in enumerate(points.tolist())
+                    for c, center in enumerate(centers) if math.dist(center, p) <= dist]
+        got = grid.cells_within(points, dist)
+        assert got.shape == (len(expected), 2)
+        assert [tuple(row) for row in got.tolist()] == expected
+
+    def test_cells_within_exact_ties(self):
+        grid = build_grid([(0.0, 3.0), (0.0, 4.0)], [3, 4])
+        center = grid.center(grid.flat_index((1, 1)))
+        got = grid.cells_within(center, 1.0)[:, 1].tolist()
+        assert got == sorted(grid.flat_index(m) for m in
+                             [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
+        assert grid.cells_within(center, 0.0)[:, 1].tolist() == [grid.flat_index((1, 1))]
+        # sqrt of the summed squares rounds this distance one ulp above math.dist
+        point = [0.432, 2.846]
+        dist = math.dist(center, point)
+        assert grid.flat_index((1, 1)) in grid.cells_within(point, dist)[:, 1]
+        # the squared distance underflows to 0, the distance does not
+        tiny = build_grid([(-0.5, 0.5)], 1)
+        assert tiny.cells_within([1e-170], 1e-175).shape == (0, 2)
 
 
 class TestStepImage:
@@ -118,8 +160,8 @@ class TestBuildChainGraph:
             for word in ((0,), (1,)):
                 image = step_image(sys, g, grid, a, word)
                 kappa = cg.word_expansion[word]
-                expected |= set(grid.cells_within(image, 0.02 + r * kappa + r))
-            assert cg.adjacency[a] == expected
+                expected |= set(grid.cells_within(image, 0.02 + r * kappa + r)[:, 1].tolist())
+            assert cg.successors(a) == expected
 
     def test_constrained_cycle_words(self):
         g = DirectedGraph.cycle(2)
@@ -130,9 +172,10 @@ class TestBuildChainGraph:
         a = 25
         image = step_image(sys, g, grid, a, (0, 1))
         kappa = cg.word_expansion[(0, 1)]
-        cells = set(grid.cells_within(image, 0.02 + grid.radius * kappa + grid.radius))
-        assert {b for (b, v) in cg.adjacency[(a, 0)]} == cells
-        assert {v for (b, v) in cg.adjacency[(a, 0)]} == {0, 1}
+        reach = 0.02 + grid.radius * kappa + grid.radius
+        cells = set(grid.cells_within(image, reach)[:, 1].tolist())
+        assert {b for (b, v) in cg.successors((a, 0))} == cells
+        assert {v for (b, v) in cg.successors((a, 0))} == {0, 1}
 
     def test_monotone_in_eps(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
@@ -140,7 +183,7 @@ class TestBuildChainGraph:
         cg1 = build_chain_graph(sys, sys.graph, grid, 0.01, 1)
         cg2 = build_chain_graph(sys, sys.graph, grid, 0.05, 1)
         for a in range(grid.n_cells):
-            assert cg1.adjacency[a] <= cg2.adjacency[a]
+            assert cg1.successors(a) <= cg2.successors(a)
 
     def test_sizing_guard(self):
         g = DirectedGraph.complete(2)
@@ -155,7 +198,7 @@ class TestBuildChainGraph:
         grid = build_grid([(0.0, 2.0)], 50)
         cg1 = build_chain_graph(sys, g, grid, 0.02, 1, q=1)
         cg2 = build_chain_graph(sys, g, grid, 0.02, 1, q=2)
-        assert all(cg1.adjacency[a] <= cg2.adjacency[a] for a in range(grid.n_cells))
+        assert all(cg1.successors(a) <= cg2.successors(a) for a in range(grid.n_cells))
 
     def test_offsets_rejected_in_constrained_mode(self):
         g = DirectedGraph.cycle(2)
@@ -163,14 +206,6 @@ class TestBuildChainGraph:
         grid = build_grid([(0.0, 2.0)], 10)
         with pytest.raises(ValidationError):
             build_chain_graph(sys, g, grid, 0.02, 1, mode=CONSTRAINED, q=2)
-
-    def test_threads_give_same_graph(self):
-        g = DirectedGraph.complete(2)
-        sys = example2_system(g)
-        grid = build_grid([(0.0, 2.0)], 60)
-        cg1 = build_chain_graph(sys, g, grid, 0.02, 2, threads=1)
-        cg2 = build_chain_graph(sys, g, grid, 0.02, 2, threads=4)
-        assert cg1.adjacency == cg2.adjacency
 
     def test_prefix_reuse_matches_per_word_integration(self):
         # shared symbols with different durations, and a longer word after a
@@ -189,6 +224,45 @@ class TestBuildChainGraph:
             for sym, dt in zip(word, durations):
                 expected = integrate_segment(sys, sym, expected, dt)
             assert np.array_equal(images, expected)
+
+
+# Edge count and sha256 of repr(sorted (source, target) node pairs), and
+# component count and sha256 of repr([(sorted nodes, sorted cells)]) in
+# output order, for the chain graphs of scripts/configs; recorded from the
+# dict-of-sets builder that preceded the array core.
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+FROZEN_EDGES = {
+    "sine_curve_reduced": (
+        21040, "c669837680d3ccc3a9a60a6421aadcb180198ea563b8fe0a02010b45b347f571"),
+    "two_well_complete": (
+        7132, "18e3f14e6ad01c062a37e704d2cb0741f7ea68f9a154b5afbb39c1664622ec9e"),
+    "two_well_cycle": (
+        6608, "021d4fa9587003a4bf3b37a422541ba6254d63d3915473a871217156d40341f3"),
+}
+FROZEN_COMPONENTS = {
+    "sine_curve_reduced": (
+        1, "a1cd7f178b215835b0ead00b6966a70aca6610a983461432c953abe9fe0fe2ab"),
+    "two_well_complete": (
+        22, "d32b73722b9c058ab819818c1eab99c45908caf650384f56a7a597e871927d81"),
+    "two_well_cycle": (
+        19, "b594bea25f479301f63b49c76d93ac6887c0c6425c092427230cb3583df3ec80"),
+}
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_EDGES))
+def test_config_edge_sets_frozen(name):
+    cfg = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
+    a = cfg.analysis
+    cg = build_chain_graph(cfg.system, cfg.graph, build_grid(cfg.system.box, a.cells),
+                           a.eps, a.m, mode=a.mode, q=a.q, max_work=a.max_work)
+    pairs = sorted((src, dst) for src in cg.nodes for dst in cg.successors(src))
+    assert (len(pairs), _sha(pairs)) == FROZEN_EDGES[name]
+    comps = [(sorted(c.nodes), sorted(c.cells)) for c in chain_components(cg)]
+    assert (len(comps), _sha(comps)) == FROZEN_COMPONENTS[name]
 
 
 class TestChainComponents:
@@ -333,3 +407,25 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             hausdorff_distance([], [0.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
+           st.floats(-2.0, 2.0), st.floats(0.0, 2.0))
+    def test_interval_matches_quadratic_formula(self, points, lo, length):
+        hi = lo + length
+        assert hausdorff_distance(points, interval=(lo, hi)) == \
+            quadratic_interval_hausdorff(points, lo, hi)
+
+
+def quadratic_interval_hausdorff(points, lo, hi):
+    """The O(n^2) formula the interval form replaced: far side at an endpoint
+    or at a midpoint between consecutive set points inside the interval."""
+    pts = np.sort(np.asarray(points, dtype=float))
+    d_set_to_interval = max(max(lo - p, p - hi, 0.0) for p in pts)
+    candidates = [lo, hi]
+    for p0, p1 in zip(pts, pts[1:]):
+        mid = 0.5 * (p0 + p1)
+        if lo <= mid <= hi:
+            candidates.append(mid)
+    d_interval_to_set = max(min(abs(c - p) for p in pts) for c in candidates)
+    return max(d_set_to_interval, d_interval_to_set)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import switchflow
 from switchflow.cli import main
 from switchflow.config import ExperimentConfig
 from switchflow.graph import ValidationError
@@ -208,6 +213,21 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["--config", str(path), "--out", str(tmp_path / "o"),
                      "chain-sets"]) == 4
+
+    def test_chain_sets_loads_no_scipy(self, config_path, tmp_path):
+        # a fresh interpreter, since other tests may import scipy
+        src = Path(switchflow.__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "from switchflow.cli import main\n"
+            f"assert main(['--config', {str(config_path)!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}, 'chain-sets']) == 0\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not loaded, loaded\n")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_stitch_demo_bound(self, config_path, tmp_path):
         out = tmp_path / "o"
