@@ -62,28 +62,25 @@ class Grid:
         return math.prod(self.counts)
 
     def multi_index(self, cell: int) -> tuple[int, ...]:
-        idx = []
-        for c in reversed(self.counts):
-            cell, r = divmod(cell, c)
-            idx.append(r)
-        return tuple(reversed(idx))
+        return tuple(map(int, np.unravel_index(cell, self.counts)))
 
     def flat_index(self, multi: Sequence[int]) -> int:
-        flat = 0
-        for k, c in zip(multi, self.counts):
-            flat = flat * c + k
-        return flat
+        return int(np.ravel_multi_index(tuple(multi), self.counts))
+
+    def _centers_at(self, multi: np.ndarray) -> np.ndarray:
+        """Centres of the cells with per-axis indices ``multi`` (shape ``(N, d)``)."""
+        return np.array([b[0] for b in self.box]) + (multi + 0.5) * np.array(self.widths)
+
+    def centers(self, cells: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Centres of the flat cell indices ``cells``, shape ``(N, d)``."""
+        multi = np.unravel_index(np.asarray(cells, dtype=np.int64), self.counts)
+        return self._centers_at(np.stack(multi, axis=-1))
 
     def center(self, cell: int) -> np.ndarray:
-        multi = self.multi_index(cell)
-        return np.array([lo + (k + 0.5) * w
-                         for (lo, _), k, w in zip(self.box, multi, self.widths)])
+        return self.centers([cell])[0]
 
     def all_centers(self) -> np.ndarray:
-        axes = [lo + (np.arange(c) + 0.5) * w
-                for (lo, _), c, w in zip(self.box, self.counts, self.widths)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return self.centers(np.arange(self.n_cells))
 
     def cell_of(self, point: Sequence[float]) -> int:
         multi = []
@@ -108,7 +105,7 @@ class Grid:
         multi = k_lo[:, None, :] + stencil[None, :, :]
         point, slot = np.nonzero(np.all(multi <= k_hi[:, None, :], axis=-1))
         multi = multi[point, slot]
-        diff = lo + (multi + 0.5) * w - pts[point]
+        diff = self._centers_at(multi) - pts[point]
         d = np.sqrt(np.sum(diff * diff, axis=-1))
         keep = d <= dist
         # math.dist rounds the last bit differently and does not underflow:
@@ -341,43 +338,39 @@ def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     the set of pairs whose full two-sided trajectory stays over E.
     """
     require_valid(g)
-    cell_list = sorted(set(cells))
-    if not cell_list:
+    cell_ids = np.unique(np.fromiter(cells, dtype=np.int64))
+    if not len(cell_ids):
         return frozenset()
     if slack is None:
         slack = grid.radius
-    cell_set = set(cell_list)
-    centers = np.stack([grid.center(c) for c in cell_list])
-
-    succ: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    pred: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    nodes = [(c, u) for c in cell_list for u in range(g.n)]
-    for nd in nodes:
-        succ[nd] = set()
-        pred[nd] = set()
-    for u in range(g.n):
+    # node (cell_ids[i], u) has id i * n + u; pos maps a cell to its i, or -1
+    n = g.n
+    pos = np.full(grid.n_cells, -1, dtype=np.int64)
+    pos[cell_ids] = np.arange(len(cell_ids))
+    centers = grid.centers(cell_ids)
+    src, dst = [], []
+    for u in range(n):
         images = integrate_segment(sys, u, centers, sys.step)
-        nexts = g.successors(u)
-        for i, b in grid.cells_within(images, slack).tolist():
-            if b not in cell_set:
-                continue
-            for v in nexts:
-                succ[(cell_list[i], u)].add((b, v))
-                pred[(b, v)].add((cell_list[i], u))
+        i, b = grid.cells_within(images, slack).T
+        j = pos[b]
+        i, j = i[j >= 0], j[j >= 0]
+        nexts = np.array(g.successors(u))
+        src.append(np.repeat(i * n + u, len(nexts)))
+        dst.append((j[:, None] * n + nexts).ravel())
+    src, dst = np.concatenate(src), np.concatenate(dst)
 
-    alive = set(nodes)
-    queue = [nd for nd in nodes
-             if not (succ[nd] & alive) or not (pred[nd] & alive)]
-    while queue:
-        nd = queue.pop()
-        if nd not in alive:
-            continue
-        alive.discard(nd)
-        for other in succ[nd] | pred[nd]:
-            if other in alive:
-                if not (succ[other] & alive) or not (pred[other] & alive):
-                    queue.append(other)
-    return frozenset(alive)
+    # drop nodes without a live successor or predecessor until none drops;
+    # the greatest such set is unique, so the removal order does not matter
+    alive = np.ones(len(cell_ids) * n, dtype=bool)
+    while True:
+        live = alive[src] & alive[dst]
+        keep = (alive & (np.bincount(src[live], minlength=alive.size) > 0)
+                & (np.bincount(dst[live], minlength=alive.size) > 0))
+        if np.array_equal(keep, alive):
+            break
+        alive = keep
+    ids = np.flatnonzero(alive)
+    return frozenset(zip(cell_ids[ids // n].tolist(), (ids % n).tolist()))
 
 
 def _as_points(arr: Sequence) -> np.ndarray:
@@ -412,6 +405,5 @@ def hausdorff_distance(points_a: Sequence, points_b: Sequence | None = None,
     if points_b is None:
         raise ValidationError("need a second set or an interval")
     b = _as_points(points_b)
-    d_ab = max(float(np.min(np.linalg.norm(b - p, axis=1))) for p in a)
-    d_ba = max(float(np.min(np.linalg.norm(a - p, axis=1))) for p in b)
-    return max(d_ab, d_ba)
+    d = np.linalg.norm(a[:, None] - b[None], axis=-1)
+    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))

@@ -148,10 +148,8 @@ def cmd_metric(cfg: ExperimentConfig, kind: str, a_text: str, b_text: str,
     return EXIT_OK
 
 
-def _component_summary(comp_cells: list[int], grid, references) -> dict:
-    centers = sorted(float(grid.center(c)[0]) if grid.dimension == 1
-                     else tuple(grid.center(c)) for c in comp_cells)
-    cells = sorted(comp_cells)
+def _component_summary(cells: list[int], centers: np.ndarray, references) -> dict:
+    """Summary of one component from its ascending cells and their centres."""
     runs = []
     start = prev = cells[0]
     for c in cells[1:]:
@@ -165,11 +163,12 @@ def _component_summary(comp_cells: list[int], grid, references) -> dict:
         "cell_count": len(cells),
         "cell_runs": runs,
     }
-    if grid.dimension == 1:
-        entry["center_min"] = centers[0]
-        entry["center_max"] = centers[-1]
+    if centers.shape[1] == 1:
+        xs = centers[:, 0]  # ascending, as the cells are
+        entry["center_min"] = float(xs[0])
+        entry["center_max"] = float(xs[-1])
         entry["hausdorff_to_references"] = [
-            hausdorff_distance(centers, interval=ref) for ref in references]
+            hausdorff_distance(xs, interval=ref) for ref in references]
     return entry
 
 
@@ -182,10 +181,12 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
                            mode=a.mode, q=a.q, max_work=a.max_work)
     comps = chain_components(cg)
     rows: list[list] = []
+    summaries = []
     for cid, comp in enumerate(comps):
-        for cell in sorted(comp.cells):
-            center = grid.center(cell)
-            rows.append([cid, cell, *[float(v) for v in center]])
+        cells = sorted(comp.cells)
+        centers = grid.centers(cells)
+        rows.extend([cid, cell, *center] for cell, center in zip(cells, centers.tolist()))
+        summaries.append(_component_summary(cells, centers, a.references))
     header = ["component_id", "cell_index",
               *[f"center_x{i+1}" for i in range(grid.dimension)]]
     _write_csv(out_dir / "components.csv", header, rows, cfg)
@@ -194,8 +195,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
                        "link_time": cg.link_time, "cells": list(a.cells),
                        "cell_radius": grid.radius},
         "component_count": len(comps),
-        "components": [_component_summary(sorted(c.cells), grid, a.references)
-                       for c in comps],
+        "components": summaries,
     }
     _write_json(out_dir / "chain_summary.json", summary, cfg)
     print(json.dumps({"component_count": len(comps)}, sort_keys=True))

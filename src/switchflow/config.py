@@ -7,7 +7,7 @@ The resolved configuration is embedded verbatim in every output file.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .chains import CONSTRAINED, FREE
@@ -31,6 +31,8 @@ class AnalysisConfig:
             raise ValidationError("analysis.eps must be positive")
         if self.mode not in (FREE, CONSTRAINED):
             raise ValidationError(f"analysis.mode must be {FREE!r} or {CONSTRAINED!r}")
+        if any(lo > hi for lo, hi in self.references):
+            raise ValidationError("analysis.references must be intervals [lo, hi] with lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        """Parse and validate a config document; any malformed entry raises
+        ``ValidationError``."""
+        try:
+            return cls._from_dict(doc)
+        except ValidationError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+            raise ValidationError(f"malformed config: {what}") from exc
+
+    @classmethod
+    def _from_dict(cls, doc: dict) -> "ExperimentConfig":
         if "graph" not in doc or "system" not in doc:
             raise ValidationError("config needs 'graph' and 'system' blocks")
         graph = require_valid(DirectedGraph.from_json_dict(doc["graph"]))
@@ -116,20 +130,12 @@ class ExperimentConfig:
                 "clamp": self.system.clamp,
                 "fields": self.raw.get("system", {}).get("fields"),
             },
-            "run": {"seed": self.run.seed, "out": self.run.out, "tol": self.run.tol},
+            "run": asdict(self.run),
         }
         if self.graph.labels:
             doc["graph"]["labels"] = list(self.graph.labels)
         if self.analysis is not None:
-            doc["analysis"] = {
-                "cells": list(self.analysis.cells),
-                "eps": self.analysis.eps,
-                "m": self.analysis.m,
-                "mode": self.analysis.mode,
-                "q": self.analysis.q,
-                "max_work": self.analysis.max_work,
-                "references": [list(r) for r in self.analysis.references],
-            }
+            doc["analysis"] = asdict(self.analysis)
         return doc
 
     def provenance_json(self) -> str:

@@ -127,9 +127,6 @@ class DirectedGraph:
     def successors(self, u: int) -> tuple[int, ...]:
         return self._succ[u]
 
-    def predecessors(self, u: int) -> tuple[int, ...]:
-        return self._pred[u]
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
 
@@ -185,9 +182,6 @@ class SccDecomposition:
     components: tuple[frozenset[int], ...]
     component_of: tuple[int, ...]
     condensation_edges: frozenset[tuple[int, int]]
-
-    def component_vertices(self, cid: int) -> tuple[int, ...]:
-        return tuple(sorted(self.components[cid]))
 
 
 @dataclass(frozen=True)
@@ -310,24 +304,10 @@ def morse_order(decomp: SccDecomposition) -> frozenset[tuple[int, int]]:
     Antisymmetry is automatic because the condensation is acyclic.
     """
     k = len(decomp.components)
-    reach = [set([i]) for i in range(k)]
-    succ: list[list[int]] = [[] for _ in range(k)]
-    for a, b in decomp.condensation_edges:
-        succ[a].append(b)
-    # closure by repeated expansion (k is small in practice)
-    changed = True
-    while changed:
-        changed = False
-        for a in range(k):
-            add = set()
-            for b in list(reach[a]):
-                for c in succ[b]:
-                    if c not in reach[a]:
-                        add.add(c)
-            if add:
-                reach[a] |= add
-                changed = True
-    return frozenset((a, b) for a in range(k) for b in reach[a])
+    cond = DirectedGraph(k, decomp.condensation_edges)
+    every = frozenset(range(k))
+    return frozenset((a, b) for a in range(k) for b in range(k)
+                     if path_within(cond, every, a, b) is not None)
 
 
 def path_within(g: DirectedGraph, allowed: frozenset[int] | set[int],

@@ -48,7 +48,12 @@ def _word(g: DirectedGraph, text: str, position: int) -> tuple[int, ...]:
 
 
 def parse_sequence(g: DirectedGraph, text: str) -> SymbolicSequence:
-    fields = _parse_fields(text)
+    return _sequence(g, _parse_fields(text), text)
+
+
+def _sequence(g: DirectedGraph, fields: dict[str, tuple[str, int]],
+              text: str) -> SymbolicSequence:
+    """The sequence named by the parsed ``fields`` of ``text``."""
     for key in ("left", "right"):
         if key not in fields:
             raise LiteralError(f"missing {key}=(...)", len(text))
@@ -65,9 +70,7 @@ def parse_sequence(g: DirectedGraph, text: str) -> SymbolicSequence:
 
 def parse_signal(g: DirectedGraph, text: str, default_h: float | None = None) -> SwitchingSignal:
     fields = _parse_fields(text)
-    seq_text = " ".join(f"{k}={'(' + v + ')' if k in ('left', 'right') else '[' + v + ']' if k == 'core' else v}"
-                        for k, (v, _) in fields.items() if k in ("left", "core", "right", "shift"))
-    base = parse_sequence(g, seq_text)
+    base = _sequence(g, fields, text)
     tau_txt, tau_pos = fields.get("tau", ("0.0", 0))
     try:
         tau = float(tau_txt)

@@ -72,9 +72,6 @@ class SymbolicSequence:
         """Symbols at indices lo..hi inclusive."""
         return tuple(self.at(i) for i in range(lo, hi + 1))
 
-    def agrees_with(self, other: "SymbolicSequence", lo: int, hi: int) -> bool:
-        return self.window(lo, hi) == other.window(lo, hi)
-
     # boundaries of the purely periodic regions, in shifted (actual) indices
     @property
     def left_boundary(self) -> int:

@@ -78,11 +78,6 @@ def shift(f: SwitchingSignal, t: float) -> SwitchingSignal:
     return SwitchingSignal(shift_discrete(f.base, -k), tau, f.step)
 
 
-def shift_cells(f: SwitchingSignal, cells: int) -> SwitchingSignal:
-    """Exact shift by an integer number of cells (no float phase arithmetic)."""
-    return SwitchingSignal(shift_discrete(f.base, cells), f.offset, f.step)
-
-
 def _cell_mismatch(f: SwitchingSignal, g: SwitchingSignal, a: float, b: float) -> float:
     """Lebesgue measure of {t in [a,b): f(t) != g(t)}, exact for step functions."""
     pts = [a, b]

@@ -65,6 +65,24 @@ class TestGrid:
         seen = {grid.flat_index(grid.multi_index(c)) for c in range(grid.n_cells)}
         assert seen == set(range(24))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_centers_bit_equal_to_scalar_formula(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        box = [(lo, lo + data.draw(st.floats(0.01, 5.0)))
+               for lo in data.draw(st.lists(st.floats(-5.0, 5.0),
+                                            min_size=dim, max_size=dim))]
+        grid = build_grid(box, data.draw(st.lists(st.integers(1, 7),
+                                                  min_size=dim, max_size=dim)))
+        expected = np.array([scalar_center(grid, c) for c in range(grid.n_cells)])
+        assert grid.all_centers().tobytes() == expected.tobytes()
+        cells = data.draw(st.lists(st.integers(0, grid.n_cells - 1), max_size=10))
+        assert grid.centers(cells).tobytes() == expected[cells].reshape(-1, dim).tobytes()
+        for c in cells:
+            assert grid.center(c).tobytes() == expected[c].tobytes()
+            assert grid.multi_index(c) == divmod_multi_index(grid, c)
+            assert grid.flat_index(grid.multi_index(c)) == c
+
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValidationError):
             build_grid([(1.0, 1.0)], 10)
@@ -138,6 +156,21 @@ class TestStepImage:
         grid = build_grid([(0.0, 2.0)], 10)
         with pytest.raises(ValidationError):
             step_image(sys, g, grid, 0, (0, 0))
+
+
+def divmod_multi_index(grid, cell):
+    """The divmod loop ``Grid.multi_index`` replaced."""
+    idx = []
+    for c in reversed(grid.counts):
+        cell, r = divmod(cell, c)
+        idx.append(r)
+    return tuple(reversed(idx))
+
+
+def scalar_center(grid, cell):
+    """The per-axis scalar centre formula ``Grid.centers`` replaced."""
+    return [lo + (k + 0.5) * w for (lo, _), k, w in
+            zip(grid.box, divmod_multi_index(grid, cell), grid.widths)]
 
 
 class TestBuildChainGraph:
@@ -389,6 +422,73 @@ class TestLiftKernel:
         assert (grid.cell_of([0.5]), 0) in kernel
 
 
+# Fields for the lift-kernel reference test: one per vertex of the largest
+# graph, in 1-D and 2-D.
+LIFT_FIELDS = {
+    1: (ExpressionField(("-x1*(x1-1)*(x1-2)",)), ExpressionField(("-x1*(x1-2)",)),
+        ExpressionField(("1.0-x1",))),
+    2: (ExpressionField(("-x2", "x1-0.5*x2")), ExpressionField(("-x1", "-2.0*x2")),
+        ExpressionField(("0.3", "x1*x1-x2"))),
+}
+LIFT_GRAPHS = (DirectedGraph.complete(2), DirectedGraph.cycle(2),
+               DirectedGraph.complete(3),
+               DirectedGraph.from_edges(3, [(0, 1), (1, 1), (1, 2), (2, 0), (0, 2)]))
+
+
+class TestLiftKernelReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_worklist(self, data):
+        dim = data.draw(st.integers(1, 2), label="dim")
+        g = data.draw(st.sampled_from(LIFT_GRAPHS), label="graph")
+        box = ((0.0, 2.0),) if dim == 1 else ((-1.0, 1.0), (-1.0, 1.0))
+        sys = SwitchedSystem(g, box, H, LIFT_FIELDS[dim][:g.n], substeps=4)
+        grid = build_grid(box, 30 if dim == 1 else [7, 6])
+        # an index range with holes, so kernels are neither always empty nor full
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, grid.n_cells - 1),
+                                           min_size=2, max_size=2), label="range"))
+        holes = data.draw(st.sets(st.integers(0, grid.n_cells - 1), max_size=4))
+        cells = set(range(lo, hi + 1)) - holes
+        slack = data.draw(st.one_of(st.none(), st.floats(0.0, 3 * grid.radius)),
+                          label="slack")
+        assert lift_kernel(sys, g, grid, cells, slack) == \
+            worklist_lift_kernel(sys, g, grid, cells, slack)
+
+
+def worklist_lift_kernel(sys, g, grid, cells, slack=None):
+    """The dict-of-sets worklist ``lift_kernel`` replaced: peel nodes without a
+    live successor or predecessor, re-checking the neighbours of each."""
+    cell_list = sorted(set(cells))
+    if not cell_list:
+        return frozenset()
+    if slack is None:
+        slack = grid.radius
+    cell_set = set(cell_list)
+    centers = np.stack([grid.center(c) for c in cell_list])
+    nodes = [(c, u) for c in cell_list for u in range(g.n)]
+    succ = {nd: set() for nd in nodes}
+    pred = {nd: set() for nd in nodes}
+    for u in range(g.n):
+        images = integrate_segment(sys, u, centers, sys.step)
+        for i, b in grid.cells_within(images, slack).tolist():
+            if b not in cell_set:
+                continue
+            for v in g.successors(u):
+                succ[(cell_list[i], u)].add((b, v))
+                pred[(b, v)].add((cell_list[i], u))
+    alive = set(nodes)
+    queue = [nd for nd in nodes if not (succ[nd] & alive) or not (pred[nd] & alive)]
+    while queue:
+        nd = queue.pop()
+        if nd not in alive:
+            continue
+        alive.discard(nd)
+        for other in succ[nd] | pred[nd]:
+            if other in alive and (not (succ[other] & alive) or not (pred[other] & alive)):
+                queue.append(other)
+    return frozenset(alive)
+
+
 class TestHausdorff:
     def test_identical_sets(self):
         assert hausdorff_distance([0.0, 1.0], [0.0, 1.0]) == 0.0
@@ -403,6 +503,15 @@ class TestHausdorff:
 
     def test_interval_far_side(self):
         assert hausdorff_distance([0.0, 1.0], interval=(0.0, 1.0)) == 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_point_sets_match_per_point_formula(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        point = st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)
+        a = data.draw(st.lists(point, min_size=1, max_size=12), label="a")
+        b = data.draw(st.lists(point, min_size=1, max_size=12), label="b")
+        assert hausdorff_distance(a, b) == per_point_hausdorff(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -429,3 +538,11 @@ def quadratic_interval_hausdorff(points, lo, hi):
             candidates.append(mid)
     d_interval_to_set = max(min(abs(c - p) for p in pts) for c in candidates)
     return max(d_set_to_interval, d_interval_to_set)
+
+
+def per_point_hausdorff(points_a, points_b):
+    """The per-point generator the point-set form replaced."""
+    a, b = np.asarray(points_a, dtype=float), np.asarray(points_b, dtype=float)
+    d_ab = max(float(np.min(np.linalg.norm(b - p, axis=1))) for p in a)
+    d_ba = max(float(np.min(np.linalg.norm(a - p, axis=1))) for p in b)
+    return max(d_ab, d_ba)

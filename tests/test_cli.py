@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -60,6 +61,15 @@ class TestLiterals:
             parse_sequence(g, "left=(A C) core=[] right=(A)")
         assert "position" in str(err.value)
 
+    def test_signal_errors_point_into_the_given_text(self):
+        g = DirectedGraph.complete(2)
+        for text, at in [("tau=0.05 h=0.1 left=(0 7) right=(1)", "left="),
+                         ("tau=0.05 h=0.1 left=(0 1) core=[] right=(1) shift=x", "shift="),
+                         ("tau=0.05 h=0.1 left=(0 1)", None)]:
+            with pytest.raises(LiteralError) as err:
+                parse_signal(g, text)
+            assert err.value.position == (len(text) if at is None else text.index(at))
+
     def test_unknown_vertex_rejected(self):
         g = DirectedGraph.complete(2)
         with pytest.raises(LiteralError):
@@ -85,6 +95,70 @@ class TestConfig:
         with pytest.raises(ValidationError) as err:
             ExperimentConfig.from_file(path)
         assert "line" in str(err.value)
+
+
+def _without(block, key):
+    def edit(doc):
+        del doc[block][key]
+    return edit
+
+
+def _with(block, key, value):
+    def edit(doc):
+        doc[block][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_without("system", "box"), id="missing-box"),
+    pytest.param(_with("system", "h", "abc"), id="h-not-a-number"),
+    pytest.param(_without("analysis", "eps"), id="missing-eps"),
+    pytest.param(_with("system", "box", [[0.0, 2.0, 3.0]]), id="box-row-of-three"),
+    pytest.param(_with("graph", "edges", [[0, 0], [0, 1], [1, 0], [0]]), id="edge-of-one"),
+    pytest.param(_with("analysis", "references", [[0]]), id="reference-of-one"),
+    pytest.param(_with("analysis", "references", [[2, 0]]), id="reversed-reference"),
+    pytest.param(_with("system", "fields", [{"type": "poly1d"}, "x1"]),
+                 id="poly1d-without-coeffs"),
+])
+def test_malformed_config_exits_2(edit, tmp_path, capsys):
+    doc = json.loads(json.dumps(COMPLETE2))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "Traceback" not in err
+
+
+# sha256 of the files each command writes for scripts/configs, recorded
+# before chain-sets computed its centres once per component.
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+FROZEN_OUTPUTS = {
+    ("sine_curve_reduced", "chain-sets"): {
+        "components.csv": "dbef1f4ab5c1d489a83961d8dd21062d2f08d20f9c5ded878430890d3069f9da",
+        "chain_summary.json": "c016ef53921014fc87dc168bb8442867b0839fbd506494fdfc72c2c079a7d4b0"},
+    ("two_well_complete", "chain-sets"): {
+        "components.csv": "09c36c3cc0c02bc55dceaa229b9d00ba18ee28ec9378e6cc75bc02ac376c370a",
+        "chain_summary.json": "9757f9a72973f5e5d5a87aeae261eb7e0ef795fcf7b954da84c255bf045f6baa"},
+    ("two_well_cycle", "chain-sets"): {
+        "components.csv": "8eba55b46191b33472ec15b25628aecb314fe563dcfaf9d24cfe80c471c3fcef",
+        "chain_summary.json": "c7bba67c601bd23850b19e04dbdc416e25af5caf881529369a9634b5e134b4c8"},
+    ("sine_curve_reduced", "analyze-graph"): {
+        "graph_analysis.json": "96c62c92f24a921c91bdbf94684380ff33f5de7081983b9ce7c231f93d7d8938"},
+    ("two_well_complete", "analyze-graph"): {
+        "graph_analysis.json": "7b8b74981914cb47f601a44f5ea26e1e8a794eb46e67136bb6ca24bdc133ced4"},
+    ("two_well_cycle", "analyze-graph"): {
+        "graph_analysis.json": "08cd106295dc6be95cd00035aabf5a998b2898dbc3a25d0e8801f05fefdb4114"},
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(FROZEN_OUTPUTS))
+def test_config_outputs_frozen(name, command, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["--config", str(CONFIG_DIR / f"{name}.json"), "--out", str(out),
+                 command]) == 0
+    expected = FROZEN_OUTPUTS[(name, command)]
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
 
 
 class TestCommands:

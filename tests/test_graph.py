@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from switchflow.graph import (
     DirectedGraph,
+    SccDecomposition,
     ValidationError,
     admissible_path,
     connector,
@@ -172,3 +173,35 @@ class TestMorseOrder:
             for c in range(k):
                 if (b, c) in order:
                     assert (a, c) in order
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_fixed_point_closure(self, data):
+        # any DAG on k components: edges go from lower to higher rank
+        k = data.draw(st.integers(1, 9), label="k")
+        rank = data.draw(st.permutations(range(k)), label="rank")
+        pairs = [(a, b) for a in range(k) for b in range(k) if rank[a] < rank[b]]
+        edges = frozenset(data.draw(st.lists(st.sampled_from(pairs), max_size=12))
+                          if pairs else [])
+        d = SccDecomposition(tuple(frozenset([c]) for c in range(k)),
+                             tuple(range(k)), edges)
+        assert morse_order(d) == fixed_point_morse_order(d)
+
+
+def fixed_point_morse_order(decomp):
+    """The closure loop ``morse_order`` replaced: grow each reach set by one
+    condensation step until nothing changes."""
+    k = len(decomp.components)
+    reach = [{i} for i in range(k)]
+    succ = [[] for _ in range(k)]
+    for a, b in decomp.condensation_edges:
+        succ[a].append(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(k):
+            add = {c for b in reach[a] for c in succ[b]} - reach[a]
+            if add:
+                reach[a] |= add
+                changed = True
+    return frozenset((a, b) for a in range(k) for b in reach[a])
