@@ -111,6 +111,8 @@ class ExperimentConfig:
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
         try:
             doc = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"config {path}: cannot read: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path}: invalid JSON at line "
                                   f"{exc.lineno} column {exc.colno}: {exc.msg}") from exc

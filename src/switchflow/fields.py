@@ -46,34 +46,28 @@ def _validate_expr(node: ast.AST, names: set[str]) -> None:
         raise ValidationError(f"expression node {type(node).__name__} not allowed")
 
 
-def compile_component(expr: str, dimension: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile one scalar expression over variables x1..xd."""
-    names = {f"x{i + 1}" for i in range(dimension)}
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-    _validate_expr(tree, names)
-    code = compile(tree, "<field>", "eval")
-
-    def component(x: np.ndarray) -> np.ndarray:
-        env = {f"x{i + 1}": x[..., i] for i in range(dimension)}
-        out = eval(code, {"__builtins__": {}}, {**_ALLOWED_CALLS, **env})
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape[:-1])
-
-    return component
-
-
 @dataclass(frozen=True)
 class ExpressionField:
-    """Vector field given by one expression per state component."""
+    """Vector field given by one expression per state component.
+
+    The components compile to one code object that evaluates all of them
+    on the same variables x1..xd.
+    """
 
     expressions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        components = tuple(compile_component(e, len(self.expressions))
-                           for e in self.expressions)
-        object.__setattr__(self, "_components", components)
+        names = {f"x{i + 1}" for i in range(self.dimension)}
+        bodies = []
+        for expr in self.expressions:
+            try:
+                tree = ast.parse(expr, mode="eval")
+            except SyntaxError as exc:
+                raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
+            _validate_expr(tree, names)
+            bodies.append(tree.body)
+        tree = ast.fix_missing_locations(ast.Expression(ast.Tuple(bodies, ast.Load())))
+        object.__setattr__(self, "_code", compile(tree, "<field>", "eval"))
 
     @property
     def dimension(self) -> int:
@@ -81,7 +75,12 @@ class ExpressionField:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.stack([c(x) for c in self._components], axis=-1)
+        env = {f"x{i + 1}": x[..., i] for i in range(self.dimension)}
+        out = np.empty(x.shape[:-1] + (self.dimension,))
+        for i, value in enumerate(eval(self._code, {"__builtins__": {}},
+                                       {**_ALLOWED_CALLS, **env})):
+            out[..., i] = value
+        return out
 
 
 @dataclass(frozen=True)

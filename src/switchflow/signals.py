@@ -78,30 +78,15 @@ def shift(f: SwitchingSignal, t: float) -> SwitchingSignal:
     return SwitchingSignal(shift_discrete(f.base, -k), tau, f.step)
 
 
-def _cell_mismatch(f: SwitchingSignal, g: SwitchingSignal, a: float, b: float) -> float:
-    """Lebesgue measure of {t in [a,b): f(t) != g(t)}, exact for step functions."""
-    pts = [a, b]
-    for sig in (f, g):
-        p = a + (sig.offset - a) % sig.step
-        if a < p < b:
-            pts.append(p)
-    pts.sort()
-    acc = 0.0
-    for s0, s1 in zip(pts, pts[1:]):
-        if s1 <= s0:
-            continue
-        mid = 0.5 * (s0 + s1)
-        if f.value_at(mid) != g.value_at(mid):
-            acc += s1 - s0
-    return acc
-
-
 def metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float = 1e-12) -> float:
     """Distance sum_i (mismatch fraction on [i*h,(i+1)*h)) * 4^(-|i|), within tol.
 
-    Each unit cell is integrated exactly on the breakpoint partition of the
-    two signals; only the geometric tail beyond the truncation order is
-    dropped, and it is bounded by tol.
+    With offsets lo <= hi, unit cell i splits into three pieces: on its
+    first lo both signals hold their cell i-1, on the next hi - lo the
+    earlier-switching signal holds its cell i against the other's cell i-1,
+    and on the last h - hi both hold cell i.  Each unit cell is integrated
+    exactly from these pieces; only the geometric tail beyond the truncation
+    order is dropped, and it is bounded by tol.
     """
     if f.step != g.step:
         raise ValidationError("signals must share the same step h")
@@ -109,11 +94,16 @@ def metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float = 1e-12) -> 
         raise ValidationError("signals live over different graphs")
     n = truncation_order(tol)
     h = f.step
+    x, y = f.base, g.base
+    early, late = (x, y) if f.offset <= g.offset else (y, x)
+    lo, hi = sorted((f.offset, g.offset))
     total = 0.0
     for i in range(-n, n + 1):
-        frac = _cell_mismatch(f, g, i * h, (i + 1) * h) / h
-        if frac:
-            total += frac * 4.0 ** (-abs(i))
+        mismatch = ((x.at(i - 1) != y.at(i - 1)) * lo
+                    + (early.at(i) != late.at(i - 1)) * (hi - lo)
+                    + (x.at(i) != y.at(i)) * (h - hi))
+        if mismatch:
+            total += mismatch / h * 4.0 ** (-abs(i))
     return total
 
 
@@ -130,20 +120,14 @@ def continuity_gap(f: SwitchingSignal, g: SwitchingSignal, t: float,
     return lhs, bound
 
 
-def lift_membership(f: SwitchingSignal, component: frozenset[int] | set[int],
-                    horizon: int = 10_000) -> bool:
+def lift_membership(f: SwitchingSignal, component: frozenset[int] | set[int]) -> bool:
     """Whether every value of the signal stays inside the component.
 
-    Exact for eventually periodic bases: both periods are scanned fully and
-    the core up to ``horizon`` symbols.
+    Exact for eventually periodic bases: both periods and the core are
+    scanned fully.
     """
-    comp = set(component)
     base = f.base
-    if any(s not in comp for s in base.left_period):
-        return False
-    if any(s not in comp for s in base.right_period):
-        return False
-    return all(s in comp for s in base.core[:horizon])
+    return set(component).issuperset((*base.left_period, *base.core, *base.right_period))
 
 
 def witness_window(eps: float) -> int:

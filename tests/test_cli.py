@@ -130,6 +130,48 @@ def test_malformed_config_exits_2(edit, tmp_path, capsys):
     assert "validation error" in err and "Traceback" not in err
 
 
+CONSTANT_A = "left=(A) core=[] right=(A)"
+SIMULATE = ["simulate", "--signal", CONSTANT_A]
+PRODUCT = ["metric", "--kind", "product", "--a", CONSTANT_A, "--b", CONSTANT_A]
+
+
+@pytest.mark.parametrize("config, command", [
+    pytest.param(None, [*SIMULATE, "--x0", "abc", "--t-end", "1", "--sample-dt", "0.5"],
+                 id="x0-not-a-number"),
+    pytest.param(None, [*SIMULATE, "--x0", "0.5,1", "--t-end", "1", "--sample-dt", "0.5"],
+                 id="x0-of-two"),
+    pytest.param(None, [*SIMULATE, "--x0", "0.5", "--t-end", "nan", "--sample-dt", "0.5"],
+                 id="t-end-nan"),
+    pytest.param(None, [*SIMULATE, "--x0", "0.5", "--t-end", "1", "--sample-dt", "nan"],
+                 id="sample-dt-nan"),
+    pytest.param(None, [*SIMULATE, "--x0", "0.5", "--t-end", "1", "--sample-dt", "inf"],
+                 id="sample-dt-inf"),
+    pytest.param(None, [*PRODUCT, "--x", "1,abc", "--y", "0.5"], id="x-not-a-number"),
+    pytest.param(None, [*PRODUCT, "--x", "1,2", "--y", "0.5"], id="x-of-two"),
+    pytest.param(None, [*PRODUCT, "--x", "1", "--y", "0.5,1,2"], id="y-of-three"),
+    pytest.param("missing.json", ["analyze-graph"], id="missing-config"),
+    pytest.param(".", ["analyze-graph"], id="config-is-a-directory"),
+])
+def test_bad_cli_input_exits_2(config, command, config_path, tmp_path, capsys):
+    path = config_path if config is None else tmp_path / config
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), *command]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "Traceback" not in err
+
+
+def test_simulate_infinite_t_end_exits_2_at_once(config_path, tmp_path):
+    # a fresh interpreter with a timeout, so that an endless loop fails the test
+    src = Path(switchflow.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "switchflow.cli", "--config", str(config_path),
+         "--out", str(tmp_path / "o"), *SIMULATE, "--x0", "0.5",
+         "--t-end", "inf", "--sample-dt", "0.5"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 2
+    assert "validation error" in done.stderr and "Traceback" not in done.stderr
+
+
 # sha256 of the files each command writes for scripts/configs, recorded
 # before chain-sets computed its centres once per component.
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"

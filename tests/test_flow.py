@@ -1,13 +1,16 @@
+import ast
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchflow.fields import (
     ExpressionField,
     LinearField,
     PolynomialField1D,
-    compile_component,
     field_from_config,
 )
 from switchflow.flow import (
@@ -50,15 +53,15 @@ class TestFields:
         assert out[1, 0] == pytest.approx(0.375)
 
     def test_expression_functions(self):
-        f = compile_component("sin(x1) + exp(x2)", 2)
-        val = f(np.array([0.0, 0.0]))
+        f = ExpressionField(("sin(x1) + exp(x2)", "x1"))
+        val = f(np.array([0.0, 0.0]))[0]
         assert float(val) == pytest.approx(1.0)
 
     def test_expression_rejects_unknown_names(self):
         with pytest.raises(ValidationError):
-            compile_component("__import__('os')", 1)
+            ExpressionField(("__import__('os')",))
         with pytest.raises(ValidationError):
-            compile_component("x3", 2)
+            ExpressionField(("x3", "x1"))
 
     def test_polynomial(self):
         f = PolynomialField1D((0.0, -1.0))  # -x
@@ -77,6 +80,64 @@ class TestFields:
                           LinearField)
         with pytest.raises(ValidationError):
             field_from_config({"type": "nope"}, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_expression_matches_per_component_eval(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        exprs = tuple(data.draw(st.lists(field_expressions(d), min_size=d, max_size=d),
+                                label="expressions"))
+        lead = data.draw(st.sampled_from([(), (4,), (3, 2)]), label="leading shape")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        x = np.random.default_rng(seed).uniform(-3.0, 3.0, lead + (d,))
+        field, reference = ExpressionField(exprs), per_component_field(exprs, d)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                want = reference(x)
+            except Exception:  # e.g. 1/0 or a complex power between constants
+                with pytest.raises(Exception):
+                    field(x)
+                return
+            got = field(x)
+        assert got.shape == want.shape == x.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def field_expressions(d):
+    """Whitelisted expressions over x1..xd.  Exponents are float constants or
+    variables, so no integer power can grow without bound."""
+    names = st.sampled_from([f"x{i + 1}" for i in range(d)])
+    floats = st.floats(-4.0, 4.0).map(repr)
+    leaves = st.one_of(names, st.integers(0, 3).map(str), floats)
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(inner, st.one_of(names, floats)).map(lambda t: f"({t[0]})**{t[1]}"),
+            st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            inner.map(lambda e: f"-{e}"))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def per_component_field(expressions, d):
+    """The evaluator ExpressionField replaced: one eval per component, each
+    broadcast to the leading shape, then stacked."""
+    calls = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+    codes = [compile(ast.parse(e, mode="eval"), "<field>", "eval") for e in expressions]
+
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        env = {f"x{i + 1}": x[..., i] for i in range(d)}
+        return np.stack([np.broadcast_to(np.asarray(
+            eval(code, {"__builtins__": {}}, {**calls, **env}), dtype=float), x.shape[:-1])
+            for code in codes], axis=-1)
+
+    return field
 
 
 class TestIntegrateSegment:

@@ -11,6 +11,7 @@ from switchflow.sequences import (
     periodic_sequence,
     shift_discrete,
     transitive_sequence,
+    truncation_order,
 )
 from switchflow.signals import (
     SwitchingSignal,
@@ -180,6 +181,69 @@ class TestMetricDelta:
             assert abs(exact - approx) <= sampling_slack + weights_tail
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_breakpoint_integration(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        g = random_strong_graph(rng, data.draw(st.integers(2, 4), label="n"))
+        h = data.draw(st.sampled_from([0.1, 0.3, 1.0, 1e-3, 7.0]), label="h")
+        x = random_sequence(g, rng)
+        y = (random_sequence(g, rng) if data.draw(st.booleans(), label="fresh")
+             else shift_discrete(x, data.draw(st.integers(-3, 3), label="k")))
+        phase = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                          st.sampled_from([0.5, 1e-16, 1.0 - 2.0 ** -52]))
+        tau_x = data.draw(phase, label="tau_x") * h
+        tau_y = tau_x if data.draw(st.booleans(), label="same phase") \
+            else data.draw(phase, label="tau_y") * h
+        f, s = SwitchingSignal(x, tau_x, h), SwitchingSignal(y, tau_y, h)
+        tol = data.draw(st.sampled_from([1e-9, 1e-10, 1e-12]), label="tol")
+        d = metric_delta(f, s, tol)
+        assert abs(d - breakpoint_metric_delta(f, s, tol)) <= 1e-15
+        assert metric_delta(s, f, tol) == d
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-3, 3),
+           h=st.sampled_from([0.1, 0.3, 1.0, 7.0]), tol=st.sampled_from([1e-9, 1e-12]))
+    def test_phase_aligned_equals_symbolic_sum(self, seed, k, h, tol):
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, 3)
+        x = random_sequence(g, rng)
+        for y in (random_sequence(g, rng), shift_discrete(x, k)):
+            n = truncation_order(tol)
+            exact = sum(4.0 ** -abs(i) for i in range(-n, n + 1) if x.at(i) != y.at(i))
+            assert metric_delta(sigma_embed(x, h), sigma_embed(y, h), tol) == exact
+
+
+def breakpoint_metric_delta(f, g, tol):
+    """The integration metric_delta replaced: each unit cell is split at the
+    signals' breakpoints, found with a float %, and each piece is looked up
+    at its midpoint."""
+    def cell_mismatch(a, b):
+        pts = [a, b]
+        for sig in (f, g):
+            p = a + (sig.offset - a) % sig.step
+            if a < p < b:
+                pts.append(p)
+        pts.sort()
+        acc = 0.0
+        for s0, s1 in zip(pts, pts[1:]):
+            if s1 <= s0:
+                continue
+            mid = 0.5 * (s0 + s1)
+            if f.value_at(mid) != g.value_at(mid):
+                acc += s1 - s0
+        return acc
+
+    n = truncation_order(tol)
+    h = f.step
+    total = 0.0
+    for i in range(-n, n + 1):
+        frac = cell_mismatch(i * h, (i + 1) * h) / h
+        if frac:
+            total += frac * 4.0 ** (-abs(i))
+    return total
+
+
 class TestContinuity:
     def test_zero_shift_equality(self, rng):
         g = random_strong_graph(rng, 3)
@@ -222,6 +286,13 @@ class TestLifts:
         x = SymbolicSequence(g, (0, 1), (0, 1, 2), (2,))
         f = sigma_embed(x, H)
         assert not lift_membership(f, {0, 1})
+
+    def test_late_core_excursion_detected(self):
+        # the whole core is scanned, however long it is
+        g = DirectedGraph.from_edges(3, [(0, 0), (0, 1), (1, 0), (0, 2), (2, 0)])
+        x = SymbolicSequence(g, (0,), (0,) * 20_000 + (2,), (0,))
+        assert not lift_membership(sigma_embed(x, H), {0, 1})
+        assert lift_membership(sigma_embed(x, H), {0, 2})
 
     def test_transitive_sequence_stays_inside(self):
         g = self.graph_two_comps()
