@@ -15,7 +15,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .flow import SwitchedSystem, integrate_segment
-from .graph import Csr, DirectedGraph, ValidationError, require_valid, tarjan
+from .graph import (
+    DirectedGraph,
+    RangeRows,
+    ValidationError,
+    expand_ranges,
+    require_valid,
+    self_reaching_components,
+)
 from .sequences import enumerate_admissible_words
 
 Node = int | tuple[int, int]  # cell index, or (cell index, vertex)
@@ -89,31 +96,73 @@ class Grid:
             multi.append(min(max(k, 0), c - 1))
         return self.flat_index(multi)
 
-    def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
-        """``(point index, cell)`` rows, one per cell whose center lies within
-        Euclidean ``dist`` of a row of ``points`` (shape ``(N, d)``), sorted
-        by point, then by cell."""
+    def rows_within(self, points: np.ndarray, dist: float) -> np.ndarray:
+        """``(point index, first cell, last cell)`` rows for the cells whose
+        center lies within Euclidean ``dist`` of a row of ``points`` (shape
+        ``(N, d)``).  A ball meets each line of cells along the last axis in
+        one run of consecutive flat indices, so each row is one such run;
+        rows are sorted by point, then by first cell.
+
+        Only the first d-1 axes are enumerated; along the last axis only the
+        cells at the two ends of each run are tested.
+        """
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         lo = np.array([b[0] for b in self.box])
         w = np.array(self.widths)
         counts = np.array(self.counts)
-        # per-axis index ranges [k_lo, k_hi], clipped to the grid
-        k_lo = np.clip(np.ceil((pts - dist - lo) / w - 0.5), 0, counts).astype(np.int64)
-        k_hi = np.clip(np.floor((pts + dist - lo) / w - 0.5), -1, counts - 1).astype(np.int64)
+        # lines: per-axis index ranges over the first d-1 axes, one index
+        # wider on each side than the rounded bounds (a centre at distance
+        # exactly dist may round out of them), clipped to the grid
+        k_lo = np.clip(np.ceil((pts[:, :-1] - dist - lo[:-1]) / w[:-1] - 0.5) - 1,
+                       0, counts[:-1]).astype(np.int64)
+        k_hi = np.clip(np.floor((pts[:, :-1] + dist - lo[:-1]) / w[:-1] - 0.5) + 1,
+                       -1, counts[:-1] - 1).astype(np.int64)
         span = np.maximum(k_hi - k_lo + 1, 0).max(axis=0, initial=0)
-        stencil = np.indices(tuple(span)).reshape(self.dimension, -1).T
+        stencil = np.indices(tuple(span)).reshape(self.dimension - 1, math.prod(span)).T
         multi = k_lo[:, None, :] + stencil[None, :, :]
         point, slot = np.nonzero(np.all(multi <= k_hi[:, None, :], axis=-1))
-        multi = multi[point, slot]
-        diff = self._centers_at(multi) - pts[point]
-        d = np.sqrt(np.sum(diff * diff, axis=-1))
-        keep = d <= dist
-        # math.dist rounds the last bit differently and does not underflow:
-        # let it decide near-ties, so the relation is exactly the scalar one
-        for i in np.flatnonzero((np.abs(d - dist) <= 1e-9 * dist) | (d < 1e-150)):
-            keep[i] = math.hypot(*diff[i]) <= dist
-        cell = np.ravel_multi_index(tuple(multi[keep].T), self.counts)
-        return np.column_stack((point[keep], cell))
+        line = multi[point, slot]
+        p = pts[point]
+        # offsets of each line's centres from the point on the first d-1 axes
+        gap = lo[:-1] + (line + 0.5) * w[:-1] - p[:, :-1]
+        gap2 = np.sum(gap * gap, axis=-1)
+        half = np.sqrt(np.maximum(dist * dist - gap2, 0.0))
+        # along the last axis, the chord of the ball on each line, rounded
+        # out to one cell beyond it on each side; each end then moves inward
+        # while its cell is outside, as math.dist decides, so the cells
+        # inside, one run per line, are exactly the scalar relation's
+        c = self.counts[-1]
+        ends = np.stack((
+            np.clip(np.ceil((p[:, -1] - half - lo[-1]) / w[-1] - 0.5) - 1, 0, c),
+            np.clip(np.floor((p[:, -1] + half - lo[-1]) / w[-1] - 0.5) + 1, -1, c - 1),
+        )).astype(np.int64)
+        inward = np.array([1, -1])
+        side, rows = np.nonzero(np.tile(ends[0] <= ends[1], (2, 1)))
+        while len(rows):
+            t = lo[-1] + (ends[side, rows] + 0.5) * w[-1] - p[rows, -1]
+            d = np.sqrt(gap2[rows] + t * t)
+            outside = d > dist
+            # math.dist rounds the last bit differently and does not underflow:
+            # let it decide near-ties
+            for i in np.flatnonzero((np.abs(d - dist) <= 1e-9 * dist) | (d < 1e-150)):
+                outside[i] = math.hypot(*gap[rows[i]], t[i]) > dist
+            side, rows = side[outside], rows[outside]
+            ends[side, rows] += inward[side]
+            more = ends[0, rows] <= ends[1, rows]
+            side, rows = side[more], rows[more]
+        hit = ends[0] <= ends[1]
+        line = tuple(line[hit].T)
+        return np.column_stack((point[hit],
+                                np.ravel_multi_index(line + (ends[0, hit],), self.counts),
+                                np.ravel_multi_index(line + (ends[1, hit],), self.counts)))
+
+    def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
+        """``(point index, cell)`` rows, one per cell whose center lies within
+        Euclidean ``dist`` of a row of ``points`` (shape ``(N, d)``), sorted
+        by point, then by cell: the expansion of ``rows_within``."""
+        point, first, last = self.rows_within(points, dist).T
+        row, cell = expand_ranges(first, last)
+        return np.column_stack((point[row], cell))
 
 
 def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | int) -> Grid:
@@ -170,7 +219,7 @@ class ChainGraph:
 
     Node ``(cell, vertex)`` has id ``cell * k + vertex`` with ``k = graph.n``;
     in free mode ``k = 1`` and a node is its cell.  ``adjacency`` holds the
-    edges between ids.
+    edges between ids as merged ranges of target ids, never expanded.
     """
 
     mode: str
@@ -180,7 +229,7 @@ class ChainGraph:
     m: int
     q: int
     step: float
-    adjacency: Csr
+    adjacency: RangeRows
     word_expansion: dict[tuple, float] = field(default_factory=dict)
 
     @property
@@ -273,22 +322,21 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
 
     # The node's vertex pins the word start (word[0] % k is 0 in free mode);
     # admissibility constrains only the inside of the word.  Each link uses a
-    # fresh signal, so after the jump the next word may begin at any vertex v.
-    # Edge keys src * n + dst stay one ascending unique array: each word's
-    # keys are merged in by a stable sort of the two sorted runs.
+    # fresh signal, so after the jump the next word may begin at any vertex v:
+    # the targets (cell, v) of a cell run first..last are the one id range
+    # first * k .. last * k + k - 1.
     r = grid.radius
-    keys = np.empty(0, dtype=np.int64)
     expansions: dict[tuple, float] = {}
-    for word, images in _task_images(sys, grid.all_centers(), tasks):
-        kappa = _sampled_expansion(images, grid)
-        expansions[word] = max(expansions.get(word, 0.0), kappa)
-        point, cell = grid.cells_within(images, eps + r * kappa + r).T
-        src = np.repeat(point * k + word[0] % k, k)
-        dst = (cell[:, None] * k + np.arange(k)).ravel()
-        keys = np.concatenate((keys, src * n + dst))
-        keys.sort(kind="stable")
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-    return ChainGraph(mode, grid, g, eps, m, q, h, Csr.from_keys(keys, n), expansions)
+
+    def word_rows():
+        for word, images in _task_images(sys, grid.all_centers(), tasks):
+            kappa = _sampled_expansion(images, grid)
+            expansions[word] = max(expansions.get(word, 0.0), kappa)
+            point, first, last = grid.rows_within(images, eps + r * kappa + r).T
+            yield np.stack((point * k + word[0] % k, first * k, last * k + k - 1))
+
+    return ChainGraph(mode, grid, g, eps, m, q, h, RangeRows.from_rows(n, word_rows()),
+                      expansions)
 
 
 @dataclass(frozen=True)
@@ -308,9 +356,7 @@ def chain_components(cg: ChainGraph) -> list[ChainComponent]:
     that can reach themselves (non-trivial, or trivial with a self-edge),
     sorted by size then by smallest cell."""
     kept = []
-    for comp in tarjan(cg.adjacency):
-        if len(comp) == 1 and not cg.adjacency.has_edge(comp[0], comp[0]):
-            continue
+    for comp in self_reaching_components(cg.adjacency):
         nodes = frozenset(map(cg.node, comp))
         kept.append(ChainComponent(nodes, frozenset(map(cg.project, nodes))))
     kept.sort(key=lambda c: (-c.size, min(c.cells)))

@@ -34,6 +34,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
 
+# most trajectory samples `simulate` takes before it refuses the run
+MAX_SAMPLES = 1_000_000
+
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     payload = {"config": cfg.resolved(), **payload}
@@ -99,6 +102,11 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
     f = parse_signal(cfg.graph, signal_text, default_h=sys_.step)
     if not (0 < t_end < math.inf and 0 < sample_dt < math.inf):
         raise ValidationError("t_end and sample_dt must be finite and positive")
+    # ceil(t_end / sample_dt) > MAX_SAMPLES, without overflowing ceil
+    if t_end / sample_dt > MAX_SAMPLES:
+        raise SizingError(
+            f"t_end / sample_dt = {t_end / sample_dt:.6g} samples exceeds the bound "
+            f"{MAX_SAMPLES}; use a larger sample_dt or a shorter t_end")
     rows: list[list] = []
     t = 0.0
     rows.append([0.0, *[float(v) for v in x], cfg.graph.label_of(f.value_at(0.0))])

@@ -1,4 +1,5 @@
-"""Directed switching-rule graphs: validation, SCCs, condensation, path queries.
+"""Directed switching-rule graphs: validation, SCCs, condensation, path queries,
+and range-row relations with their self-reaching components.
 
 The graph fixes which vertex-to-vertex transitions a switching signal may
 take.  Everything downstream (admissible sequences, signal spaces, chain
@@ -208,17 +209,126 @@ class Csr:
     def n(self) -> int:
         return len(self.indptr) - 1
 
+
+def expand_ranges(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, id)`` for every id of every range ``first[row]..last[row]``,
+    in row order."""
+    lengths = last - first + 1
+    row = np.repeat(np.arange(len(first)), lengths)
+    offset = np.arange(len(row)) - (np.cumsum(lengths) - lengths)[row]
+    return row, first[row] + offset
+
+
+def _join_ranges(n: int, rows: np.ndarray) -> np.ndarray:
+    """Rows ``(source, first, last)`` sorted once on the packed key
+    ``source * n + first``, with each source's overlapping or adjacent ranges
+    joined."""
+    key = rows[0] * n + rows[1]
+    order = np.argsort(key)
+    key = key[order]
+    src = key // n
+    # running maximum of the packed end src * n + last: sources ascend, so
+    # an end never carries over from an earlier source
+    end = np.maximum.accumulate(src * n + rows[2][order])
+    # start[i]: a joined range starts at sorted row i (i == len: sentinel)
+    start = np.ones(len(key) + 1, dtype=bool)
+    start[1:-1] = (src[1:] != src[:-1]) | (key[1:] > end[:-1] + 1)
+    head, tail = np.flatnonzero(start[:-1]), np.flatnonzero(start[1:])
+    src = src[head]
+    return np.stack((src, key[head] - src * n, end[tail] - src * n))
+
+
+@dataclass(frozen=True)
+class RangeRows:
+    """Directed edges over node ids 0..n-1 stored as ranges: source ``i``
+    points at every id in ``first[j]..last[j]`` for ``j`` in
+    ``indptr[i]:indptr[i + 1]``.  The ranges of one source ascend and are
+    neither overlapping nor adjacent, so no edge is stored twice."""
+
+    indptr: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+    @classmethod
+    def from_rows(cls, n: int, batches: Iterable[np.ndarray]) -> "RangeRows":
+        """Merge batches of rows, each a ``(3, R)`` array of ``(source, first,
+        last)`` in any order.  Rows are joined again only once the rows held
+        since the last join outnumber twice the joined rows plus ``n``, so
+        memory stays a small multiple of the result while each row is sorted
+        about 1.5 times on average."""
+        joined = np.empty((3, 0), dtype=np.int64)
+        held: list[np.ndarray] = []
+        count = 0
+        for rows in batches:
+            held.append(rows)
+            count += rows.shape[1]
+            if count > 2 * joined.shape[1] + n:
+                joined = _join_ranges(n, np.concatenate([joined, *held], axis=1))
+                held, count = [], 0
+        src, first, last = _join_ranges(n, np.concatenate([joined, *held], axis=1))
+        return cls(np.searchsorted(src, np.arange(n + 1)), first, last)
+
+    @property
+    def n(self) -> int:
+        return len(self.indptr) - 1
+
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        """Number of edges, each range expanded."""
+        return int(np.sum(self.last - self.first + 1))
+
+    def _ranges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(self.indptr[i], self.indptr[i + 1])
+        return self.first[rows], self.last[rows]
 
     def row(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+        """Successors of ``i``, ascending."""
+        return expand_ranges(*self._ranges(i))[1]
 
     def has_edge(self, i: int, j: int) -> bool:
-        row = self.row(i)
-        k = int(np.searchsorted(row, j))
-        return k < len(row) and bool(row[k] == j)
+        first, last = self._ranges(i)
+        k = int(np.searchsorted(first, j, side="right")) - 1
+        return k >= 0 and bool(j <= last[k])
+
+
+def self_reaching_components(rows: RangeRows) -> list[list[int]]:
+    """Strongly connected components of the relation that can reach
+    themselves (more than one id, or one id with an edge to itself), in
+    Tarjan's emission order, without expanding any range.
+
+    ``tarjan`` runs on a bottom-up segment-tree gadget: node 0 is unused,
+    internal node ``j`` in ``1..n-1`` points at its children ``2j`` and
+    ``2j + 1``, leaf ``n + i`` stands for id ``i``, and each leaf points at
+    the O(log n) tree nodes whose leaves tile its ranges.  Paths between
+    leaves are exactly the relation's paths, and every cycle passes through
+    a leaf, so the components with more than one gadget node are the
+    non-trivial ones.  A range of one id is covered by its own leaf, a
+    gadget self-loop, so a single-leaf component is kept when one of its
+    ranges contains it.
+    """
+    n = rows.n
+    src = np.repeat(np.arange(n, 2 * n), np.diff(rows.indptr))
+    lo, hi = rows.first + n, rows.last + n + 1
+    tails, heads = [np.repeat(np.arange(1, n), 2)], [np.arange(2, 2 * n)]
+    while len(lo):
+        odd = (lo & 1) == 1
+        tails.append(src[odd])
+        heads.append(lo[odd])
+        lo = lo + odd
+        odd = (hi & 1) == 1
+        hi = hi - odd
+        tails.append(src[odd])
+        heads.append(hi[odd])
+        lo, hi = lo >> 1, hi >> 1
+        more = lo < hi
+        src, lo, hi = src[more], lo[more], hi[more]
+    keys = np.sort(np.concatenate(tails) * (2 * n) + np.concatenate(heads))
+    kept = []
+    for comp in tarjan(Csr.from_keys(keys, 2 * n)):
+        ids = [v - n for v in comp if v >= n]
+        if len(comp) > 1 or (ids and rows.has_edge(ids[0], ids[0])):
+            kept.append(ids)
+    return kept
 
 
 def tarjan(csr: Csr) -> list[list[int]]:

@@ -11,6 +11,7 @@ from switchflow.chains import (
     CONSTRAINED,
     FREE,
     SizingError,
+    _sampled_expansion,
     _task_images,
     build_chain_graph,
     build_grid,
@@ -23,7 +24,15 @@ from switchflow.chains import (
 from switchflow.config import ExperimentConfig
 from switchflow.fields import ExpressionField
 from switchflow.flow import SwitchedSystem, integrate_segment
-from switchflow.graph import DirectedGraph, ValidationError
+from switchflow.graph import (
+    Csr,
+    DirectedGraph,
+    RangeRows,
+    ValidationError,
+    self_reaching_components,
+    tarjan,
+)
+from switchflow.sequences import enumerate_admissible_words
 
 H = 0.1
 
@@ -123,6 +132,43 @@ class TestGrid:
         # the squared distance underflows to 0, the distance does not
         tiny = build_grid([(-0.5, 0.5)], 1)
         assert tiny.cells_within([1e-170], 1e-175).shape == (0, 2)
+        # the same cases as range rows
+        f = grid.flat_index
+        assert grid.rows_within(center, 1.0).tolist() == [
+            [0, f((0, 1)), f((0, 1))], [0, f((1, 0)), f((1, 2))], [0, f((2, 1)), f((2, 1))]]
+        assert grid.rows_within(center, 0.0).tolist() == [[0, f((1, 1)), f((1, 1))]]
+        assert any(a <= f((1, 1)) <= b for _, a, b in grid.rows_within(point, dist).tolist())
+        assert tiny.rows_within([1e-170], 1e-175).shape == (0, 3)
+        assert tiny.rows_within([1e-170], 1e-170).tolist() == [[0, 0, 0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_within_are_runs_of_the_brute_force_set(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        box = [(lo, lo + data.draw(st.floats(0.01, 5.0)))
+               for lo in data.draw(st.lists(st.floats(-5.0, 5.0),
+                                            min_size=dim, max_size=dim))]
+        grid = build_grid(box, data.draw(st.lists(st.integers(1, 6),
+                                                  min_size=dim, max_size=dim)))
+        centers = [grid.center(c).tolist() for c in range(grid.n_cells)]
+        # points up to a box width outside the box, and cell centres, whose
+        # distances to other centres tie with radii drawn as such distances
+        free = st.tuples(*[st.floats(lo - (hi - lo), hi + (hi - lo)) for lo, hi in box])
+        points = np.array(data.draw(st.lists(st.one_of(free, st.sampled_from(centers)),
+                                             max_size=5)), dtype=float).reshape(-1, dim)
+        tie = st.tuples(st.sampled_from(centers), st.sampled_from(centers))
+        dist = data.draw(st.one_of(st.floats(0.0, 1.5 * math.dist(*zip(*box))),
+                                   tie.map(lambda ab: math.dist(*ab))))
+        rows = grid.rows_within(points, dist).tolist()
+        assert rows == sorted(rows)
+        line = grid.counts[-1]
+        for _, first, last in rows:
+            assert first <= last and first // line == last // line
+        for (a, _, last), (b, first, _) in zip(rows, rows[1:]):
+            assert a < b or last < first
+        expected = [(i, c) for i, p in enumerate(points.tolist())
+                    for c, center in enumerate(centers) if math.dist(center, p) <= dist]
+        assert [(i, c) for i, first, last in rows for c in range(first, last + 1)] == expected
 
 
 class TestStepImage:
@@ -296,6 +342,127 @@ def test_config_edge_sets_frozen(name):
     assert (len(pairs), _sha(pairs)) == FROZEN_EDGES[name]
     comps = [(sorted(c.nodes), sorted(c.cells)) for c in chain_components(cg)]
     assert (len(comps), _sha(comps)) == FROZEN_COMPONENTS[name]
+
+
+def expanded_edge_pairs(sys, g, grid, eps, m, mode, q):
+    """The expanded edge set that range rows replaced, built as before: per
+    word, every (point, cell) pair of the ball query, from the node whose
+    vertex starts the word to every vertex of the target cell."""
+    h = sys.step
+    verts = frozenset(range(g.n))
+    tasks = [(w, [h] * m) for w in enumerate_admissible_words(g, verts, m)]
+    for i in range(1, q):
+        durations = [i * h / q] + [h] * (m - 1) + [h - i * h / q]
+        tasks.extend((w, durations) for w in enumerate_admissible_words(g, verts, m + 1))
+    k = 1 if mode == FREE else g.n
+    r = grid.radius
+    pairs = set()
+    for word, images in _task_images(sys, grid.all_centers(), tasks):
+        kappa = _sampled_expansion(images, grid)
+        for point, cell in grid.cells_within(images, eps + r * kappa + r).tolist():
+            pairs.update((point * k + word[0] % k, cell * k + v) for v in range(k))
+    return sorted(pairs)
+
+
+def expression_system(box, fields, h=0.25):
+    return SwitchedSystem(DirectedGraph.complete(2), box, h,
+                          tuple(map(ExpressionField, fields)), substeps=4)
+
+
+VDP_FOCUS = [("x2", "-x1+(1-x1**2)*x2"), ("-x1+x2", "-x1-x2")]
+CHAIN_CASES = {  # system, cells, eps, m, mode, q
+    "1d-free": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.02, 1, FREE, 1),
+    "1d-free-q3": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.01, 2, FREE, 3),
+    "1d-constrained-cycle": lambda: (example2_system(DirectedGraph.cycle(2)), [40], 0.01, 2,
+                                     CONSTRAINED, 1),
+    "2d-free": lambda: (expression_system(((-2.0, 2.0), (-1.0, 2.0)), VDP_FOCUS),
+                        [9, 7], 0.05, 2, FREE, 1),
+    "2d-constrained": lambda: (expression_system(((-1.0, 1.0),) * 2,
+                                                 [("-x2", "x1"), ("0.5", "-x2")]),
+                               [6, 8], 0.1, 1, CONSTRAINED, 1),
+    "3d-free": lambda: (expression_system(((-1.0, 1.0),) * 3,
+                                          [("-x2", "x1", "-0.5*x3"), ("x1-x2", "0.3", "-x3")]),
+                        [5, 4, 6], 0.05, 1, FREE, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_CASES))
+def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
+    sys, cells, eps, m, mode, q = CHAIN_CASES[case]()
+    grid = build_grid(sys.box, cells)
+    cg = build_chain_graph(sys, sys.graph, grid, eps, m, mode=mode, q=q)
+    expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m, mode, q)
+    got = sorted((cg.node_id(a), cg.node_id(b)) for a in cg.nodes for b in cg.successors(a))
+    assert got == expected
+    assert cg.adjacency.nnz == len(expected)
+    pairs = set(expected)
+    for a in cg.nodes:
+        for b in cg.nodes:
+            assert cg.has_edge(a, b) == ((cg.node_id(a), cg.node_id(b)) in pairs)
+
+
+def test_large_grid_components():
+    # two-well free switching at 20 000 cells: the relation holds 14.4 M
+    # edges, stored as at most one range row per node and word
+    g = DirectedGraph.complete(2)
+    grid = build_grid([(0.0, 2.0)], 20_000)
+    cg = build_chain_graph(example2_system(g), g, grid, 0.02, 1)
+    assert len(cg.adjacency.first) <= grid.n_cells * 2
+    comps = chain_components(cg)
+    assert len(comps) == 21
+    assert [c.size for c in comps[:3]] == [11_994, 1_315, 1]
+
+
+class TestSelfReachingComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_match_tarjan_on_expanded_edges(self, data):
+        k = data.draw(st.sampled_from([1, 2, 3]), label="k")
+        cells = data.draw(st.integers(1, 60 // k), label="cells")
+        n = cells * k
+        source = st.integers(0, n - 1)
+        # cell runs as chain rows write them, single ids (a leaf covers
+        # them, a gadget self-loop) and whole-range rows
+        run = st.tuples(source, st.integers(0, cells - 1), st.integers(0, cells - 1)).map(
+            lambda r: (r[0], min(r[1:]) * k, max(r[1:]) * k + k - 1))
+        single = st.tuples(source, st.integers(0, n - 1)).map(lambda r: (r[0], r[1], r[1]))
+        whole = source.map(lambda u: (u, 0, n - 1))
+        rows = data.draw(st.lists(st.one_of(run, single, whole), max_size=2 * n), label="rows")
+        if data.draw(st.booleans(), label="singles only"):
+            rows = [r for r in rows if r[1] == r[2]]
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4), label="cuts"))
+        batches = [np.array(rows[a:b], dtype=np.int64).reshape(-1, 3).T
+                   for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+        relation = RangeRows.from_rows(n, batches)
+        pairs = sorted({(u, v) for u, first, last in rows for v in range(first, last + 1)})
+        csr = expanded_csr(pairs, n)
+        assert relation.nnz == len(pairs)
+        for u in range(n):
+            ranges = slice(relation.indptr[u], relation.indptr[u + 1])
+            first, last = relation.first[ranges], relation.last[ranges]
+            assert (first <= last).all() and (first[1:] > last[:-1] + 1).all()
+            successors = csr_row(csr, u).tolist()
+            assert relation.row(u).tolist() == successors
+            assert [relation.has_edge(u, v) for v in range(n)] == \
+                [v in successors for v in range(n)]
+        assert sorted(map(sorted, self_reaching_components(relation))) == \
+            sorted(map(sorted, expanded_self_reaching(csr)))
+
+
+def expanded_csr(pairs, n):
+    """The expanded-edge ``Csr`` that range rows replaced as the stored relation."""
+    return Csr.from_keys(np.array([u * n + v for u, v in pairs], dtype=np.int64), n)
+
+
+def csr_row(csr, u):
+    return csr.indices[csr.indptr[u]:csr.indptr[u + 1]]
+
+
+def expanded_self_reaching(csr):
+    """Components as found before the gadget: ``tarjan`` on the expanded
+    edges, dropping single nodes without a self-edge."""
+    return [comp for comp in tarjan(csr)
+            if len(comp) > 1 or comp[0] in csr_row(csr, comp[0])]
 
 
 class TestChainComponents:
