@@ -7,6 +7,7 @@ The resolved configuration is embedded verbatim in every output file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -27,12 +28,13 @@ class AnalysisConfig:
     references: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.eps <= 0:
-            raise ValidationError("analysis.eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValidationError("analysis.eps must be positive and finite")
         if self.mode not in (FREE, CONSTRAINED):
             raise ValidationError(f"analysis.mode must be {FREE!r} or {CONSTRAINED!r}")
-        if any(lo > hi for lo, hi in self.references):
-            raise ValidationError("analysis.references must be intervals [lo, hi] with lo <= hi")
+        if not all(-math.inf < lo <= hi < math.inf for lo, hi in self.references):
+            raise ValidationError("analysis.references must be finite intervals [lo, hi] "
+                                  "with lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class RunConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValidationError("run.tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError("run.tol must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ class SwitchedSystem:
         require_valid(self.graph)
         if len(self.fields) != self.graph.n:
             raise ValidationError("need exactly one field per graph vertex")
-        if self.step <= 0:
-            raise ValidationError("step h must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValidationError("step h must be positive and finite")
         if self.substeps < 1:
             raise ValidationError("substeps must be >= 1")
         for lo, hi in self.box:

@@ -8,6 +8,7 @@ certified accuracy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -145,8 +146,8 @@ def cycle_word(g: DirectedGraph, allowed: frozenset[int] | set[int], v: int) -> 
 
 def truncation_order(tol: float) -> int:
     """Smallest N with the two-sided tail bound 2*4^(-N)/3 <= tol."""
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValidationError("tolerance must be positive and finite")
     n = 0
     while 2.0 * 4.0 ** (-n) / 3.0 > tol:
         n += 1

@@ -30,8 +30,8 @@ class SwitchingSignal:
     step: float
 
     def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValidationError("step h must be positive")
+        if not 0 < self.step < math.inf:
+            raise ValidationError("step h must be positive and finite")
         if not 0.0 <= self.offset < self.step:
             raise ValidationError("offset must lie in [0, h)")
 
@@ -132,8 +132,8 @@ def lift_membership(f: SwitchingSignal, component: frozenset[int] | set[int]) ->
 
 def witness_window(eps: float) -> int:
     """Smallest N whose two-sided weight tail sum_{|i|>=N} 4^(-|i|) is < eps."""
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be positive and finite")
     n = 0
     while (8.0 / 3.0) * 4.0 ** (-n) >= eps:
         n += 1

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchflow import chains
 from switchflow.chains import (
     CONSTRAINED,
     FREE,
@@ -286,23 +287,51 @@ class TestBuildChainGraph:
         with pytest.raises(ValidationError):
             build_chain_graph(sys, g, grid, 0.02, 1, mode=CONSTRAINED, q=2)
 
-    def test_prefix_reuse_matches_per_word_integration(self):
+    def test_prefix_reuse_matches_per_word_integration(self, monkeypatch):
+        g = DirectedGraph.complete(2)
+        h = H
+        segments = []
+
+        def recording_segment(sys, sym, x, dt):
+            segments.append(x.shape)
+            return integrate_segment(sys, sym, x, dt)
+
+        monkeypatch.setattr(chains, "integrate_segment", recording_segment)
+
+        def check(sys, points, tasks):
+            out = list(_task_images(sys, points, tasks))
+            assert [word for word, _ in out] == [word for word, _ in tasks]
+            for (word, durations), (_, images) in zip(tasks, out):
+                expected = points
+                for sym, dt in zip(word, durations):
+                    expected = integrate_segment(sys, sym, expected, dt)
+                assert np.array_equal(images, expected)
+
         # shared symbols with different durations, and a longer word after a
         # shorter one, must not reuse a prefix image
-        g = DirectedGraph.complete(2)
-        sys = example2_system(g)
-        points = build_grid([(0.0, 2.0)], 20).all_centers()
-        h = sys.step
-        tasks = [((0, 1, 1), [h, h, h]), ((0, 1, 0), [h, h, h]),
-                 ((0, 1, 0), [h / 2, h, h / 2]), ((1, 0), [h, h]),
-                 ((1, 0, 1, 1), [h, h, h, h])]
-        out = list(_task_images(sys, points, tasks))
-        assert [word for word, _ in out] == [word for word, _ in tasks]
-        for (word, durations), (_, images) in zip(tasks, out):
-            expected = points
-            for sym, dt in zip(word, durations):
-                expected = integrate_segment(sys, sym, expected, dt)
-            assert np.array_equal(images, expected)
+        check(example2_system(g), build_grid([(0.0, 2.0)], 20).all_centers(),
+              [((0, 1, 1), [h, h, h]), ((0, 1, 0), [h, h, h]),
+               ((0, 1, 0), [h / 2, h, h / 2]), ((1, 0), [h, h]),
+               ((1, 0, 1, 1), [h, h, h, h])])
+        # 2-D, zero durations, a duplicate task, an empty word, and mixed
+        # lengths out of lexicographic order
+        plane = SwitchedSystem(
+            g, ((-2.0, 2.0), (-2.0, 2.0)), h,
+            (ExpressionField(("x2", "-x1+(1-x1**2)*x2")),
+             ExpressionField(("-x1+x2", "-x1-x2"))), substeps=5)
+        check(plane, build_grid(plane.box, (7, 5)).all_centers(),
+              [((1, 0, 1), [h, h, h]), ((0,), [h]), ((1, 0, 1), [h, 0.0, h]),
+               ((0, 0, 1, 1), [h] * 4), ((1, 0, 1), [h, h, h]), ((), []),
+               ((0, 1), [0.0, h]), ((1, 1), [h, h]), ((0, 0), [h, h])])
+        # enough points that a sweep holds two prefixes, so each key's four
+        # children at level 3 take two sweeps
+        points = build_grid([(0.0, 2.0)], chains.SWEEP_ROWS // 3 + 1).all_centers()
+        assert chains.SWEEP_ROWS // len(points) == 2
+        words = enumerate_admissible_words(g, frozenset({0, 1}), 3)
+        del segments[:]
+        check(example2_system(g, substeps=2), points, [(w, [h] * 3) for w in words])
+        # one sweep per key at levels 1 and 2, two per key at level 3
+        assert segments == [(1, len(points), 1)] * 2 + [(2, len(points), 1)] * 6
 
 
 # Edge count and sha256 of repr(sorted (source, target) node pairs), and

@@ -119,6 +119,11 @@ def _with(block, key, value):
     pytest.param(_with("analysis", "references", [[2, 0]]), id="reversed-reference"),
     pytest.param(_with("system", "fields", [{"type": "poly1d"}, "x1"]),
                  id="poly1d-without-coeffs"),
+    pytest.param(_with("analysis", "eps", float("nan")), id="eps-nan"),
+    pytest.param(_with("system", "h", float("nan")), id="h-nan"),
+    pytest.param(_with("system", "h", float("inf")), id="h-inf"),
+    pytest.param(_with("run", "tol", float("nan")), id="tol-nan"),
+    pytest.param(_with("analysis", "references", [[float("nan"), 1.0]]), id="reference-nan"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
@@ -149,6 +154,8 @@ PRODUCT = ["metric", "--kind", "product", "--a", CONSTANT_A, "--b", CONSTANT_A]
     pytest.param(None, [*PRODUCT, "--x", "1,abc", "--y", "0.5"], id="x-not-a-number"),
     pytest.param(None, [*PRODUCT, "--x", "1,2", "--y", "0.5"], id="x-of-two"),
     pytest.param(None, [*PRODUCT, "--x", "1", "--y", "0.5,1,2"], id="y-of-three"),
+    pytest.param(None, ["--tol", "nan", "metric", "--kind", "delta", "--a", CONSTANT_A,
+                        "--b", CONSTANT_A], id="tol-nan"),
     pytest.param("missing.json", ["analyze-graph"], id="missing-config"),
     pytest.param(".", ["analyze-graph"], id="config-is-a-directory"),
 ])
