@@ -181,46 +181,44 @@ SWEEP_ROWS = 8192
 
 
 def _task_images(sys: SwitchedSystem, points: np.ndarray,
-                 tasks: Iterable[tuple[Sequence[int], Sequence[float]]]):
-    """Yield ``(word, images)`` per task, in task order: ``points`` flowed
-    for each (symbol, duration) of the task in turn, skipping zero durations.
+                 words: Iterable[Sequence[int]]):
+    """Yield ``(word, images)`` per word, in word order: ``points`` flowed
+    for one step h under each symbol of the word in turn.
 
-    The tasks' (symbol, duration) keys form a trie, walked level by level.
-    The children of all prefixes of one level are grouped by key, and each
-    group flows its stacked parent images in sweeps of at most
-    ``SWEEP_ROWS`` rows, so one segment call serves many trie nodes.  Each
-    level's images fill one array; the level before it is dropped.
+    The words form a trie, walked level by level.  The children of all
+    prefixes of one level are grouped by symbol, and each group flows its
+    stacked parent images in sweeps of at most ``SWEEP_ROWS`` rows, so one
+    segment call serves many trie nodes.  Each level's images fill one
+    array; the level before it is dropped.
     """
-    tasks = list(tasks)
-    paths = [tuple(zip(word, durations)) for word, durations in tasks]
+    words = [tuple(w) for w in words]
     level = np.asarray(points, dtype=float)[None]
     per_sweep = max(1, SWEEP_ROWS // level.shape[1])
-    node = [0] * len(paths)  # each task's prefix in the current level
+    node = [0] * len(words)  # each word's prefix in the current level
     ended: dict[int, np.ndarray] = {}
     n_yielded = 0
-    for depth in range(max(map(len, paths), default=0) + 1):
+    for depth in range(max(map(len, words), default=0) + 1):
         if depth:
-            # children numbered in order of first appearance, grouped by key
-            children: dict[tuple[int, tuple[int, float]], int] = {}
-            for t, path in enumerate(paths):
-                if len(path) >= depth:
-                    node[t] = children.setdefault((node[t], path[depth - 1]), len(children))
-            groups: dict[tuple[int, float], list[tuple[int, int]]] = {}
-            for (parent, key), child in children.items():
-                groups.setdefault(key, []).append((parent, child))
+            # children numbered in order of first appearance, grouped by symbol
+            children: dict[tuple[int, int], int] = {}
+            for t, word in enumerate(words):
+                if len(word) >= depth:
+                    node[t] = children.setdefault((node[t], word[depth - 1]), len(children))
+            groups: dict[int, list[tuple[int, int]]] = {}
+            for (parent, sym), child in children.items():
+                groups.setdefault(sym, []).append((parent, child))
             images = np.empty((len(children),) + level.shape[1:])
-            for (sym, dt), pairs in groups.items():
+            for sym, pairs in groups.items():
                 parent, child = np.array(pairs).T
                 for a in range(0, len(pairs), per_sweep):
-                    x = level[parent[a:a + per_sweep]]
-                    images[child[a:a + per_sweep]] = (
-                        integrate_segment(sys, sym, x, dt) if dt > 0 else x)
+                    images[child[a:a + per_sweep]] = integrate_segment(
+                        sys, sym, level[parent[a:a + per_sweep]], sys.step)
             level = images
-        for t, path in enumerate(paths):
-            if len(path) == depth:
+        for t, word in enumerate(words):
+            if len(word) == depth:
                 ended[t] = level[node[t]]
         while n_yielded in ended:
-            yield tasks[n_yielded][0], ended.pop(n_yielded)
+            yield words[n_yielded], ended.pop(n_yielded)
             n_yielded += 1
 
 
@@ -252,7 +250,6 @@ class ChainGraph:
     graph: DirectedGraph
     eps: float
     m: int
-    q: int
     step: float
     adjacency: RangeRows
     word_expansion: dict[tuple, float] = field(default_factory=dict)
@@ -300,7 +297,7 @@ def _sampled_expansion(images: np.ndarray, grid: Grid) -> float:
 
 
 def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
-                      eps: float, m: int, mode: str = FREE, q: int = 1,
+                      eps: float, m: int, mode: str = FREE,
                       max_work: int = 2_000_000) -> ChainGraph:
     """Construct the (epsilon, m*h) reachability graph over the grid.
 
@@ -308,8 +305,8 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     admissible word of length m maps a's center within the inflated epsilon
     ball of b's center.  Graph-constrained: nodes are (cell, vertex) pairs;
     the word must start at the source vertex and the target vertex must be
-    able to continue it.  Offset sampling (q > 1, free mode only) adds
-    split-cell words of length m+1.
+    able to continue it.  Links start in phase: each symbol of a word holds
+    for one step h.
     """
     require_valid(g)
     if g.n != len(sys.fields):
@@ -318,30 +315,15 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
         raise ValidationError("eps must be positive and finite")
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if q < 1:
-        raise ValidationError("q must be >= 1")
     if mode not in (FREE, CONSTRAINED):
         raise ValidationError(f"unknown mode {mode!r}")
-    if mode == CONSTRAINED and q > 1:
-        raise ValidationError("offset sampling is only supported in free-switching mode")
 
-    h = sys.step
-    verts = frozenset(range(g.n))
-    words = enumerate_admissible_words(g, verts, m)
-    tasks: list[tuple[tuple[int, ...], list[float]]] = [
-        (w, [h] * m) for w in words]
-    if q > 1:
-        split_words = enumerate_admissible_words(g, verts, m + 1)
-        for i in range(1, q):
-            tau = i * h / q
-            durations = [tau] + [h] * (m - 1) + [h - tau]
-            tasks.extend((w, durations) for w in split_words)
-
+    words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
     k = 1 if mode == FREE else g.n
     n = grid.n_cells * k
-    if n * len(tasks) > max_work:
+    if n * len(words) > max_work:
         raise SizingError(
-            f"{n} nodes x {len(tasks)} words = {n * len(tasks)} exceeds "
+            f"{n} nodes x {len(words)} words = {n * len(words)} exceeds "
             f"the work bound {max_work}; use a coarser grid, a smaller m, or raise "
             "the bound")
 
@@ -354,13 +336,12 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     expansions: dict[tuple, float] = {}
 
     def word_rows():
-        for word, images in _task_images(sys, grid.all_centers(), tasks):
-            kappa = _sampled_expansion(images, grid)
-            expansions[word] = max(expansions.get(word, 0.0), kappa)
+        for word, images in _task_images(sys, grid.all_centers(), words):
+            kappa = expansions[word] = _sampled_expansion(images, grid)
             point, first, last = grid.rows_within(images, eps + r * kappa + r).T
             yield np.stack((point * k + word[0] % k, first * k, last * k + k - 1))
 
-    return ChainGraph(mode, grid, g, eps, m, q, h, RangeRows.from_rows(n, word_rows()),
+    return ChainGraph(mode, grid, g, eps, m, sys.step, RangeRows.from_rows(n, word_rows()),
                       expansions)
 
 

@@ -195,7 +195,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
     a = cfg.analysis
     grid = build_grid(cfg.system.box, a.cells)
     cg = build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m,
-                           mode=a.mode, q=a.q, max_work=a.max_work)
+                           mode=a.mode, max_work=a.max_work)
     comps = chain_components(cg)
     rows: list[list] = []
     summaries = []
@@ -208,7 +208,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
               *[f"center_x{i+1}" for i in range(grid.dimension)]]
     _write_csv(out_dir / "components.csv", header, rows, cfg)
     summary = {
-        "parameters": {"eps": a.eps, "m": a.m, "mode": a.mode, "q": a.q,
+        "parameters": {"eps": a.eps, "m": a.m, "mode": a.mode,
                        "link_time": cg.link_time, "cells": list(a.cells),
                        "cell_radius": grid.radius},
         "component_count": len(comps),

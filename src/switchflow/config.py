@@ -23,7 +23,6 @@ class AnalysisConfig:
     eps: float
     m: int = 1
     mode: str = FREE
-    q: int = 1
     max_work: int = 2_000_000
     references: tuple[tuple[float, float], ...] = ()
 
@@ -32,6 +31,8 @@ class AnalysisConfig:
             raise ValidationError("analysis.eps must be positive and finite")
         if self.mode not in (FREE, CONSTRAINED):
             raise ValidationError(f"analysis.mode must be {FREE!r} or {CONSTRAINED!r}")
+        if self.max_work < 1:
+            raise ValidationError("analysis.max_work must be a positive integer")
         if not all(-math.inf < lo <= hi < math.inf for lo, hi in self.references):
             raise ValidationError("analysis.references must be finite intervals [lo, hi] "
                                   "with lo <= hi")
@@ -46,6 +47,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tol < math.inf:
             raise ValidationError("run.tol must be positive and finite")
+
+
+def _block(doc: dict, name: str, keys: str) -> dict:
+    """The ``name`` block of ``doc`` (empty if absent); keys outside the
+    space-separated ``keys`` are rejected."""
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ValidationError(f"{name} must be an object")
+    unknown = sorted(set(block) - set(keys.split()))
+    if unknown:
+        raise ValidationError("unknown config key " + ", ".join(f"{name}.{k}" for k in unknown))
+    return block
 
 
 @dataclass(frozen=True)
@@ -64,7 +77,7 @@ class ExperimentConfig:
             return cls._from_dict(doc)
         except ValidationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
             raise ValidationError(f"malformed config: {what}") from exc
 
@@ -74,7 +87,7 @@ class ExperimentConfig:
             raise ValidationError("config needs 'graph' and 'system' blocks")
         graph = require_valid(DirectedGraph.from_json_dict(doc["graph"]))
 
-        sysdoc = doc["system"]
+        sysdoc = _block(doc, "system", "box h substeps fields")
         box = tuple((float(lo), float(hi)) for lo, hi in sysdoc["box"])
         dim = len(box)
         raw_fields = sysdoc["fields"]
@@ -86,12 +99,11 @@ class ExperimentConfig:
             field_from_config(sp, dim) for sp in raw_fields)
         system = SwitchedSystem(
             graph=graph, box=box, step=float(sysdoc["h"]), fields=fields,
-            substeps=int(sysdoc.get("substeps", 20)),
-            clamp=bool(sysdoc.get("clamp", False)))
+            substeps=int(sysdoc.get("substeps", 20)))
 
         analysis = None
         if "analysis" in doc:
-            a = doc["analysis"]
+            a = _block(doc, "analysis", "cells eps m mode max_work references")
             cells = a["cells"]
             if isinstance(cells, int):
                 cells = [cells] * dim
@@ -99,12 +111,12 @@ class ExperimentConfig:
             analysis = AnalysisConfig(
                 cells=tuple(int(c) for c in cells), eps=float(a["eps"]),
                 m=int(a.get("m", 1)), mode=a.get("mode", FREE),
-                q=int(a.get("q", 1)), max_work=int(a.get("max_work", 2_000_000)),
+                max_work=int(a.get("max_work", 2_000_000)),
                 references=refs)
             if len(analysis.cells) != dim:
                 raise ValidationError("analysis.cells must give one count per axis")
 
-        r = doc.get("run", {})
+        r = _block(doc, "run", "seed out tol")
         run = RunConfig(seed=int(r.get("seed", 0)), out=str(r.get("out", "out")),
                         tol=float(r.get("tol", 1e-10)))
         return cls(graph, system, analysis, run, raw=doc)
@@ -131,7 +143,6 @@ class ExperimentConfig:
                 "box": [list(b) for b in self.system.box],
                 "h": self.system.step,
                 "substeps": self.system.substeps,
-                "clamp": self.system.clamp,
                 "fields": self.raw.get("system", {}).get("fields"),
             },
             "run": asdict(self.run),

@@ -31,7 +31,6 @@ class SwitchedSystem:
     step: float
     fields: tuple[VectorField, ...]
     substeps: int = 20
-    clamp: bool = False
 
     def __post_init__(self) -> None:
         require_valid(self.graph)
@@ -48,11 +47,6 @@ class SwitchedSystem:
     @property
     def dimension(self) -> int:
         return len(self.box)
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        lo = np.array([b[0] for b in self.box])
-        hi = np.array([b[1] for b in self.box])
-        return np.clip(x, lo, hi)
 
     def contains(self, x: Sequence[float]) -> bool:
         return all(lo <= xi <= hi for xi, (lo, hi) in zip(x, self.box))
@@ -81,8 +75,6 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
         k3 = vf(x + 0.5 * hstep * k2)
         k4 = vf(x + hstep * k3)
         x = x + (hstep / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if sys.clamp:
-            x = sys.clip(x)
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"state became non-finite under field {field_index}")
     return x

@@ -99,10 +99,10 @@ def rebase(x: SymbolicSequence, lo: int, hi: int) -> SymbolicSequence:
     """
     lo = min(lo, x.left_boundary, hi)
     hi = max(hi, x.right_boundary - 1, lo)
-    p, q = len(x.left_period), len(x.right_period)
+    p = len(x.left_period)
     left = tuple(x.at(lo - p + r) for r in range(p))
     core = tuple(x.at(i) for i in range(lo, hi + 1))
-    right = tuple(x.at(hi + 1 + r) for r in range(q))
+    right = tuple(x.at(hi + 1 + r) for r in range(len(x.right_period)))
     return SymbolicSequence(x.graph, left, core, right, -lo)
 
 
@@ -114,11 +114,10 @@ def concat_past_future(past: SymbolicSequence, future: SymbolicSequence) -> Symb
     lo = min(-1, past.left_boundary)
     hi = max(0, future.right_boundary)
     p = len(past.left_period)
-    q = len(future.right_period)
     left = tuple(past.at(lo - p + r) for r in range(p))
     core = tuple(past.at(i) for i in range(lo, 0)) + \
         tuple(future.at(i) for i in range(0, hi))
-    right = tuple(future.at(hi + r) for r in range(q))
+    right = tuple(future.at(hi + r) for r in range(len(future.right_period)))
     return SymbolicSequence(past.graph, left, core, right, -lo)
 
 

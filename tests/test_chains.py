@@ -272,21 +272,6 @@ class TestBuildChainGraph:
         with pytest.raises(SizingError):
             build_chain_graph(sys, g, grid, 0.02, 1, max_work=100)
 
-    def test_offset_sampling_enlarges_edges(self):
-        g = DirectedGraph.complete(2)
-        sys = example2_system(g)
-        grid = build_grid([(0.0, 2.0)], 50)
-        cg1 = build_chain_graph(sys, g, grid, 0.02, 1, q=1)
-        cg2 = build_chain_graph(sys, g, grid, 0.02, 1, q=2)
-        assert all(cg1.successors(a) <= cg2.successors(a) for a in range(grid.n_cells))
-
-    def test_offsets_rejected_in_constrained_mode(self):
-        g = DirectedGraph.cycle(2)
-        sys = example2_system(g)
-        grid = build_grid([(0.0, 2.0)], 10)
-        with pytest.raises(ValidationError):
-            build_chain_graph(sys, g, grid, 0.02, 1, mode=CONSTRAINED, q=2)
-
     def test_prefix_reuse_matches_per_word_integration(self, monkeypatch):
         g = DirectedGraph.complete(2)
         h = H
@@ -298,38 +283,33 @@ class TestBuildChainGraph:
 
         monkeypatch.setattr(chains, "integrate_segment", recording_segment)
 
-        def check(sys, points, tasks):
-            out = list(_task_images(sys, points, tasks))
-            assert [word for word, _ in out] == [word for word, _ in tasks]
-            for (word, durations), (_, images) in zip(tasks, out):
+        def check(sys, points, words):
+            out = list(_task_images(sys, points, words))
+            assert [word for word, _ in out] == words
+            for word, (_, images) in zip(words, out):
                 expected = points
-                for sym, dt in zip(word, durations):
-                    expected = integrate_segment(sys, sym, expected, dt)
+                for sym in word:
+                    expected = integrate_segment(sys, sym, expected, h)
                 assert np.array_equal(images, expected)
 
-        # shared symbols with different durations, and a longer word after a
-        # shorter one, must not reuse a prefix image
+        # a longer word after a shorter one must not reuse a prefix image
         check(example2_system(g), build_grid([(0.0, 2.0)], 20).all_centers(),
-              [((0, 1, 1), [h, h, h]), ((0, 1, 0), [h, h, h]),
-               ((0, 1, 0), [h / 2, h, h / 2]), ((1, 0), [h, h]),
-               ((1, 0, 1, 1), [h, h, h, h])])
-        # 2-D, zero durations, a duplicate task, an empty word, and mixed
-        # lengths out of lexicographic order
+              [(0, 1, 1), (0, 1, 0), (1, 0), (1, 0, 1, 1)])
+        # 2-D, a duplicate word, an empty word, and mixed lengths out of
+        # lexicographic order
         plane = SwitchedSystem(
             g, ((-2.0, 2.0), (-2.0, 2.0)), h,
             (ExpressionField(("x2", "-x1+(1-x1**2)*x2")),
              ExpressionField(("-x1+x2", "-x1-x2"))), substeps=5)
         check(plane, build_grid(plane.box, (7, 5)).all_centers(),
-              [((1, 0, 1), [h, h, h]), ((0,), [h]), ((1, 0, 1), [h, 0.0, h]),
-               ((0, 0, 1, 1), [h] * 4), ((1, 0, 1), [h, h, h]), ((), []),
-               ((0, 1), [0.0, h]), ((1, 1), [h, h]), ((0, 0), [h, h])])
+              [(1, 0, 1), (0,), (0, 0, 1, 1), (1, 0, 1), (), (0, 1), (1, 1), (0, 0)])
         # enough points that a sweep holds two prefixes, so each key's four
         # children at level 3 take two sweeps
         points = build_grid([(0.0, 2.0)], chains.SWEEP_ROWS // 3 + 1).all_centers()
         assert chains.SWEEP_ROWS // len(points) == 2
         words = enumerate_admissible_words(g, frozenset({0, 1}), 3)
         del segments[:]
-        check(example2_system(g, substeps=2), points, [(w, [h] * 3) for w in words])
+        check(example2_system(g, substeps=2), points, words)
         # one sweep per key at levels 1 and 2, two per key at level 3
         assert segments == [(1, len(points), 1)] * 2 + [(2, len(points), 1)] * 6
 
@@ -366,27 +346,22 @@ def test_config_edge_sets_frozen(name):
     cfg = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
     a = cfg.analysis
     cg = build_chain_graph(cfg.system, cfg.graph, build_grid(cfg.system.box, a.cells),
-                           a.eps, a.m, mode=a.mode, q=a.q, max_work=a.max_work)
+                           a.eps, a.m, mode=a.mode, max_work=a.max_work)
     pairs = sorted((src, dst) for src in cg.nodes for dst in cg.successors(src))
     assert (len(pairs), _sha(pairs)) == FROZEN_EDGES[name]
     comps = [(sorted(c.nodes), sorted(c.cells)) for c in chain_components(cg)]
     assert (len(comps), _sha(comps)) == FROZEN_COMPONENTS[name]
 
 
-def expanded_edge_pairs(sys, g, grid, eps, m, mode, q):
+def expanded_edge_pairs(sys, g, grid, eps, m, mode):
     """The expanded edge set that range rows replaced, built as before: per
     word, every (point, cell) pair of the ball query, from the node whose
     vertex starts the word to every vertex of the target cell."""
-    h = sys.step
-    verts = frozenset(range(g.n))
-    tasks = [(w, [h] * m) for w in enumerate_admissible_words(g, verts, m)]
-    for i in range(1, q):
-        durations = [i * h / q] + [h] * (m - 1) + [h - i * h / q]
-        tasks.extend((w, durations) for w in enumerate_admissible_words(g, verts, m + 1))
+    words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
     k = 1 if mode == FREE else g.n
     r = grid.radius
     pairs = set()
-    for word, images in _task_images(sys, grid.all_centers(), tasks):
+    for word, images in _task_images(sys, grid.all_centers(), words):
         kappa = _sampled_expansion(images, grid)
         for point, cell in grid.cells_within(images, eps + r * kappa + r).tolist():
             pairs.update((point * k + word[0] % k, cell * k + v) for v in range(k))
@@ -399,28 +374,28 @@ def expression_system(box, fields, h=0.25):
 
 
 VDP_FOCUS = [("x2", "-x1+(1-x1**2)*x2"), ("-x1+x2", "-x1-x2")]
-CHAIN_CASES = {  # system, cells, eps, m, mode, q
-    "1d-free": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.02, 1, FREE, 1),
-    "1d-free-q3": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.01, 2, FREE, 3),
+CHAIN_CASES = {  # system, cells, eps, m, mode
+    "1d-free": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.02, 1, FREE),
+    "1d-free-m2": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.01, 2, FREE),
     "1d-constrained-cycle": lambda: (example2_system(DirectedGraph.cycle(2)), [40], 0.01, 2,
-                                     CONSTRAINED, 1),
+                                     CONSTRAINED),
     "2d-free": lambda: (expression_system(((-2.0, 2.0), (-1.0, 2.0)), VDP_FOCUS),
-                        [9, 7], 0.05, 2, FREE, 1),
+                        [9, 7], 0.05, 2, FREE),
     "2d-constrained": lambda: (expression_system(((-1.0, 1.0),) * 2,
                                                  [("-x2", "x1"), ("0.5", "-x2")]),
-                               [6, 8], 0.1, 1, CONSTRAINED, 1),
+                               [6, 8], 0.1, 1, CONSTRAINED),
     "3d-free": lambda: (expression_system(((-1.0, 1.0),) * 3,
                                           [("-x2", "x1", "-0.5*x3"), ("x1-x2", "0.3", "-x3")]),
-                        [5, 4, 6], 0.05, 1, FREE, 1),
+                        [5, 4, 6], 0.05, 1, FREE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
-    sys, cells, eps, m, mode, q = CHAIN_CASES[case]()
+    sys, cells, eps, m, mode = CHAIN_CASES[case]()
     grid = build_grid(sys.box, cells)
-    cg = build_chain_graph(sys, sys.graph, grid, eps, m, mode=mode, q=q)
-    expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m, mode, q)
+    cg = build_chain_graph(sys, sys.graph, grid, eps, m, mode=mode)
+    expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m, mode)
     got = sorted((cg.node_id(a), cg.node_id(b)) for a in cg.nodes for b in cg.successors(a))
     assert got == expected
     assert cg.adjacency.nnz == len(expected)

@@ -89,6 +89,20 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict(doc)
 
+    def test_unknown_keys_are_named(self):
+        doc = json.loads(json.dumps(COMPLETE2))
+        doc["run"]["sed"] = 1
+        doc["run"]["outt"] = "o"
+        with pytest.raises(ValidationError, match=r"run\.outt, run\.sed"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("name", ["sine_curve_reduced", "two_well_complete",
+                                      "two_well_cycle"])
+    def test_resolved_config_round_trips(self, name):
+        # provenance headers are configs too: reading one back gives the same run
+        cfg = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
+        assert ExperimentConfig.from_dict(cfg.resolved()).resolved() == cfg.resolved()
+
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{'graph': }")
@@ -124,6 +138,12 @@ def _with(block, key, value):
     pytest.param(_with("system", "h", float("inf")), id="h-inf"),
     pytest.param(_with("run", "tol", float("nan")), id="tol-nan"),
     pytest.param(_with("analysis", "references", [[float("nan"), 1.0]]), id="reference-nan"),
+    pytest.param(_with("analysis", "q", 3), id="analysis-q"),
+    pytest.param(_with("system", "clamp", True), id="system-clamp"),
+    pytest.param(_with("analysis", "epsilon", 5), id="analysis-typo"),
+    pytest.param(_with("analysis", "max_work", -1), id="max-work-negative"),
+    pytest.param(_with("analysis", "max_work", 0), id="max-work-zero"),
+    pytest.param(_with("analysis", "max_work", float("inf")), id="max-work-inf"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
@@ -194,24 +214,26 @@ def test_simulate_too_many_samples_exits_4_at_once(tmp_path):
 
 
 # sha256 of the files each command writes for scripts/configs, recorded
-# before chain-sets computed its centres once per component.
+# before chain-sets computed its centres once per component, and re-recorded
+# when the keys analysis.q, system.clamp and parameters.q left the outputs
+# (nothing else in them changed).
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 FROZEN_OUTPUTS = {
     ("sine_curve_reduced", "chain-sets"): {
-        "components.csv": "dbef1f4ab5c1d489a83961d8dd21062d2f08d20f9c5ded878430890d3069f9da",
-        "chain_summary.json": "c016ef53921014fc87dc168bb8442867b0839fbd506494fdfc72c2c079a7d4b0"},
+        "components.csv": "b47284880982bca78ff16c52f00c58227ac30afafe093725ab61f278d3c97cf6",
+        "chain_summary.json": "2394382a93ef85242710bde5e2eef2e384faef9dffa829e21da94ab26046f036"},
     ("two_well_complete", "chain-sets"): {
-        "components.csv": "09c36c3cc0c02bc55dceaa229b9d00ba18ee28ec9378e6cc75bc02ac376c370a",
-        "chain_summary.json": "9757f9a72973f5e5d5a87aeae261eb7e0ef795fcf7b954da84c255bf045f6baa"},
+        "components.csv": "cd142bba948553c84d5606489be61696221a74f4c92a60eef6cca9b633b2a03d",
+        "chain_summary.json": "f262f261c9875a2b676369a8c4362f10b9fa40f10a119a5bd8601dcf5be26901"},
     ("two_well_cycle", "chain-sets"): {
-        "components.csv": "8eba55b46191b33472ec15b25628aecb314fe563dcfaf9d24cfe80c471c3fcef",
-        "chain_summary.json": "c7bba67c601bd23850b19e04dbdc416e25af5caf881529369a9634b5e134b4c8"},
+        "components.csv": "88d02eb73928629094aefc12d2c590b470a62cd95670cf71ac04831385422466",
+        "chain_summary.json": "a53054caa26b7c6613717990b765c846c381bac3e1274ca5bcff8deeb3034df3"},
     ("sine_curve_reduced", "analyze-graph"): {
-        "graph_analysis.json": "96c62c92f24a921c91bdbf94684380ff33f5de7081983b9ce7c231f93d7d8938"},
+        "graph_analysis.json": "d5ede41926bc7b54498a3cc77914d4e0c521b28f280f969521bde0cea597ad3a"},
     ("two_well_complete", "analyze-graph"): {
-        "graph_analysis.json": "7b8b74981914cb47f601a44f5ea26e1e8a794eb46e67136bb6ca24bdc133ced4"},
+        "graph_analysis.json": "25ebdf41fb2dfede0f7d7e0e011d1d21bc756d63ff307ca11adbd023df200637"},
     ("two_well_cycle", "analyze-graph"): {
-        "graph_analysis.json": "08cd106295dc6be95cd00035aabf5a998b2898dbc3a25d0e8801f05fefdb4114"},
+        "graph_analysis.json": "b8a5684b1086bd6648d41caf836b95ee64ddc8fb6bfa4ef7c9066090a64ff897"},
 }
 
 
