@@ -25,11 +25,6 @@ from .graph import (
 )
 from .sequences import enumerate_admissible_words
 
-Node = int | tuple[int, int]  # cell index, or (cell index, vertex)
-
-FREE = "free-switching"
-CONSTRAINED = "graph-constrained"
-
 
 class SizingError(RuntimeError):
     """Raised when a requested analysis exceeds the configured work bound."""
@@ -237,17 +232,14 @@ def step_image(sys: SwitchedSystem, g: DirectedGraph, grid: Grid, cell: int,
 
 @dataclass
 class ChainGraph:
-    """Directed reachability relation between grid cells (optionally paired
-    with graph vertices), for one (epsilon, link-time) resolution.
+    """Directed reachability relation between grid cells, for one
+    (epsilon, link-time) resolution.
 
-    Node ``(cell, vertex)`` has id ``cell * k + vertex`` with ``k = graph.n``;
-    in free mode ``k = 1`` and a node is its cell.  ``adjacency`` holds the
-    edges between ids as merged ranges of target ids, never expanded.
+    Nodes are flat cell indices.  ``adjacency`` holds the edges as merged
+    ranges of target cells, never expanded.
     """
 
-    mode: str
     grid: Grid
-    graph: DirectedGraph
     eps: float
     m: int
     step: float
@@ -258,29 +250,11 @@ class ChainGraph:
     def link_time(self) -> float:
         return self.m * self.step
 
-    @property
-    def k(self) -> int:
-        """Node ids per cell."""
-        return 1 if self.mode == FREE else self.graph.n
+    def successors(self, cell: int) -> set[int]:
+        return set(self.adjacency.row(cell).tolist())
 
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        return tuple(map(self.node, range(self.adjacency.n)))
-
-    def node(self, i: int) -> Node:
-        return i if self.mode == FREE else divmod(i, self.k)
-
-    def node_id(self, node: Node) -> int:
-        return node if self.mode == FREE else node[0] * self.k + node[1]
-
-    def successors(self, node: Node) -> set[Node]:
-        return set(map(self.node, self.adjacency.row(self.node_id(node)).tolist()))
-
-    def has_edge(self, a: Node, b: Node) -> bool:
-        return self.adjacency.has_edge(self.node_id(a), self.node_id(b))
-
-    def project(self, node: Node) -> int:
-        return node if self.mode == FREE else node[0]
+    def has_edge(self, a: int, b: int) -> bool:
+        return self.adjacency.has_edge(a, b)
 
 
 def _sampled_expansion(images: np.ndarray, grid: Grid) -> float:
@@ -297,16 +271,13 @@ def _sampled_expansion(images: np.ndarray, grid: Grid) -> float:
 
 
 def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
-                      eps: float, m: int, mode: str = FREE,
-                      max_work: int = 2_000_000) -> ChainGraph:
+                      eps: float, m: int, max_work: int = 2_000_000) -> ChainGraph:
     """Construct the (epsilon, m*h) reachability graph over the grid.
 
-    Free-switching: nodes are cells; an edge a -> b exists when some
-    admissible word of length m maps a's center within the inflated epsilon
-    ball of b's center.  Graph-constrained: nodes are (cell, vertex) pairs;
-    the word must start at the source vertex and the target vertex must be
-    able to continue it.  Links start in phase: each symbol of a word holds
-    for one step h.
+    Nodes are cells; an edge a -> b exists when some admissible word of
+    length m of ``g`` maps a's center within the inflated epsilon ball of
+    b's center.  Links start in phase: each symbol of a word holds for one
+    step h.
     """
     require_valid(g)
     if g.n != len(sys.fields):
@@ -315,56 +286,42 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
         raise ValidationError("eps must be positive and finite")
     if m < 1:
         raise ValidationError("m must be >= 1")
-    if mode not in (FREE, CONSTRAINED):
-        raise ValidationError(f"unknown mode {mode!r}")
 
     words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
-    k = 1 if mode == FREE else g.n
-    n = grid.n_cells * k
+    n = grid.n_cells
     if n * len(words) > max_work:
         raise SizingError(
             f"{n} nodes x {len(words)} words = {n * len(words)} exceeds "
             f"the work bound {max_work}; use a coarser grid, a smaller m, or raise "
             "the bound")
 
-    # The node's vertex pins the word start (word[0] % k is 0 in free mode);
-    # admissibility constrains only the inside of the word.  Each link uses a
-    # fresh signal, so after the jump the next word may begin at any vertex v:
-    # the targets (cell, v) of a cell run first..last are the one id range
-    # first * k .. last * k + k - 1.
     r = grid.radius
     expansions: dict[tuple, float] = {}
 
     def word_rows():
         for word, images in _task_images(sys, grid.all_centers(), words):
             kappa = expansions[word] = _sampled_expansion(images, grid)
-            point, first, last = grid.rows_within(images, eps + r * kappa + r).T
-            yield np.stack((point * k + word[0] % k, first * k, last * k + k - 1))
+            yield grid.rows_within(images, eps + r * kappa + r).T
 
-    return ChainGraph(mode, grid, g, eps, m, sys.step, RangeRows.from_rows(n, word_rows()),
-                      expansions)
+    return ChainGraph(grid, eps, m, sys.step, RangeRows.from_rows(n, word_rows()), expansions)
 
 
 @dataclass(frozen=True)
 class ChainComponent:
     """A maximal strongly connected, self-reaching piece of the chain graph."""
 
-    nodes: frozenset[Node]
     cells: frozenset[int]
 
     @property
     def size(self) -> int:
-        return len(self.nodes)
+        return len(self.cells)
 
 
 def chain_components(cg: ChainGraph) -> list[ChainComponent]:
     """Strongly connected components of the chain graph, keeping only those
     that can reach themselves (non-trivial, or trivial with a self-edge),
     sorted by size then by smallest cell."""
-    kept = []
-    for comp in self_reaching_components(cg.adjacency):
-        nodes = frozenset(map(cg.node, comp))
-        kept.append(ChainComponent(nodes, frozenset(map(cg.project, nodes))))
+    kept = [ChainComponent(frozenset(comp)) for comp in self_reaching_components(cg.adjacency)]
     kept.sort(key=lambda c: (-c.size, min(c.cells)))
     return kept
 

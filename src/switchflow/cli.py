@@ -194,8 +194,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ValidationError("config has no 'analysis' block")
     a = cfg.analysis
     grid = build_grid(cfg.system.box, a.cells)
-    cg = build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m,
-                           mode=a.mode, max_work=a.max_work)
+    cg = build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m, max_work=a.max_work)
     comps = chain_components(cg)
     rows: list[list] = []
     summaries = []
@@ -208,7 +207,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
               *[f"center_x{i+1}" for i in range(grid.dimension)]]
     _write_csv(out_dir / "components.csv", header, rows, cfg)
     summary = {
-        "parameters": {"eps": a.eps, "m": a.m, "mode": a.mode,
+        "parameters": {"eps": a.eps, "m": a.m,
                        "link_time": cg.link_time, "cells": list(a.cells),
                        "cell_radius": grid.radius},
         "component_count": len(comps),

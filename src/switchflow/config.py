@@ -11,7 +11,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .chains import CONSTRAINED, FREE
 from .fields import VectorField, field_from_config
 from .flow import SwitchedSystem
 from .graph import DirectedGraph, ValidationError, require_valid
@@ -22,15 +21,12 @@ class AnalysisConfig:
     cells: tuple[int, ...]
     eps: float
     m: int = 1
-    mode: str = FREE
     max_work: int = 2_000_000
     references: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < math.inf:
             raise ValidationError("analysis.eps must be positive and finite")
-        if self.mode not in (FREE, CONSTRAINED):
-            raise ValidationError(f"analysis.mode must be {FREE!r} or {CONSTRAINED!r}")
         if self.max_work < 1:
             raise ValidationError("analysis.max_work must be a positive integer")
         if not all(-math.inf < lo <= hi < math.inf for lo, hi in self.references):
@@ -49,15 +45,16 @@ class RunConfig:
             raise ValidationError("run.tol must be positive and finite")
 
 
-def _block(doc: dict, name: str, keys: str) -> dict:
-    """The ``name`` block of ``doc`` (empty if absent); keys outside the
-    space-separated ``keys`` are rejected."""
-    block = doc.get(name, {})
+def _block(doc: dict, name: str | None, keys: str) -> dict:
+    """The ``name`` block of ``doc`` (empty if absent), or ``doc`` itself if
+    ``name`` is None; keys outside the space-separated ``keys`` are rejected."""
+    block = doc if name is None else doc.get(name, {})
     if not isinstance(block, dict):
-        raise ValidationError(f"{name} must be an object")
+        raise ValidationError(f"{name or 'config'} must be an object")
     unknown = sorted(set(block) - set(keys.split()))
     if unknown:
-        raise ValidationError("unknown config key " + ", ".join(f"{name}.{k}" for k in unknown))
+        prefix = "" if name is None else f"{name}."
+        raise ValidationError("unknown config key " + ", ".join(prefix + k for k in unknown))
     return block
 
 
@@ -83,9 +80,11 @@ class ExperimentConfig:
 
     @classmethod
     def _from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _block(doc, None, "graph system analysis run")
         if "graph" not in doc or "system" not in doc:
             raise ValidationError("config needs 'graph' and 'system' blocks")
-        graph = require_valid(DirectedGraph.from_json_dict(doc["graph"]))
+        graph = require_valid(DirectedGraph.from_json_dict(
+            _block(doc, "graph", "vertices edges labels")))
 
         sysdoc = _block(doc, "system", "box h substeps fields")
         box = tuple((float(lo), float(hi)) for lo, hi in sysdoc["box"])
@@ -103,14 +102,14 @@ class ExperimentConfig:
 
         analysis = None
         if "analysis" in doc:
-            a = _block(doc, "analysis", "cells eps m mode max_work references")
+            a = _block(doc, "analysis", "cells eps m max_work references")
             cells = a["cells"]
             if isinstance(cells, int):
                 cells = [cells] * dim
             refs = tuple((float(lo), float(hi)) for lo, hi in a.get("references", []))
             analysis = AnalysisConfig(
                 cells=tuple(int(c) for c in cells), eps=float(a["eps"]),
-                m=int(a.get("m", 1)), mode=a.get("mode", FREE),
+                m=int(a.get("m", 1)),
                 max_work=int(a.get("max_work", 2_000_000)),
                 references=refs)
             if len(analysis.cells) != dim:

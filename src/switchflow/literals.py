@@ -12,6 +12,8 @@ from .sequences import SymbolicSequence
 from .signals import SwitchingSignal
 
 _TOKEN = re.compile(r"(\w+)\s*=\s*(\(([^)]*)\)|\[([^\]]*)\]|[^\s()\[\]]+)")
+SEQUENCE_KEYS = ("left", "core", "right", "shift")
+SIGNAL_KEYS = SEQUENCE_KEYS + ("tau", "h")
 
 
 class LiteralError(ValidationError):
@@ -20,7 +22,9 @@ class LiteralError(ValidationError):
         self.position = position
 
 
-def _parse_fields(text: str) -> dict[str, tuple[str, int]]:
+def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, tuple[str, int]]:
+    """``key -> (value, position)`` for each ``key=value`` of ``text``; a key
+    outside ``keys`` is an error at its position."""
     out: dict[str, tuple[str, int]] = {}
     pos = 0
     for match in _TOKEN.finditer(text):
@@ -28,6 +32,9 @@ def _parse_fields(text: str) -> dict[str, tuple[str, int]]:
         if between:
             raise LiteralError(f"unexpected text {between!r}", pos)
         key = match.group(1)
+        if key not in keys:
+            raise LiteralError(f"unknown key {key!r}; expected one of {', '.join(keys)}",
+                               match.start())
         if key in out:
             raise LiteralError(f"duplicate key {key!r}", match.start())
         inner = match.group(3) if match.group(3) is not None else match.group(4)
@@ -48,7 +55,7 @@ def _word(g: DirectedGraph, text: str, position: int) -> tuple[int, ...]:
 
 
 def parse_sequence(g: DirectedGraph, text: str) -> SymbolicSequence:
-    return _sequence(g, _parse_fields(text), text)
+    return _sequence(g, _parse_fields(text, SEQUENCE_KEYS), text)
 
 
 def _sequence(g: DirectedGraph, fields: dict[str, tuple[str, int]],
@@ -69,7 +76,7 @@ def _sequence(g: DirectedGraph, fields: dict[str, tuple[str, int]],
 
 
 def parse_signal(g: DirectedGraph, text: str, default_h: float | None = None) -> SwitchingSignal:
-    fields = _parse_fields(text)
+    fields = _parse_fields(text, SIGNAL_KEYS)
     base = _sequence(g, fields, text)
     tau_txt, tau_pos = fields.get("tau", ("0.0", 0))
     try:

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from switchflow.chains import (
-    CONSTRAINED,
-    FREE,
+    _sampled_expansion,
+    _task_images,
     build_chain_graph,
     build_grid,
     chain_components,
@@ -306,7 +306,7 @@ def test_criterion_07_example2_complete_graph():
     g = DirectedGraph.complete(2)
     sys_ = example2_system(g, h=0.1)
     grid = build_grid([(0.0, 2.0)], 400)
-    comps = chain_components(build_chain_graph(sys_, g, grid, 0.02, 10, mode=FREE))
+    comps = chain_components(build_chain_graph(sys_, g, grid, 0.02, 10))
     n_comps = len(comps)
     h_unit = top_hausdorff(comps, grid, 0, (0.0, 1.0))
     h_fixed = top_hausdorff(comps, grid, 1, (2.0, 2.0))
@@ -328,7 +328,7 @@ def test_example2_expected_structure_at_unit_link_time():
     g = DirectedGraph.complete(2)
     sys_ = example2_system(g, h=1.0, substeps=50)
     grid = build_grid([(0.0, 2.0)], 400)
-    comps = chain_components(build_chain_graph(sys_, g, grid, 0.02, 1, mode=FREE))
+    comps = chain_components(build_chain_graph(sys_, g, grid, 0.02, 1))
     h_unit = top_hausdorff(comps, grid, 0, (0.0, 1.0))
     h_fixed = top_hausdorff(comps, grid, 1, (2.0, 2.0))
     elapsed = time.time() - t0
@@ -349,12 +349,12 @@ def test_criterion_08_example2_cycle_graph():
     failures = []
 
     comps_m2 = chain_components(
-        build_chain_graph(sys_, g, grid, 0.005, 2, mode=CONSTRAINED))
+        build_chain_graph(sys_, g, grid, 0.005, 2))
     if any(unit_cells <= c.cells for c in comps_m2):
         failures.append("m=2 still yields a single component over [0,1]")
 
     comps_m1 = chain_components(
-        build_chain_graph(sys_, g, grid, 0.005, 1, mode=CONSTRAINED))
+        build_chain_graph(sys_, g, grid, 0.005, 1))
     covering = [c for c in comps_m1 if unit_cells <= c.cells]
     if not covering:
         failures.append("m=1 does not recover a single component over [0,1]")
@@ -377,7 +377,7 @@ def test_criterion_09_sine_curve_reduced():
               ExpressionField((f"x1*({bound!r} - x1)",)))
     sys_ = SwitchedSystem(g, ((0.0, bound),), H, fields, substeps=20)
     grid = build_grid([(0.0, bound)], 400)
-    comps = chain_components(build_chain_graph(sys_, g, grid, 0.01, 1, mode=FREE))
+    comps = chain_components(build_chain_graph(sys_, g, grid, 0.01, 1))
     failures = []
     if len(comps) != 1:
         failures.append(f"{len(comps)} viable components")
@@ -418,6 +418,20 @@ def test_criterion_10_stitching():
                    ok, elapsed, "; ".join(failures[:3]))
 
 
+def lifted_nodes(sys_, g, grid, eps, cells):
+    """Pairs ``(a, w[0])`` for the cells ``a`` of ``cells`` and the words
+    ``w`` of length 1 that link ``a`` to a cell of ``cells``, found by the
+    per-word ball query of the chain build."""
+    r = grid.radius
+    nodes = set()
+    for word, images in _task_images(sys_, grid.all_centers(),
+                                     enumerate_admissible_words(g, frozenset(range(g.n)), 1)):
+        reach = eps + r * _sampled_expansion(images, grid) + r
+        nodes.update((a, word[0]) for a, b in grid.cells_within(images, reach).tolist()
+                     if a in cells and b in cells)
+    return nodes
+
+
 def test_criterion_11_lift_checks():
     t0 = time.time()
     g = DirectedGraph.complete(2)
@@ -431,14 +445,15 @@ def test_criterion_11_lift_checks():
     if len(kernel) != grid.n_cells * g.n:
         failures.append(f"invariant kernel kept {len(kernel)}")
 
-    # product components sit inside the kernels of their projections
+    # components, lifted to the (cell, first symbol) pairs of their links,
+    # sit inside the kernels of their cells
     for eps in (0.02, 0.005):
-        cg = build_chain_graph(sys_, g, grid, eps, 1, mode=CONSTRAINED)
+        cg = build_chain_graph(sys_, g, grid, eps, 1)
         kappa = max(cg.word_expansion.values())
         slack = eps + grid.radius * kappa + grid.radius
         for comp in chain_components(cg)[:2]:
             k = lift_kernel(sys_, g, grid, comp.cells, slack=slack)
-            if not comp.nodes <= k:
+            if not lifted_nodes(sys_, g, grid, eps, comp.cells) <= k:
                 failures.append(f"eps={eps}: component escapes its kernel")
     elapsed = time.time() - t0
     ok = not failures and elapsed < 60.0

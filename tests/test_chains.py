@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from switchflow import chains
 from switchflow.chains import (
-    CONSTRAINED,
-    FREE,
     SizingError,
     _sampled_expansion,
     _task_images,
@@ -233,7 +231,7 @@ class TestBuildChainGraph:
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 50)
-        cg = build_chain_graph(sys, g, grid, 0.02, 1, mode=FREE)
+        cg = build_chain_graph(sys, g, grid, 0.02, 1)
         r = grid.radius
         for a in (0, 10, 25, 49):
             expected = set()
@@ -244,18 +242,19 @@ class TestBuildChainGraph:
             assert cg.successors(a) == expected
 
     def test_constrained_cycle_words(self):
+        # the cycle graph admits only the alternating words (0, 1) and (1, 0)
         g = DirectedGraph.cycle(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 50)
-        cg = build_chain_graph(sys, g, grid, 0.02, 2, mode=CONSTRAINED)
-        # from (a, 0) the only admissible word is (0, 1)
+        cg = build_chain_graph(sys, g, grid, 0.02, 2)
+        assert sorted(cg.word_expansion) == [(0, 1), (1, 0)]
         a = 25
-        image = step_image(sys, g, grid, a, (0, 1))
-        kappa = cg.word_expansion[(0, 1)]
-        reach = 0.02 + grid.radius * kappa + grid.radius
-        cells = set(grid.cells_within(image, reach)[:, 1].tolist())
-        assert {b for (b, v) in cg.successors((a, 0))} == cells
-        assert {v for (b, v) in cg.successors((a, 0))} == {0, 1}
+        expected = set()
+        for word in ((0, 1), (1, 0)):
+            image = step_image(sys, g, grid, a, word)
+            reach = 0.02 + grid.radius * cg.word_expansion[word] + grid.radius
+            expected |= set(grid.cells_within(image, reach)[:, 1].tolist())
+        assert cg.successors(a) == expected
 
     def test_monotone_in_eps(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
@@ -314,10 +313,13 @@ class TestBuildChainGraph:
         assert segments == [(1, len(points), 1)] * 2 + [(2, len(points), 1)] * 6
 
 
-# Edge count and sha256 of repr(sorted (source, target) node pairs), and
-# component count and sha256 of repr([(sorted nodes, sorted cells)]) in
+# Edge count and sha256 of repr(sorted (source, target) cell pairs), and
+# component count and sha256 of repr([(sorted cells, sorted cells)]) in
 # output order, for the chain graphs of scripts/configs; recorded from the
-# dict-of-sets builder that preceded the array core.
+# dict-of-sets builder that preceded the array core, when components were
+# hashed as (sorted nodes, sorted cells).  two_well_cycle was re-recorded
+# when its (cell, vertex) nodes gave way to cells: its edges are the old
+# ones projected to cells, its components the old cell sets re-sorted.
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 FROZEN_EDGES = {
     "sine_curve_reduced": (
@@ -325,7 +327,7 @@ FROZEN_EDGES = {
     "two_well_complete": (
         7132, "18e3f14e6ad01c062a37e704d2cb0741f7ea68f9a154b5afbb39c1664622ec9e"),
     "two_well_cycle": (
-        6608, "021d4fa9587003a4bf3b37a422541ba6254d63d3915473a871217156d40341f3"),
+        2086, "baa2a59fe90b4bfe773fa5d46de055af3811454a08033bcc4c3e186171c2d3ae"),
 }
 FROZEN_COMPONENTS = {
     "sine_curve_reduced": (
@@ -333,7 +335,7 @@ FROZEN_COMPONENTS = {
     "two_well_complete": (
         22, "d32b73722b9c058ab819818c1eab99c45908caf650384f56a7a597e871927d81"),
     "two_well_cycle": (
-        19, "b594bea25f479301f63b49c76d93ac6887c0c6425c092427230cb3583df3ec80"),
+        19, "b6e8ba92c8e092281ee6b600a8cc136dff82d604aeea3b91eb1ecb9429706062"),
 }
 
 
@@ -346,25 +348,22 @@ def test_config_edge_sets_frozen(name):
     cfg = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
     a = cfg.analysis
     cg = build_chain_graph(cfg.system, cfg.graph, build_grid(cfg.system.box, a.cells),
-                           a.eps, a.m, mode=a.mode, max_work=a.max_work)
-    pairs = sorted((src, dst) for src in cg.nodes for dst in cg.successors(src))
+                           a.eps, a.m, max_work=a.max_work)
+    pairs = sorted((src, dst) for src in range(cg.adjacency.n) for dst in cg.successors(src))
     assert (len(pairs), _sha(pairs)) == FROZEN_EDGES[name]
-    comps = [(sorted(c.nodes), sorted(c.cells)) for c in chain_components(cg)]
+    comps = [(sorted(c.cells), sorted(c.cells)) for c in chain_components(cg)]
     assert (len(comps), _sha(comps)) == FROZEN_COMPONENTS[name]
 
 
-def expanded_edge_pairs(sys, g, grid, eps, m, mode):
+def expanded_edge_pairs(sys, g, grid, eps, m):
     """The expanded edge set that range rows replaced, built as before: per
-    word, every (point, cell) pair of the ball query, from the node whose
-    vertex starts the word to every vertex of the target cell."""
+    word, every (point, cell) pair of the ball query."""
     words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
-    k = 1 if mode == FREE else g.n
     r = grid.radius
     pairs = set()
     for word, images in _task_images(sys, grid.all_centers(), words):
         kappa = _sampled_expansion(images, grid)
-        for point, cell in grid.cells_within(images, eps + r * kappa + r).tolist():
-            pairs.update((point * k + word[0] % k, cell * k + v) for v in range(k))
+        pairs.update(map(tuple, grid.cells_within(images, eps + r * kappa + r).tolist()))
     return sorted(pairs)
 
 
@@ -374,35 +373,34 @@ def expression_system(box, fields, h=0.25):
 
 
 VDP_FOCUS = [("x2", "-x1+(1-x1**2)*x2"), ("-x1+x2", "-x1-x2")]
-CHAIN_CASES = {  # system, cells, eps, m, mode
-    "1d-free": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.02, 1, FREE),
-    "1d-free-m2": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.01, 2, FREE),
-    "1d-constrained-cycle": lambda: (example2_system(DirectedGraph.cycle(2)), [40], 0.01, 2,
-                                     CONSTRAINED),
+CHAIN_CASES = {  # system, cells, eps, m
+    "1d-free": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.02, 1),
+    "1d-free-m2": lambda: (example2_system(DirectedGraph.complete(2)), [40], 0.01, 2),
+    "1d-cycle-m2": lambda: (example2_system(DirectedGraph.cycle(2)), [40], 0.01, 2),
     "2d-free": lambda: (expression_system(((-2.0, 2.0), (-1.0, 2.0)), VDP_FOCUS),
-                        [9, 7], 0.05, 2, FREE),
-    "2d-constrained": lambda: (expression_system(((-1.0, 1.0),) * 2,
-                                                 [("-x2", "x1"), ("0.5", "-x2")]),
-                               [6, 8], 0.1, 1, CONSTRAINED),
+                        [9, 7], 0.05, 2),
+    "2d-m1": lambda: (expression_system(((-1.0, 1.0),) * 2, [("-x2", "x1"), ("0.5", "-x2")]),
+                      [6, 8], 0.1, 1),
     "3d-free": lambda: (expression_system(((-1.0, 1.0),) * 3,
                                           [("-x2", "x1", "-0.5*x3"), ("x1-x2", "0.3", "-x3")]),
-                        [5, 4, 6], 0.05, 1, FREE),
+                        [5, 4, 6], 0.05, 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CHAIN_CASES))
 def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
-    sys, cells, eps, m, mode = CHAIN_CASES[case]()
+    sys, cells, eps, m = CHAIN_CASES[case]()
     grid = build_grid(sys.box, cells)
-    cg = build_chain_graph(sys, sys.graph, grid, eps, m, mode=mode)
-    expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m, mode)
-    got = sorted((cg.node_id(a), cg.node_id(b)) for a in cg.nodes for b in cg.successors(a))
+    cg = build_chain_graph(sys, sys.graph, grid, eps, m)
+    expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m)
+    cells = range(grid.n_cells)
+    got = sorted((a, b) for a in cells for b in cg.successors(a))
     assert got == expected
     assert cg.adjacency.nnz == len(expected)
     pairs = set(expected)
-    for a in cg.nodes:
-        for b in cg.nodes:
-            assert cg.has_edge(a, b) == ((cg.node_id(a), cg.node_id(b)) in pairs)
+    for a in cells:
+        for b in cells:
+            assert cg.has_edge(a, b) == ((a, b) in pairs)
 
 
 def test_large_grid_components():
@@ -497,7 +495,7 @@ class TestChainComponents:
         comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
-                assert a.nodes.isdisjoint(b.nodes)
+                assert a.cells.isdisjoint(b.cells)
 
     def test_1d_components_contiguous(self):
         g = DirectedGraph.complete(2)
@@ -519,25 +517,6 @@ class TestChainComponents:
         assert any(grid.cell_of([2.0]) in c.cells and unit_cells.isdisjoint(c.cells)
                    for c in comps)
 
-    def test_free_equals_projected_constrained_when_complete(self):
-        g = DirectedGraph.complete(2)
-        sys = example2_system(g)
-        grid = build_grid([(0.0, 2.0)], 100)
-        free = chain_components(build_chain_graph(sys, g, grid, 0.02, 1, mode=FREE))
-        prod = chain_components(build_chain_graph(sys, g, grid, 0.02, 1, mode=CONSTRAINED))
-        assert sorted(tuple(sorted(c.cells)) for c in free) == \
-            sorted(tuple(sorted(c.cells)) for c in prod)
-
-    def test_product_projects_into_free(self):
-        # each projected product component is inside one free component
-        g = DirectedGraph.complete(2)
-        sys = example2_system(g)
-        grid = build_grid([(0.0, 2.0)], 80)
-        free = chain_components(build_chain_graph(sys, g, grid, 0.03, 1, mode=FREE))
-        prod = chain_components(build_chain_graph(sys, g, grid, 0.03, 1, mode=CONSTRAINED))
-        for pc in prod:
-            assert any(pc.cells <= fc.cells for fc in free)
-
 
 class TestChainEquivalence:
     def test_same_point(self):
@@ -558,7 +537,7 @@ class TestChainEquivalence:
         g = DirectedGraph.cycle(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 200)
-        cg = build_chain_graph(sys, g, grid, 0.005, 2, mode=CONSTRAINED)
+        cg = build_chain_graph(sys, g, grid, 0.005, 2)
         comps = chain_components(cg)
         assert not chain_equivalent(cg, [0.45], [0.9], comps)
 

@@ -26,7 +26,7 @@ COMPLETE2 = {
     "system": {"box": [[0.0, 2.0]], "h": 0.1, "substeps": 20,
                "fields": ["-x1*(x1-1)*(x1-2)", "-x1*(x1-2)"]},
     "analysis": {"cells": [100], "eps": 0.02, "m": 1,
-                 "mode": "free-switching", "references": [[0.0, 1.0], [2.0, 2.0]]},
+                 "references": [[0.0, 1.0], [2.0, 2.0]]},
     "run": {"seed": 0, "out": "out", "tol": 1e-10},
 }
 
@@ -65,10 +65,19 @@ class TestLiterals:
         g = DirectedGraph.complete(2)
         for text, at in [("tau=0.05 h=0.1 left=(0 7) right=(1)", "left="),
                          ("tau=0.05 h=0.1 left=(0 1) core=[] right=(1) shift=x", "shift="),
-                         ("tau=0.05 h=0.1 left=(0 1)", None)]:
+                         ("tau=0.05 h=0.1 left=(0 1)", None),
+                         ("left=(0) right=(1) tua=0.3 h=0.1", "tua=")]:
             with pytest.raises(LiteralError) as err:
                 parse_signal(g, text)
             assert err.value.position == (len(text) if at is None else text.index(at))
+
+    def test_sequence_rejects_signal_keys_at_their_position(self):
+        g = DirectedGraph.complete(2)
+        for text, key in [("left=(0) core=[1] right=(1) tau=0.5", "tau="),
+                          ("h=0.1 left=(0) right=(1)", "h=")]:
+            with pytest.raises(LiteralError, match="unknown key") as err:
+                parse_sequence(g, text)
+            assert err.value.position == text.index(key)
 
     def test_unknown_vertex_rejected(self):
         g = DirectedGraph.complete(2)
@@ -123,6 +132,12 @@ def _with(block, key, value):
     return edit
 
 
+def _with_top(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(_without("system", "box"), id="missing-box"),
     pytest.param(_with("system", "h", "abc"), id="h-not-a-number"),
@@ -141,6 +156,9 @@ def _with(block, key, value):
     pytest.param(_with("analysis", "q", 3), id="analysis-q"),
     pytest.param(_with("system", "clamp", True), id="system-clamp"),
     pytest.param(_with("analysis", "epsilon", 5), id="analysis-typo"),
+    pytest.param(_with_top("rn", {"tol": 5}), id="top-level-typo"),
+    pytest.param(_with("graph", "lables", ["A", "B"]), id="graph-typo"),
+    pytest.param(_with("analysis", "mode", "free-switching"), id="analysis-mode"),
     pytest.param(_with("analysis", "max_work", -1), id="max-work-negative"),
     pytest.param(_with("analysis", "max_work", 0), id="max-work-zero"),
     pytest.param(_with("analysis", "max_work", float("inf")), id="max-work-inf"),
@@ -176,6 +194,10 @@ PRODUCT = ["metric", "--kind", "product", "--a", CONSTANT_A, "--b", CONSTANT_A]
     pytest.param(None, [*PRODUCT, "--x", "1", "--y", "0.5,1,2"], id="y-of-three"),
     pytest.param(None, ["--tol", "nan", "metric", "--kind", "delta", "--a", CONSTANT_A,
                         "--b", CONSTANT_A], id="tol-nan"),
+    pytest.param(None, ["metric", "--kind", "delta", "--a", "left=(A) right=(B) tua=0.3",
+                        "--b", CONSTANT_A], id="signal-key-typo"),
+    pytest.param(None, ["metric", "--kind", "omega", "--a", "left=(A) right=(B) tau=0.5",
+                        "--b", CONSTANT_A], id="sequence-with-tau"),
     pytest.param("missing.json", ["analyze-graph"], id="missing-config"),
     pytest.param(".", ["analyze-graph"], id="config-is-a-directory"),
 ])
@@ -216,24 +238,26 @@ def test_simulate_too_many_samples_exits_4_at_once(tmp_path):
 # sha256 of the files each command writes for scripts/configs, recorded
 # before chain-sets computed its centres once per component, and re-recorded
 # when the keys analysis.q, system.clamp and parameters.q left the outputs
-# (nothing else in them changed).
+# (nothing else in them changed), and again when analysis.mode and
+# parameters.mode left them (two_well_cycle's components, whose sizes had
+# counted (cell, vertex) nodes, also came out re-sorted by cell count).
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 FROZEN_OUTPUTS = {
     ("sine_curve_reduced", "chain-sets"): {
-        "components.csv": "b47284880982bca78ff16c52f00c58227ac30afafe093725ab61f278d3c97cf6",
-        "chain_summary.json": "2394382a93ef85242710bde5e2eef2e384faef9dffa829e21da94ab26046f036"},
+        "components.csv": "34df419be45c8465ee86be9c426315b63c5a10ad25137184cf1b0fa5c2d08529",
+        "chain_summary.json": "33a1014479a5addd896cbbd2b1ecac2506f8b41e217d303ed325f1ef4b02eb51"},
     ("two_well_complete", "chain-sets"): {
-        "components.csv": "cd142bba948553c84d5606489be61696221a74f4c92a60eef6cca9b633b2a03d",
-        "chain_summary.json": "f262f261c9875a2b676369a8c4362f10b9fa40f10a119a5bd8601dcf5be26901"},
+        "components.csv": "d6a586653b8a128113340c663d509ab15be36436d04611a11954eb24ed4b5480",
+        "chain_summary.json": "01cb4b44363a492f8594544e57e60838171f4bc6f0bb7a1dd6f35045b6a8751e"},
     ("two_well_cycle", "chain-sets"): {
-        "components.csv": "88d02eb73928629094aefc12d2c590b470a62cd95670cf71ac04831385422466",
-        "chain_summary.json": "a53054caa26b7c6613717990b765c846c381bac3e1274ca5bcff8deeb3034df3"},
+        "components.csv": "0c031a20af6ea712a787e0c876f25222c81daa0ca68cae9b19ce68af0a41037c",
+        "chain_summary.json": "3c4134a6c2ab7c6670dc1b8aea5b7a6091cb7b45d8bac85eafb47cbfcc275ad8"},
     ("sine_curve_reduced", "analyze-graph"): {
-        "graph_analysis.json": "d5ede41926bc7b54498a3cc77914d4e0c521b28f280f969521bde0cea597ad3a"},
+        "graph_analysis.json": "e0b531faa87160b1a04a6b5ff2e580eec741af0abfee3a4bee9e8d5ba6ea8922"},
     ("two_well_complete", "analyze-graph"): {
-        "graph_analysis.json": "25ebdf41fb2dfede0f7d7e0e011d1d21bc756d63ff307ca11adbd023df200637"},
+        "graph_analysis.json": "d6eb3fd00f20b55f67333a5481d97395a9e5365bf9529cf9e0e2d8a5435e024e"},
     ("two_well_cycle", "analyze-graph"): {
-        "graph_analysis.json": "b8a5684b1086bd6648d41caf836b95ee64ddc8fb6bfa4ef7c9066090a64ff897"},
+        "graph_analysis.json": "aa6c4308d8c518c60ffd6115eaee4b480e388a67cab56bbae724e41e62ffdb3d"},
 }
 
 
