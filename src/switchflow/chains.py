@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -91,65 +92,96 @@ class Grid:
             multi.append(min(max(k, 0), c - 1))
         return self.flat_index(multi)
 
-    def rows_within(self, points: np.ndarray, dist: float) -> np.ndarray:
+    def rows_within(self, points: np.ndarray, dist: float | np.ndarray) -> np.ndarray:
         """``(point index, first cell, last cell)`` rows for the cells whose
         center lies within Euclidean ``dist`` of a row of ``points`` (shape
-        ``(N, d)``).  A ball meets each line of cells along the last axis in
-        one run of consecutive flat indices, so each row is one such run;
-        rows are sorted by point, then by first cell.
+        ``(N, d)``); ``dist`` is one radius, or one per point.  A ball meets
+        each line of cells along the last axis in one run of consecutive
+        flat indices, so each row is one such run; rows are sorted by point,
+        then by first cell.
 
-        Only the first d-1 axes are enumerated; along the last axis only the
-        cells at the two ends of each run are tested.
+        Each point's lines are enumerated over the first d-1 axes, one axis
+        at a time.  A line's run is taken from the ball's rounded chord, and
+        one vectorised pass over four cells per line proves it: its end
+        cells are inside, and the cells just beyond them are outside or off
+        the grid.  Only lines that fail this test walk their ends inward.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
+        dist = np.broadcast_to(np.asarray(dist, dtype=float), pts.shape[:1])
         lo = np.array([b[0] for b in self.box])
         w = np.array(self.widths)
         counts = np.array(self.counts)
         # lines: per-axis index ranges over the first d-1 axes, one index
         # wider on each side than the rounded bounds (a centre at distance
         # exactly dist may round out of them), clipped to the grid
-        k_lo = np.clip(np.ceil((pts[:, :-1] - dist - lo[:-1]) / w[:-1] - 0.5) - 1,
+        reach = dist[:, None]
+        k_lo = np.clip(np.ceil((pts[:, :-1] - reach - lo[:-1]) / w[:-1] - 0.5) - 1,
                        0, counts[:-1]).astype(np.int64)
-        k_hi = np.clip(np.floor((pts[:, :-1] + dist - lo[:-1]) / w[:-1] - 0.5) + 1,
+        k_hi = np.clip(np.floor((pts[:, :-1] + reach - lo[:-1]) / w[:-1] - 0.5) + 1,
                        -1, counts[:-1] - 1).astype(np.int64)
-        span = np.maximum(k_hi - k_lo + 1, 0).max(axis=0, initial=0)
-        stencil = np.indices(tuple(span)).reshape(self.dimension - 1, math.prod(span)).T
-        multi = k_lo[:, None, :] + stencil[None, :, :]
-        point, slot = np.nonzero(np.all(multi <= k_hi[:, None, :], axis=-1))
-        line = multi[point, slot]
-        p = pts[point]
+        point = np.arange(len(pts))
+        line = np.empty((len(pts), 0), dtype=np.int64)
+        for axis in range(self.dimension - 1):
+            first = k_lo[point, axis]
+            row, k = expand_ranges(first, np.maximum(k_hi[point, axis], first - 1))
+            point, line = point[row], np.column_stack((line[row], k))
+        p, dist = pts[point, -1], dist[point]
         # offsets of each line's centres from the point on the first d-1 axes
-        gap = lo[:-1] + (line + 0.5) * w[:-1] - p[:, :-1]
+        gap = lo[:-1] + (line + 0.5) * w[:-1] - pts[point, :-1]
         gap2 = np.sum(gap * gap, axis=-1)
-        half = np.sqrt(np.maximum(dist * dist - gap2, 0.0))
+        del gap
+
+        index = np.arange(len(p))
+
+        def outside(j: np.ndarray, i: np.ndarray | slice = slice(None)):
+            """Whether cell ``j`` along the last axis of row ``i``'s line is
+            outside the ball, as math.dist decides, and its offset there."""
+            t = lo[-1] + (j + 0.5) * w[-1] - p[i]
+            d = np.sqrt(gap2[i] + t * t)
+            r = dist[i]
+            out = d > r
+            # math.dist rounds the last bit differently and does not
+            # underflow: let it decide near-ties
+            near = np.flatnonzero((np.abs(d - r) <= 1e-9 * r) | (d < 1e-150))
+            for k, a in zip(near, index[i][near]):
+                gap = lo[:-1] + (line[a] + 0.5) * w[:-1] - pts[point[a], :-1]
+                out[k] = math.hypot(*gap, t[k]) > r[k]
+            return out, t
+
         # along the last axis, the chord of the ball on each line, rounded
-        # out to one cell beyond it on each side; each end then moves inward
-        # while its cell is outside, as math.dist decides, so the cells
-        # inside, one run per line, are exactly the scalar relation's
+        # in to the cells whose centres it covers
+        half = np.sqrt(np.maximum(dist * dist - gap2, 0.0))
         c = self.counts[-1]
-        ends = np.stack((
-            np.clip(np.ceil((p[:, -1] - half - lo[-1]) / w[-1] - 0.5) - 1, 0, c),
-            np.clip(np.floor((p[:, -1] + half - lo[-1]) / w[-1] - 0.5) + 1, -1, c - 1),
-        )).astype(np.int64)
-        inward = np.array([1, -1])
-        side, rows = np.nonzero(np.tile(ends[0] <= ends[1], (2, 1)))
-        while len(rows):
-            t = lo[-1] + (ends[side, rows] + 0.5) * w[-1] - p[rows, -1]
-            d = np.sqrt(gap2[rows] + t * t)
-            outside = d > dist
-            # math.dist rounds the last bit differently and does not underflow:
-            # let it decide near-ties
-            for i in np.flatnonzero((np.abs(d - dist) <= 1e-9 * dist) | (d < 1e-150)):
-                outside[i] = math.hypot(*gap[rows[i]], t[i]) > dist
-            side, rows = side[outside], rows[outside]
-            ends[side, rows] += inward[side]
-            more = ends[0, rows] <= ends[1, rows]
-            side, rows = side[more], rows[more]
-        hit = ends[0] <= ends[1]
+        first = np.clip(np.ceil((p - half - lo[-1]) / w[-1] - 0.5), 0, c).astype(np.int64)
+        last = np.clip(np.floor((p + half - lo[-1]) / w[-1] - 0.5), -1, c - 1).astype(np.int64)
+        del half
+        # the cells inside a line are consecutive, so a run is exact when its
+        # end cells are inside and the cells just beyond it are outside or
+        # off the grid; an empty run is exact when the two cells around the
+        # point's projection onto the line are outside or off the grid
+        below, t_below = outside(first - 1)
+        above, t_above = outside(last + 1)
+        run = ~(outside(first)[0] | outside(last)[0])
+        around = ((first == last + 1) & ((t_below <= 0) | (first == 0))
+                  & ((t_above >= 0) | (last == c - 1)))
+        exact = ((below | (first == 0)) & (above | (last == c - 1))
+                 & np.where(first <= last, run, around))
+        # other lines: widen the run by one cell on each side, then move
+        # each end inward while its cell is outside
+        rows = np.flatnonzero(~exact)
+        first[rows] = np.maximum(first[rows] - 1, 0)
+        last[rows] = np.minimum(last[rows] + 1, c - 1)
+        for end, step in ((first, 1), (last, -1)):
+            todo = rows[first[rows] <= last[rows]]
+            while len(todo):
+                todo = todo[outside(end[todo], todo)[0]]
+                end[todo] += step
+                todo = todo[first[todo] <= last[todo]]
+        hit = first <= last
         line = tuple(line[hit].T)
         return np.column_stack((point[hit],
-                                np.ravel_multi_index(line + (ends[0, hit],), self.counts),
-                                np.ravel_multi_index(line + (ends[1, hit],), self.counts)))
+                                np.ravel_multi_index(line + (first[hit],), self.counts),
+                                np.ravel_multi_index(line + (last[hit],), self.counts)))
 
     def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
         """``(point index, cell)`` rows, one per cell whose center lies within
@@ -173,6 +205,20 @@ def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | i
 # 16 384 was no faster, and unbounded sweeps took the 100x100, m = 6 build
 # from 2.8 to 3.4 s.
 SWEEP_ROWS = 8192
+
+# Points (words x cells) in one expansion estimate and one Grid.rows_within
+# call of build_chain_graph; a sweep holds consecutive words.  Building the
+# plane2d benchmark's chain graph (20x20 cells, m = 6, 64 words) on a 2-vCPU
+# Xeon VM, one process per value, median of 25 builds scaled by the
+# benchmark's host-speed calibration, then the median of three rounds:
+#
+#   points per sweep   400 (one word)   1 024   2 048   4 096   8 192
+#   build (ms)                   57.4    50.6    45.1    45.2    42.6
+#   peak RSS (MB)                32.8    32.7    33.8    35.7    40.0
+#
+# Past 2 048 points the build gains little, while peak RSS grows with the
+# sweep.
+SWEEP_POINTS = 2048
 
 
 def _task_images(sys: SwitchedSystem, points: np.ndarray,
@@ -257,17 +303,20 @@ class ChainGraph:
         return self.adjacency.has_edge(a, b)
 
 
-def _sampled_expansion(images: np.ndarray, grid: Grid) -> float:
-    """Max growth of the word's flow map, from adjacent-center differences."""
-    shaped = images.reshape(grid.counts + (grid.dimension,))
-    best = 0.0
+def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
+    """Max growth of each word's flow map, from adjacent-center differences:
+    images of shape ``(..., n_cells, d)`` give one factor per leading index."""
+    lead = images.ndim - 2
+    shaped = images.reshape(images.shape[:lead] + grid.counts + (grid.dimension,))
+    best = np.zeros(images.shape[:lead])
     for axis, w in enumerate(grid.widths):
         if grid.counts[axis] < 2:
             continue
-        diffs = np.diff(shaped, axis=axis)
+        diffs = np.diff(shaped, axis=lead + axis)
         norms = np.sqrt(np.sum(diffs * diffs, axis=-1))
-        best = max(best, float(norms.max()) / w)
-    return best if best > 0.0 else 1.0
+        # fmax, as max() on floats, passes over a NaN growth
+        best = np.fmax(best, norms.max(axis=tuple(range(lead, norms.ndim))) / w)
+    return np.where(best > 0.0, best, 1.0)
 
 
 def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
@@ -297,13 +346,20 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
 
     r = grid.radius
     expansions: dict[tuple, float] = {}
+    images = _task_images(sys, grid.all_centers(), words)
 
-    def word_rows():
-        for word, images in _task_images(sys, grid.all_centers(), words):
-            kappa = expansions[word] = _sampled_expansion(images, grid)
-            yield grid.rows_within(images, eps + r * kappa + r).T
+    def sweep_rows():
+        # consecutive words in sweeps of at most SWEEP_POINTS points; point
+        # i of a sweep is cell i % n of its word
+        while sweep := list(islice(images, max(1, SWEEP_POINTS // n))):
+            points = np.stack([image for _, image in sweep])
+            kappa = _sampled_expansion(points, grid)
+            expansions.update(zip([word for word, _ in sweep], kappa.tolist()))
+            point, first, last = grid.rows_within(points.reshape(-1, grid.dimension),
+                                                  np.repeat(eps + r * kappa + r, n)).T
+            yield np.stack((point % n, first, last))
 
-    return ChainGraph(grid, eps, m, sys.step, RangeRows.from_rows(n, word_rows()), expansions)
+    return ChainGraph(grid, eps, m, sys.step, RangeRows.from_rows(n, sweep_rows()), expansions)
 
 
 @dataclass(frozen=True)

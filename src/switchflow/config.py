@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .fields import VectorField, field_from_config
 from .flow import SwitchedSystem
-from .graph import DirectedGraph, ValidationError, require_valid
+from .graph import DirectedGraph, ValidationError, require_int, require_valid
 
 
 @dataclass(frozen=True)
@@ -98,25 +98,26 @@ class ExperimentConfig:
             field_from_config(sp, dim) for sp in raw_fields)
         system = SwitchedSystem(
             graph=graph, box=box, step=float(sysdoc["h"]), fields=fields,
-            substeps=int(sysdoc.get("substeps", 20)))
+            substeps=require_int(sysdoc.get("substeps", 20), "system.substeps"))
 
         analysis = None
         if "analysis" in doc:
             a = _block(doc, "analysis", "cells eps m max_work references")
             cells = a["cells"]
-            if isinstance(cells, int):
+            if not isinstance(cells, (list, tuple)):
                 cells = [cells] * dim
             refs = tuple((float(lo), float(hi)) for lo, hi in a.get("references", []))
             analysis = AnalysisConfig(
-                cells=tuple(int(c) for c in cells), eps=float(a["eps"]),
-                m=int(a.get("m", 1)),
-                max_work=int(a.get("max_work", 2_000_000)),
+                cells=tuple(require_int(c, "analysis.cells") for c in cells),
+                eps=float(a["eps"]), m=require_int(a.get("m", 1), "analysis.m"),
+                max_work=require_int(a.get("max_work", 2_000_000), "analysis.max_work"),
                 references=refs)
             if len(analysis.cells) != dim:
                 raise ValidationError("analysis.cells must give one count per axis")
 
         r = _block(doc, "run", "seed out tol")
-        run = RunConfig(seed=int(r.get("seed", 0)), out=str(r.get("out", "out")),
+        run = RunConfig(seed=require_int(r.get("seed", 0), "run.seed"),
+                        out=str(r.get("out", "out")),
                         tol=float(r.get("tol", 1e-10)))
         return cls(graph, system, analysis, run, raw=doc)
 

@@ -50,24 +50,28 @@ def _validate_expr(node: ast.AST, names: set[str]) -> None:
 class ExpressionField:
     """Vector field given by one expression per state component.
 
-    The components compile to one code object that evaluates all of them
-    on the same variables x1..xd.
+    The components compile to one function ``lambda x1, ..., xd: (c1, ...,
+    cd)`` that sees only sin, cos and exp besides its arguments.
     """
 
     expressions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        names = {f"x{i + 1}" for i in range(self.dimension)}
+        names = [f"x{i + 1}" for i in range(self.dimension)]
         bodies = []
         for expr in self.expressions:
             try:
                 tree = ast.parse(expr, mode="eval")
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-            _validate_expr(tree, names)
+            _validate_expr(tree, set(names))
             bodies.append(tree.body)
-        tree = ast.fix_missing_locations(ast.Expression(ast.Tuple(bodies, ast.Load())))
-        object.__setattr__(self, "_code", compile(tree, "<field>", "eval"))
+        args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
+                             kwonlyargs=[], kw_defaults=[], defaults=[])
+        tree = ast.fix_missing_locations(
+            ast.Expression(ast.Lambda(args, ast.Tuple(bodies, ast.Load()))))
+        object.__setattr__(self, "_fn", eval(compile(tree, "<field>", "eval"),
+                                             {"__builtins__": {}, **_ALLOWED_CALLS}))
 
     @property
     def dimension(self) -> int:
@@ -75,10 +79,8 @@ class ExpressionField:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        env = {f"x{i + 1}": x[..., i] for i in range(self.dimension)}
         out = np.empty(x.shape[:-1] + (self.dimension,))
-        for i, value in enumerate(eval(self._code, {"__builtins__": {}},
-                                       {**_ALLOWED_CALLS, **env})):
+        for i, value in enumerate(self._fn(*(x[..., i] for i in range(self.dimension)))):
             out[..., i] = value
         return out
 

@@ -20,6 +20,15 @@ class ValidationError(ValueError):
     """Raised when a graph or configuration fails a structural requirement."""
 
 
+def require_int(value, key: str) -> int:
+    """``value`` as an int if it is a whole number (an int, or a float such as
+    ``1e6``; not a bool); otherwise a ``ValidationError`` naming ``key``."""
+    whole = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not whole:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
@@ -58,6 +67,8 @@ class DirectedGraph:
             raise ValidationError("vertex_count must be positive")
         if self.labels is not None and len(self.labels) != n:
             raise ValidationError("labels must match vertex_count")
+        if self.labels is not None and len(set(self.labels)) != n:
+            raise ValidationError("labels must be distinct")
         succ: list[list[int]] = [[] for _ in range(n)]
         pred: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
@@ -83,7 +94,7 @@ class DirectedGraph:
     def from_json_dict(cls, doc: dict) -> "DirectedGraph":
         """Parse ``{"vertices": n, "edges": [[u, v], ...], "labels": [...]}``."""
         try:
-            n = int(doc["vertices"])
+            n = require_int(doc["vertices"], "vertices")
             edges = doc["edges"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed graph document: {exc}") from exc

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from switchflow import chains
 from switchflow.chains import (
     SizingError,
-    _sampled_expansion,
     _task_images,
     build_chain_graph,
     build_grid,
@@ -140,7 +139,7 @@ class TestGrid:
         assert tiny.rows_within([1e-170], 1e-175).shape == (0, 3)
         assert tiny.rows_within([1e-170], 1e-170).tolist() == [[0, 0, 0]]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_rows_within_are_runs_of_the_brute_force_set(self, data):
         dim = data.draw(st.integers(1, 3), label="dim")
@@ -153,21 +152,32 @@ class TestGrid:
         # points up to a box width outside the box, and cell centres, whose
         # distances to other centres tie with radii drawn as such distances
         free = st.tuples(*[st.floats(lo - (hi - lo), hi + (hi - lo)) for lo, hi in box])
-        points = np.array(data.draw(st.lists(st.one_of(free, st.sampled_from(centers)),
-                                             max_size=5)), dtype=float).reshape(-1, dim)
+        points = data.draw(st.lists(st.one_of(free, st.sampled_from(centers)), max_size=6))
         tie = st.tuples(st.sampled_from(centers), st.sampled_from(centers))
-        dist = data.draw(st.one_of(st.floats(0.0, 1.5 * math.dist(*zip(*box))),
-                                   tie.map(lambda ab: math.dist(*ab))))
-        rows = grid.rows_within(points, dist).tolist()
-        assert rows == sorted(rows)
+        radius = st.one_of(st.floats(0.0, 1.5 * math.dist(*zip(*box))),
+                           tie.map(lambda ab: math.dist(*ab)))
+        # one radius for all points, or one per point
+        if data.draw(st.booleans(), label="one radius"):
+            dist = data.draw(radius)
+            dists = [dist] * len(points)
+        else:
+            dists = data.draw(st.lists(radius, min_size=len(points), max_size=len(points)))
+            dist = np.array(dists)
+        rows = grid.rows_within(np.array(points, dtype=float).reshape(-1, dim), dist)
+        assert rows.tolist() == sorted(rows.tolist())
         line = grid.counts[-1]
-        for _, first, last in rows:
+        for _, first, last in rows.tolist():
             assert first <= last and first // line == last // line
-        for (a, _, last), (b, first, _) in zip(rows, rows[1:]):
+        for (a, _, last), (b, first, _) in zip(rows.tolist(), rows[1:].tolist()):
             assert a < b or last < first
-        expected = [(i, c) for i, p in enumerate(points.tolist())
-                    for c, center in enumerate(centers) if math.dist(center, p) <= dist]
-        assert [(i, c) for i, first, last in rows for c in range(first, last + 1)] == expected
+        expected = [(i, c) for i, (p, r) in enumerate(zip(points, dists))
+                    for c, center in enumerate(centers) if math.dist(center, p) <= r]
+        assert [(i, c) for i, first, last in rows.tolist()
+                for c in range(first, last + 1)] == expected
+        # each point's rows are those of a query on that point alone
+        for i, (p, r) in enumerate(zip(points, dists)):
+            alone = grid.rows_within(np.array(p, dtype=float), r)
+            assert rows[rows[:, 0] == i, 1:].tolist() == alone[:, 1:].tolist()
 
 
 class TestStepImage:
@@ -362,9 +372,39 @@ def expanded_edge_pairs(sys, g, grid, eps, m):
     r = grid.radius
     pairs = set()
     for word, images in _task_images(sys, grid.all_centers(), words):
-        kappa = _sampled_expansion(images, grid)
+        kappa = per_word_expansion(images, grid)
         pairs.update(map(tuple, grid.cells_within(images, eps + r * kappa + r).tolist()))
     return sorted(pairs)
+
+
+def per_word_expansion(images, grid):
+    """Max growth of one word's flow map, from adjacent-center differences,
+    as estimated one word at a time."""
+    shaped = images.reshape(grid.counts + (grid.dimension,))
+    best = 0.0
+    for axis, w in enumerate(grid.widths):
+        if grid.counts[axis] < 2:
+            continue
+        diffs = np.diff(shaped, axis=axis)
+        norms = np.sqrt(np.sum(diffs * diffs, axis=-1))
+        best = max(best, float(norms.max()) / w)
+    return best if best > 0.0 else 1.0
+
+
+def per_word_chain_graph(sys, g, grid, eps, m):
+    """Range rows and expansion factors of the chain graph built one word
+    at a time: per word, one expansion estimate and one ball query with a
+    single radius."""
+    words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
+    r = grid.radius
+    expansions = {}
+
+    def word_rows():
+        for word, images in _task_images(sys, grid.all_centers(), words):
+            kappa = expansions[word] = per_word_expansion(images, grid)
+            yield grid.rows_within(images, eps + r * kappa + r).T
+
+    return RangeRows.from_rows(grid.n_cells, word_rows()), expansions
 
 
 def expression_system(box, fields, h=0.25):
@@ -401,6 +441,40 @@ def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
     for a in cells:
         for b in cells:
             assert cg.has_edge(a, b) == ((a, b) in pairs)
+
+
+SWEEP_CASES = {  # CHAIN_CASES entry or (system, cells, eps, m), points per sweep
+    **{case: (case, None) for case in CHAIN_CASES},
+    # 4 words of 63 cells in sweeps of 3 words and 1
+    "2d-free-uneven": ("2d-free", 3 * 63),
+    # 4 words of 40 1-D cells in sweeps of 3 and 1, and 8 words of 30 2-D
+    # cells in sweeps of 3, 3 and 2
+    "1d-free-m2-uneven": ("1d-free-m2", 3 * 40 + 39),
+    "2d-m3-uneven": (lambda: (expression_system(((-2.0, 2.0), (-1.0, 2.0)), VDP_FOCUS),
+                              [5, 6], 0.05, 3), 3 * 30),
+    # more 1-D cells than one sweep holds: one word per sweep
+    "1d-wide": (lambda: (example2_system(DirectedGraph.complete(2)),
+                         [chains.SWEEP_POINTS + 7], 0.02, 2), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_swept_build_equals_per_word_build(case, monkeypatch):
+    make, points = SWEEP_CASES[case]
+    sys, cells, eps, m = (CHAIN_CASES[make] if isinstance(make, str) else make)()
+    if points is not None:
+        monkeypatch.setattr(chains, "SWEEP_POINTS", points)
+    grid = build_grid(sys.box, cells)
+    words = enumerate_admissible_words(sys.graph, frozenset(range(sys.graph.n)), m)
+    per_sweep = max(1, chains.SWEEP_POINTS // grid.n_cells)
+    if points is not None:
+        assert 1 < per_sweep < len(words) and len(words) % per_sweep
+    cg = build_chain_graph(sys, sys.graph, grid, eps, m)
+    rows, expansions = per_word_chain_graph(sys, sys.graph, grid, eps, m)
+    for name in ("indptr", "first", "last"):
+        assert np.array_equal(getattr(cg.adjacency, name), getattr(rows, name))
+    assert list(cg.word_expansion.items()) == list(expansions.items())
+    assert all(type(kappa) is float for kappa in cg.word_expansion.values())
 
 
 def test_large_grid_components():

@@ -162,6 +162,13 @@ def _with_top(key, value):
     pytest.param(_with("analysis", "max_work", -1), id="max-work-negative"),
     pytest.param(_with("analysis", "max_work", 0), id="max-work-zero"),
     pytest.param(_with("analysis", "max_work", float("inf")), id="max-work-inf"),
+    pytest.param(_with("analysis", "m", 2.7), id="m-fractional"),
+    pytest.param(_with("analysis", "m", True), id="m-bool"),
+    pytest.param(_with("analysis", "cells", [100.9]), id="cells-fractional"),
+    pytest.param(_with("system", "substeps", 20.5), id="substeps-fractional"),
+    pytest.param(_with("graph", "vertices", 2.5), id="vertices-fractional"),
+    pytest.param(_with("run", "seed", 1.5), id="seed-fractional"),
+    pytest.param(_with("graph", "labels", ["A", "A"]), id="duplicate-labels"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
@@ -171,6 +178,25 @@ def test_malformed_config_exits_2(edit, tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("analysis", "m", 2.7), ("analysis", "m", True), ("analysis", "cells", [100.9]),
+    ("analysis", "cells", True), ("analysis", "max_work", 1.5),
+    ("system", "substeps", 20.5), ("graph", "vertices", 2.5), ("run", "seed", 1.5),
+])
+def test_non_integral_count_is_named(block, key, value):
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc.setdefault(block, {})[key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+        ExperimentConfig.from_dict(doc)
+
+
+def test_whole_float_count_is_a_count():
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["analysis"].update(m=2.0, max_work=1e6)
+    a = ExperimentConfig.from_dict(doc).analysis
+    assert (a.m, a.max_work) == (2, 1_000_000) and type(a.m) is int
 
 
 CONSTANT_A = "left=(A) core=[] right=(A)"

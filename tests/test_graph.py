@@ -43,6 +43,10 @@ class TestValidation:
         with pytest.raises(ValidationError):
             DirectedGraph.from_edges(2, [(0, 2)])
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(ValidationError, match="distinct"):
+            DirectedGraph.from_edges(2, [(0, 1), (1, 0)], labels=["A", "A"])
+
 
 class TestParsing:
     def test_json_dict(self):
