@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,11 +93,11 @@ class Grid:
 
     def rows_within(self, points: np.ndarray, dist: float | np.ndarray) -> np.ndarray:
         """``(point index, first cell, last cell)`` rows for the cells whose
-        center lies within Euclidean ``dist`` of a row of ``points`` (shape
-        ``(N, d)``); ``dist`` is one radius, or one per point.  A ball meets
-        each line of cells along the last axis in one run of consecutive
-        flat indices, so each row is one such run; rows are sorted by point,
-        then by first cell.
+        center lies within Euclidean ``dist`` of a point of ``points`` (shape
+        ``(..., d)``, numbered flat); ``dist`` is one radius, or one per
+        point.  A ball meets each line of cells along the last axis in one
+        run of consecutive flat indices, so each row is one such run; rows
+        are sorted by point, then by first cell.
 
         Each point's lines are enumerated over the first d-1 axes, one axis
         at a time.  A line's run is taken from the ball's rounded chord, and
@@ -221,46 +220,31 @@ SWEEP_ROWS = 8192
 SWEEP_POINTS = 2048
 
 
-def _task_images(sys: SwitchedSystem, points: np.ndarray,
-                 words: Iterable[Sequence[int]]):
-    """Yield ``(word, images)`` per word, in word order: ``points`` flowed
-    for one step h under each symbol of the word in turn.
+def _link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
+                 points: np.ndarray) -> np.ndarray:
+    """``points`` (shape ``(N, d)``) flowed for one step h under each symbol
+    of each word in turn: one ``(len(words), N, d)`` array.  The words are
+    distinct and of one length, as ``enumerate_admissible_words`` lists them.
 
-    The words form a trie, walked level by level.  The children of all
-    prefixes of one level are grouped by symbol, and each group flows its
-    stacked parent images in sweeps of at most ``SWEEP_ROWS`` rows, so one
-    segment call serves many trie nodes.  Each level's images fill one
-    array; the level before it is dropped.
+    The word trie is walked level by level.  A level's nodes are grouped by
+    last symbol and flowed from their parents' images in sweeps of at most
+    ``SWEEP_ROWS`` rows, so one segment call serves many nodes.
     """
-    words = [tuple(w) for w in words]
     level = np.asarray(points, dtype=float)[None]
     per_sweep = max(1, SWEEP_ROWS // level.shape[1])
     node = [0] * len(words)  # each word's prefix in the current level
-    ended: dict[int, np.ndarray] = {}
-    n_yielded = 0
-    for depth in range(max(map(len, words), default=0) + 1):
-        if depth:
-            # children numbered in order of first appearance, grouped by symbol
-            children: dict[tuple[int, int], int] = {}
-            for t, word in enumerate(words):
-                if len(word) >= depth:
-                    node[t] = children.setdefault((node[t], word[depth - 1]), len(children))
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for (parent, sym), child in children.items():
-                groups.setdefault(sym, []).append((parent, child))
-            images = np.empty((len(children),) + level.shape[1:])
-            for sym, pairs in groups.items():
-                parent, child = np.array(pairs).T
-                for a in range(0, len(pairs), per_sweep):
-                    images[child[a:a + per_sweep]] = integrate_segment(
-                        sys, sym, level[parent[a:a + per_sweep]], sys.step)
-            level = images
+    for k in range(len(words[0])):
+        children: dict[tuple[int, int], int] = {}  # (parent, symbol) -> child
         for t, word in enumerate(words):
-            if len(word) == depth:
-                ended[t] = level[node[t]]
-        while n_yielded in ended:
-            yield words[n_yielded], ended.pop(n_yielded)
-            n_yielded += 1
+            node[t] = children.setdefault((node[t], word[k]), len(children))
+        images = np.empty((len(children),) + level.shape[1:])
+        for sym in dict.fromkeys(s for _, s in children):
+            parent, child = np.array([(p, c) for (p, s), c in children.items() if s == sym]).T
+            for a in range(0, len(child), per_sweep):
+                images[child[a:a + per_sweep]] = integrate_segment(
+                    sys, sym, level[parent[a:a + per_sweep]], sys.step)
+        level = images
+    return level
 
 
 def step_image(sys: SwitchedSystem, g: DirectedGraph, grid: Grid, cell: int,
@@ -305,17 +289,16 @@ class ChainGraph:
 
 def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
     """Max growth of each word's flow map, from adjacent-center differences:
-    images of shape ``(..., n_cells, d)`` give one factor per leading index."""
-    lead = images.ndim - 2
-    shaped = images.reshape(images.shape[:lead] + grid.counts + (grid.dimension,))
-    best = np.zeros(images.shape[:lead])
+    images of shape ``(words, n_cells, d)`` give one factor per word."""
+    shaped = images.reshape((len(images),) + grid.counts + (grid.dimension,))
+    best = np.zeros(len(images))
     for axis, w in enumerate(grid.widths):
         if grid.counts[axis] < 2:
             continue
-        diffs = np.diff(shaped, axis=lead + axis)
+        diffs = np.diff(shaped, axis=1 + axis)
         norms = np.sqrt(np.sum(diffs * diffs, axis=-1))
         # fmax, as max() on floats, passes over a NaN growth
-        best = np.fmax(best, norms.max(axis=tuple(range(lead, norms.ndim))) / w)
+        best = np.fmax(best, norms.reshape(len(images), -1).max(axis=1) / w)
     return np.where(best > 0.0, best, 1.0)
 
 
@@ -327,6 +310,10 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     length m of ``g`` maps a's center within the inflated epsilon ball of
     b's center.  Links start in phase: each symbol of a word holds for one
     step h.
+
+    Cells x words, counted before any word is listed, must not exceed
+    ``max_work``.  The eps-free images (one array) and expansions kappa come
+    first; the ball query with radius ``eps + r*kappa + r`` runs on slices.
     """
     require_valid(g)
     if g.n != len(sys.fields):
@@ -336,30 +323,31 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     if m < 1:
         raise ValidationError("m must be >= 1")
 
-    words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
     n = grid.n_cells
-    if n * len(words) > max_work:
-        raise SizingError(
-            f"{n} nodes x {len(words)} words = {n * len(words)} exceeds "
-            f"the work bound {max_work}; use a coarser grid, a smaller m, or raise "
-            "the bound")
+    # words by first vertex, one length at a time; every vertex has
+    # in-degree >= 1, so the total never falls with the length
+    walks, length = [1] * g.n, 1
+    while length < m and n * sum(walks) <= max_work:
+        walks, length = [sum(walks[v] for v in g.successors(u)) for u in range(g.n)], length + 1
+    if n * sum(walks) > max_work:
+        raise SizingError(f"{n} nodes x at least {sum(walks)} words exceeds the work bound "
+                          f"{max_work}; use a coarser grid, a smaller m, or raise the bound")
 
-    r = grid.radius
-    expansions: dict[tuple, float] = {}
-    images = _task_images(sys, grid.all_centers(), words)
+    words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
+    images = _link_images(sys, words, grid.all_centers())
+    kappa = _sampled_expansion(images, grid)
+    radius = eps + grid.radius * kappa + grid.radius
+    per_sweep = max(1, SWEEP_POINTS // n)
 
     def sweep_rows():
-        # consecutive words in sweeps of at most SWEEP_POINTS points; point
-        # i of a sweep is cell i % n of its word
-        while sweep := list(islice(images, max(1, SWEEP_POINTS // n))):
-            points = np.stack([image for _, image in sweep])
-            kappa = _sampled_expansion(points, grid)
-            expansions.update(zip([word for word, _ in sweep], kappa.tolist()))
-            point, first, last = grid.rows_within(points.reshape(-1, grid.dimension),
-                                                  np.repeat(eps + r * kappa + r, n)).T
+        # point i of a sweep is cell i % n of its word
+        for a in range(0, len(words), per_sweep):
+            point, first, last = grid.rows_within(
+                images[a:a + per_sweep], np.repeat(radius[a:a + per_sweep], n)).T
             yield np.stack((point % n, first, last))
 
-    return ChainGraph(grid, eps, m, sys.step, RangeRows.from_rows(n, sweep_rows()), expansions)
+    return ChainGraph(grid, eps, m, sys.step, RangeRows.from_rows(n, sweep_rows()),
+                      dict(zip(words, kappa.tolist())))
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ class DirectedGraph:
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Sequence[int]],
                    labels: Sequence[str] | None = None) -> "DirectedGraph":
-        pairs = [(int(u), int(v)) for u, v in edges]
+        pairs = [(require_int(u, "graph.edges"), require_int(v, "graph.edges"))
+                 for u, v in edges]
         if len(pairs) != len(set(pairs)):
             raise ValidationError("duplicate edges are not allowed")
         return cls(vertex_count, frozenset(pairs),
@@ -203,12 +204,6 @@ class Csr:
 
     indptr: np.ndarray
     indices: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Csr":
-        """From one ascending successor sequence per node."""
-        indptr = np.cumsum([0, *map(len, rows)])
-        return cls(indptr, np.array([w for row in rows for w in row], dtype=np.int64))
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, n: int) -> "Csr":
@@ -400,7 +395,8 @@ def tarjan(csr: Csr) -> list[list[int]]:
 def scc(g: DirectedGraph) -> SccDecomposition:
     """Tarjan's components of the switching graph, with the condensation."""
     n = g.n
-    ordered = sorted(tarjan(Csr.from_rows(g._succ)), key=min)
+    keys = np.array(sorted(u * n + v for u, v in g.edges), dtype=np.int64)
+    ordered = sorted(tarjan(Csr.from_keys(keys, n)), key=min)
     component_of = [0] * n
     for cid, comp in enumerate(ordered):
         for v in comp:

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from switchflow.chains import (
+    _link_images,
     _sampled_expansion,
-    _task_images,
     build_chain_graph,
     build_grid,
     chain_components,
@@ -424,10 +424,11 @@ def lifted_nodes(sys_, g, grid, eps, cells):
     per-word ball query of the chain build."""
     r = grid.radius
     nodes = set()
-    for word, images in _task_images(sys_, grid.all_centers(),
-                                     enumerate_admissible_words(g, frozenset(range(g.n)), 1)):
-        reach = eps + r * _sampled_expansion(images, grid) + r
-        nodes.update((a, word[0]) for a, b in grid.cells_within(images, reach).tolist()
+    words = enumerate_admissible_words(g, frozenset(range(g.n)), 1)
+    images = _link_images(sys_, words, grid.all_centers())
+    for word, image, kappa in zip(words, images, _sampled_expansion(images, grid)):
+        reach = eps + r * kappa + r
+        nodes.update((a, word[0]) for a, b in grid.cells_within(image, reach).tolist()
                      if a in cells and b in cells)
     return nodes
 

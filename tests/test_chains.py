@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from switchflow import chains
 from switchflow.chains import (
     SizingError,
-    _task_images,
+    _link_images,
     build_chain_graph,
     build_grid,
     chain_components,
@@ -281,9 +281,19 @@ class TestBuildChainGraph:
         with pytest.raises(SizingError):
             build_chain_graph(sys, g, grid, 0.02, 1, max_work=100)
 
-    def test_prefix_reuse_matches_per_word_integration(self, monkeypatch):
+    def test_sizing_guard_lists_no_word(self, monkeypatch):
+        # 2**40 words of length 40: the guard must refuse them from walk
+        # counts, before any word is listed
+        def refuse(*args):
+            raise AssertionError("words listed before the work guard")
+
+        monkeypatch.setattr(chains, "enumerate_admissible_words", refuse)
         g = DirectedGraph.complete(2)
-        h = H
+        grid = build_grid([(0.0, 2.0)], 400)
+        with pytest.raises(SizingError, match="at least"):
+            build_chain_graph(example2_system(g), g, grid, 0.02, 40)
+
+    def test_prefix_reuse_matches_per_word_integration(self, monkeypatch):
         segments = []
 
         def recording_segment(sys, sym, x, dt):
@@ -292,35 +302,45 @@ class TestBuildChainGraph:
 
         monkeypatch.setattr(chains, "integrate_segment", recording_segment)
 
-        def check(sys, points, words):
-            out = list(_task_images(sys, points, words))
-            assert [word for word, _ in out] == words
-            for word, (_, images) in zip(words, out):
+        def check(sys, points, m):
+            words = enumerate_admissible_words(sys.graph, frozenset(range(sys.graph.n)), m)
+            images = _link_images(sys, words, points)
+            assert images.shape == (len(words),) + points.shape
+            for word, image in zip(words, images):
                 expected = points
                 for sym in word:
-                    expected = integrate_segment(sys, sym, expected, h)
-                assert np.array_equal(images, expected)
+                    expected = integrate_segment(sys, sym, expected, sys.step)
+                assert np.array_equal(image, expected)
 
-        # a longer word after a shorter one must not reuse a prefix image
-        check(example2_system(g), build_grid([(0.0, 2.0)], 20).all_centers(),
-              [(0, 1, 1), (0, 1, 0), (1, 0), (1, 0, 1, 1)])
-        # 2-D, a duplicate word, an empty word, and mixed lengths out of
-        # lexicographic order
-        plane = SwitchedSystem(
-            g, ((-2.0, 2.0), (-2.0, 2.0)), h,
-            (ExpressionField(("x2", "-x1+(1-x1**2)*x2")),
-             ExpressionField(("-x1+x2", "-x1-x2"))), substeps=5)
-        check(plane, build_grid(plane.box, (7, 5)).all_centers(),
-              [(1, 0, 1), (0,), (0, 0, 1, 1), (1, 0, 1), (), (0, 1), (1, 1), (0, 0)])
+        for g in (DirectedGraph.complete(2), DirectedGraph.cycle(2)):
+            check(example2_system(g), build_grid([(0.0, 2.0)], 20).all_centers(), 4)
+            plane = SwitchedSystem(g, ((-2.0, 2.0), (-2.0, 2.0)), H,
+                                   tuple(map(ExpressionField, VDP_FOCUS)), substeps=5)
+            check(plane, build_grid(plane.box, (7, 5)).all_centers(), 3)
         # enough points that a sweep holds two prefixes, so each key's four
         # children at level 3 take two sweeps
         points = build_grid([(0.0, 2.0)], chains.SWEEP_ROWS // 3 + 1).all_centers()
         assert chains.SWEEP_ROWS // len(points) == 2
-        words = enumerate_admissible_words(g, frozenset({0, 1}), 3)
         del segments[:]
-        check(example2_system(g, substeps=2), points, words)
+        check(example2_system(DirectedGraph.complete(2), substeps=2), points, 3)
         # one sweep per key at levels 1 and 2, two per key at level 3
         assert segments == [(1, len(points), 1)] * 2 + [(2, len(points), 1)] * 6
+
+    def test_plane2d_build_makes_14_segment_calls(self, monkeypatch):
+        # van der Pol against a focus, 20x20, m = 6: one segment call per
+        # trie level and symbol, and two per symbol at level 6, whose 32
+        # nodes per symbol hold more than SWEEP_ROWS points
+        calls = []
+
+        def counting_segment(*args):
+            calls.append(args[2].shape)
+            return integrate_segment(*args)
+
+        monkeypatch.setattr(chains, "integrate_segment", counting_segment)
+        sys = SwitchedSystem(DirectedGraph.complete(2), ((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 6.0,
+                             tuple(map(ExpressionField, VDP_FOCUS)), substeps=20)
+        cg = build_chain_graph(sys, sys.graph, build_grid(sys.box, [20, 20]), 0.05, 6)
+        assert len(calls) == 14 and len(cg.word_expansion) == 64
 
 
 # Edge count and sha256 of repr(sorted (source, target) cell pairs), and
@@ -371,7 +391,7 @@ def expanded_edge_pairs(sys, g, grid, eps, m):
     words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
     r = grid.radius
     pairs = set()
-    for word, images in _task_images(sys, grid.all_centers(), words):
+    for images in _link_images(sys, words, grid.all_centers()):
         kappa = per_word_expansion(images, grid)
         pairs.update(map(tuple, grid.cells_within(images, eps + r * kappa + r).tolist()))
     return sorted(pairs)
@@ -400,7 +420,7 @@ def per_word_chain_graph(sys, g, grid, eps, m):
     expansions = {}
 
     def word_rows():
-        for word, images in _task_images(sys, grid.all_centers(), words):
+        for word, images in zip(words, _link_images(sys, words, grid.all_centers())):
             kappa = expansions[word] = per_word_expansion(images, grid)
             yield grid.rows_within(images, eps + r * kappa + r).T
 

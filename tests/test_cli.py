@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import switchflow
+from switchflow import chains
 from switchflow.cli import main
 from switchflow.config import ExperimentConfig
 from switchflow.graph import ValidationError
@@ -144,6 +145,9 @@ def _with_top(key, value):
     pytest.param(_without("analysis", "eps"), id="missing-eps"),
     pytest.param(_with("system", "box", [[0.0, 2.0, 3.0]]), id="box-row-of-three"),
     pytest.param(_with("graph", "edges", [[0, 0], [0, 1], [1, 0], [0]]), id="edge-of-one"),
+    pytest.param(_with("graph", "edges", [[0, 0], [0, 1], [1, 0], [1, 1.7]]),
+                 id="edge-fractional"),
+    pytest.param(_with("graph", "edges", [[0, 0], [0, 1], [1, 0], [True, 1]]), id="edge-bool"),
     pytest.param(_with("analysis", "references", [[0]]), id="reference-of-one"),
     pytest.param(_with("analysis", "references", [[2, 0]]), id="reversed-reference"),
     pytest.param(_with("system", "fields", [{"type": "poly1d"}, "x1"]),
@@ -259,6 +263,21 @@ def test_simulate_too_many_samples_exits_4_at_once(tmp_path):
         timeout=60)
     assert done.returncode == 4
     assert "resource guard" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_chain_sets_too_many_words_exits_4_before_listing_them(monkeypatch, tmp_path, capsys):
+    # 2**40 words of length 40: refused from walk counts, before any is listed
+    def refuse(*args):
+        raise AssertionError("words listed before the work guard")
+
+    monkeypatch.setattr(chains, "enumerate_admissible_words", refuse)
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["analysis"]["m"] = 40
+    path = tmp_path / "long_words.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 4
+    err = capsys.readouterr().err
+    assert "resource guard" in err and "Traceback" not in err
 
 
 # sha256 of the files each command writes for scripts/configs, recorded
