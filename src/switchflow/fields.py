@@ -1,21 +1,23 @@
 """Vector-field families for the per-vertex dynamics.
 
-Fields evaluate batches: input arrays of shape (..., d) map to velocity
-arrays of the same shape.  Besides explicit callables there are three
-config-friendly families: 1-D polynomials, linear maps, and expression
-trees over x1..xd with +, -, *, /, ** and sin/cos/exp.
+A field evaluates coordinate columns: ``field.columns(x1, ..., xd)`` returns
+the d velocity columns, where each ``xi`` is a numpy float64 scalar (a lone
+point) or an array (a batch), and each column is a number or an array of
+the inputs' shape.  Every operation acts elementwise, so a lone point
+equals its row of a batch bit for bit.  ``field(x)`` is the array form:
+shape (..., d) in, (..., d) out.  There are three config-friendly families:
+1-D polynomials, linear maps, and expression trees over x1..xd with +, -,
+*, /, ** and sin/cos/exp.
 """
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
 from .graph import ValidationError
-
-VectorField = Callable[[np.ndarray], np.ndarray]
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -46,12 +48,50 @@ def _validate_expr(node: ast.AST, names: set[str]) -> None:
         raise ValidationError(f"expression node {type(node).__name__} not allowed")
 
 
+class _ArrayPowers(ast.NodeTransformer):
+    """Rewrites ``a ** b`` with a variable operand as ``power(a, b)``:
+    ``np.float64.__pow__`` calls libm ``pow``, which can differ in the last
+    bit from ndarray ``**``, while ``np.power`` agrees with it.  Powers
+    between constants stay Python ``**``."""
+
+    def __init__(self, names: set[str]) -> None:
+        self.names = names
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow) and any(
+                isinstance(n, ast.Name) and n.id in self.names
+                for side in (node.left, node.right) for n in ast.walk(side)):
+            return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+        return node
+
+
+def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
+    """The ``lead + (d,)`` float array of d columns, each broadcast to the
+    leading shape ``lead`` (ints converted)."""
+    out = np.empty(lead + (len(columns),))
+    for i, column in enumerate(columns):
+        out[..., i] = column
+    return out
+
+
+class VectorField:
+    """Base of the field classes, which define ``columns(x1, ..., xd)``;
+    ``field(x)`` evaluates it on the coordinate columns of a ``(..., d)``
+    array."""
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return stack_columns(self.columns(*np.moveaxis(x, -1, 0)), x.shape[:-1])
+
+
 @dataclass(frozen=True)
-class ExpressionField:
+class ExpressionField(VectorField):
     """Vector field given by one expression per state component.
 
     The components compile to one function ``lambda x1, ..., xd: (c1, ...,
-    cd)`` that sees only sin, cos and exp besides its arguments.
+    cd)``, the instance's ``columns``, that sees only sin, cos, exp and
+    ``np.power`` besides its arguments.
     """
 
     expressions: tuple[str, ...]
@@ -65,50 +105,46 @@ class ExpressionField:
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
             _validate_expr(tree, set(names))
-            bodies.append(tree.body)
+            bodies.append(_ArrayPowers(set(names)).visit(tree.body))
         args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
                              kwonlyargs=[], kw_defaults=[], defaults=[])
         tree = ast.fix_missing_locations(
             ast.Expression(ast.Lambda(args, ast.Tuple(bodies, ast.Load()))))
-        object.__setattr__(self, "_fn", eval(compile(tree, "<field>", "eval"),
-                                             {"__builtins__": {}, **_ALLOWED_CALLS}))
+        object.__setattr__(self, "columns", eval(compile(tree, "<field>", "eval"), {
+            "__builtins__": {}, **_ALLOWED_CALLS, "power": np.power}))
 
     @property
     def dimension(self) -> int:
         return len(self.expressions)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (self.dimension,))
-        for i, value in enumerate(self._fn(*(x[..., i] for i in range(self.dimension)))):
-            out[..., i] = value
-        return out
-
 
 @dataclass(frozen=True)
-class PolynomialField1D:
-    """1-D field xdot = sum_k coeffs[k] * x^k."""
+class PolynomialField1D(VectorField):
+    """1-D field xdot = sum_k coeffs[k] * x^k, by Horner's rule."""
 
     coeffs: tuple[float, ...]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = x[..., 0]
-        out = np.zeros_like(s)
+    def columns(self, x1):
+        out = 0.0
         for c in reversed(self.coeffs):
-            out = out * s + c
-        return out[..., None]
+            out = out * x1 + c
+        return (out,)
 
 
 @dataclass(frozen=True)
-class LinearField:
-    """d-D field xdot = A @ x."""
+class LinearField(VectorField):
+    """d-D field xdot = A @ x, each row summed left to right."""
 
     matrix: tuple[tuple[float, ...], ...]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.matrix, dtype=float)
-        return np.asarray(x, dtype=float) @ a.T
+    def columns(self, *xs):
+        out = []
+        for row in self.matrix:
+            column = row[0] * xs[0]
+            for a, x in zip(row[1:], xs[1:]):
+                column = column + a * x
+            out.append(column)
+        return tuple(out)
 
 
 def field_from_config(entry, dimension: int) -> VectorField:

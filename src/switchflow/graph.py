@@ -315,6 +315,8 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     n = rows.n
     src = np.repeat(np.arange(n, 2 * n), np.diff(rows.indptr))
     lo, hi = rows.first + n, rows.last + n + 1
+    self_loop = np.zeros(n, dtype=bool)
+    self_loop[src[(lo <= src) & (src < hi)] - n] = True
     tails, heads = [np.repeat(np.arange(1, n), 2)], [np.arange(2, 2 * n)]
     while len(lo):
         odd = (lo & 1) == 1
@@ -332,7 +334,7 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     kept = []
     for comp in tarjan(Csr.from_keys(keys, 2 * n)):
         ids = [v - n for v in comp if v >= n]
-        if len(comp) > 1 or (ids and rows.has_edge(ids[0], ids[0])):
+        if len(comp) > 1 or (ids and self_loop[ids[0]]):
             kept.append(ids)
     return kept
 

@@ -315,6 +315,41 @@ def test_config_outputs_frozen(name, command, tmp_path, capsys):
     assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in expected} == expected
 
 
+# Van der Pol (A, with x1**2) against a stable focus (B), the benchmark's plane2d system.
+PLANE2D = {
+    "graph": COMPLETE2["graph"],
+    "system": {"box": [[-2.0, 2.0], [-2.0, 2.0]], "h": 1.0 / 6.0, "substeps": 20,
+               "fields": [["x2", "-x1+(1-x1**2)*x2"], ["-x1+x2", "-x1-x2"]]},
+    "analysis": {"cells": [20, 20], "eps": 0.05, "m": 6, "references": []},
+    "run": {"seed": 0, "out": "o", "tol": 1e-10},
+}
+
+# sha256 of simulate's trajectory.csv, which flows one lone point per
+# sample; recorded before fields were evaluated on coordinate columns.
+FROZEN_TRAJECTORIES = {
+    "two_well_complete": (
+        None, ["--x0", "0.5", "--signal", "left=(B) core=[] right=(B)",
+               "--t-end", "3.0", "--sample-dt", "0.1"],
+        "6407a62fa5aac62a746c06725cab1e02935429ae689fd48bf483aa0f24dafaf7"),
+    "plane2d": (
+        PLANE2D, ["--x0", "0.5,-0.3", "--signal", "left=(A B) core=[A A B] right=(B)",
+                  "--t-end", "3.0", "--sample-dt", "0.1"],
+        "2ea6b6cdb980fe1bcf394e5942ef3b6c53c1b1f40ceec1b56a4b05dc2184c330"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRAJECTORIES))
+def test_simulate_trajectory_frozen(name, tmp_path, capsys):
+    doc, args, expected = FROZEN_TRAJECTORIES[name]
+    config = CONFIG_DIR / f"{name}.json"
+    if doc is not None:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["--config", str(config), "--out", str(out), "simulate", *args]) == 0
+    assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == expected
+
+
 class TestCommands:
     def test_analyze_graph(self, config_path, tmp_path, capsys):
         code = main(["--config", str(config_path), "--out", str(tmp_path / "o"),
