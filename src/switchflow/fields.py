@@ -1,17 +1,18 @@
 """Vector-field families for the per-vertex dynamics.
 
 A field evaluates coordinate columns: ``field.columns(x1, ..., xd)`` returns
-the d velocity columns, where each ``xi`` is a numpy float64 scalar (a lone
-point) or an array (a batch), and each column is a number or an array of
-the inputs' shape.  Every operation acts elementwise, so a lone point
-equals its row of a batch bit for bit.  ``field(x)`` is the array form:
-shape (..., d) in, (..., d) out.  There are three config-friendly families:
+the d velocity columns, where each ``xi`` is a float (a lone point; Python
+floats in integration) or an array (a batch), and each column is a number or
+an array of the inputs' shape.  Every operation acts elementwise, so a lone
+point equals its row of a batch bit for bit.  ``field(x)`` is the array
+form: shape (..., d) in, (..., d) out.  There are three config-friendly families:
 1-D polynomials, linear maps, and expression trees over x1..xd with +, -,
 *, /, ** and sin/cos/exp.
 """
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,22 +49,45 @@ def _validate_expr(node: ast.AST, names: set[str]) -> None:
         raise ValidationError(f"expression node {type(node).__name__} not allowed")
 
 
-class _ArrayPowers(ast.NodeTransformer):
-    """Rewrites ``a ** b`` with a variable operand as ``power(a, b)``:
-    ``np.float64.__pow__`` calls libm ``pow``, which can differ in the last
-    bit from ndarray ``**``, while ``np.power`` agrees with it.  Powers
-    between constants stay Python ``**``."""
+def _square(a):
+    return a * a
 
-    def __init__(self, names: set[str]) -> None:
+
+class _ArrayPowers(ast.NodeTransformer):
+    """Rewrites ``a ** b`` with a variable operand as ``square(a)`` when b
+    is the constant 2, else as ``power(a, b)``: Python and numpy scalars
+    compute ``**`` with libm ``pow``, which can differ in the last bit from
+    ndarray ``**``, while ``np.power`` agrees with it and computes the
+    exponent 2 as ``a * a``.  Powers between constants stay Python ``**``;
+    one whose value is complex or not finite raises ValidationError."""
+
+    def __init__(self, names: set[str], expr: str) -> None:
         self.names = names
+        self.expr = expr
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
         self.generic_visit(node)
-        if isinstance(node.op, ast.Pow) and any(
-                isinstance(n, ast.Name) and n.id in self.names
-                for side in (node.left, node.right) for n in ast.walk(side)):
-            return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
-        return node
+        if not isinstance(node.op, ast.Pow):
+            return node
+        if not any(isinstance(n, ast.Name) and n.id in self.names
+                   for side in (node.left, node.right) for n in ast.walk(side)):
+            self._check_constant(node)
+            return node
+        if isinstance(node.right, ast.Constant) and node.right.value == 2:
+            return ast.Call(ast.Name("square", ast.Load()), [node.left], [])
+        return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+
+    def _check_constant(self, node: ast.BinOp) -> None:
+        code = compile(ast.Expression(node), "<field>", "eval")
+        try:
+            with np.errstate(all="ignore"):
+                value = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS})
+            finite = not isinstance(value, complex) and math.isfinite(value)
+        except ArithmeticError:  # 0.0 ** -1, 10.0 ** 400, or an int beyond floats
+            finite = False
+        if not finite:
+            raise ValidationError(f"constant power {ast.unparse(node)} in field "
+                                  f"expression {self.expr!r} is not a finite real number")
 
 
 def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
@@ -90,8 +114,8 @@ class ExpressionField(VectorField):
     """Vector field given by one expression per state component.
 
     The components compile to one function ``lambda x1, ..., xd: (c1, ...,
-    cd)``, the instance's ``columns``, that sees only sin, cos, exp and
-    ``np.power`` besides its arguments.
+    cd)``, the instance's ``columns``, that sees only sin, cos, exp,
+    ``np.power`` and ``square`` besides its arguments.
     """
 
     expressions: tuple[str, ...]
@@ -105,13 +129,13 @@ class ExpressionField(VectorField):
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
             _validate_expr(tree, set(names))
-            bodies.append(_ArrayPowers(set(names)).visit(tree.body))
+            bodies.append(_ArrayPowers(set(names), expr).visit(tree.body))
         args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
                              kwonlyargs=[], kw_defaults=[], defaults=[])
         tree = ast.fix_missing_locations(
             ast.Expression(ast.Lambda(args, ast.Tuple(bodies, ast.Load()))))
         object.__setattr__(self, "columns", eval(compile(tree, "<field>", "eval"), {
-            "__builtins__": {}, **_ALLOWED_CALLS, "power": np.power}))
+            "__builtins__": {}, **_ALLOWED_CALLS, "power": np.power, "square": _square}))
 
     @property
     def dimension(self) -> int:

@@ -67,8 +67,9 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
     """Fixed-step RK4 under a single field for (possibly negative) time dt.
 
     ``x0`` has shape (..., d).  The state is held as its d coordinate
-    columns: numpy scalars for a lone point, arrays for a batch.  One loop
-    serves both, and every point comes out bit for bit as if flowed alone.
+    columns: Python floats for a lone point, arrays for a batch.  One loop
+    serves both, and every point comes out bit for bit as if flowed alone,
+    since ``+ - * /`` round the same on Python floats as on float64.
     """
     x = np.asarray(x0, dtype=float)
     if dt == 0.0:
@@ -77,14 +78,19 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
     n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
     hstep = dt / n_steps
     half, sixth = 0.5 * hstep, hstep / 6.0
-    xs = list(np.moveaxis(x, -1, 0))
-    for _ in range(n_steps):
-        k1 = columns(*xs)
-        k2 = columns(*[a + half * k for a, k in zip(xs, k1)])
-        k3 = columns(*[a + half * k for a, k in zip(xs, k2)])
-        k4 = columns(*[a + hstep * k for a, k in zip(xs, k3)])
-        xs = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-              for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
+    xs = x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
+    try:
+        for _ in range(n_steps):
+            k1 = columns(*xs)
+            k2 = columns(*[a + half * k for a, k in zip(xs, k1)])
+            k3 = columns(*[a + half * k for a, k in zip(xs, k2)])
+            k4 = columns(*[a + hstep * k for a, k in zip(xs, k3)])
+            xs = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+                  for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
+    except (ZeroDivisionError, OverflowError) as exc:
+        # Python floats raise where float64 arrays give inf or nan
+        raise IntegrationError(
+            f"state became non-finite under field {field_index}: {exc}") from exc
     x = stack_columns(xs, x.shape[:-1])
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"state became non-finite under field {field_index}")

@@ -94,16 +94,17 @@ def metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float = 1e-12) -> 
         raise ValidationError("signals live over different graphs")
     n = truncation_order(tol)
     h = f.step
-    x, y = f.base, g.base
+    # cell i of either base is item i + n + 1 of its window
+    x, y = f.base.window(-n - 1, n), g.base.window(-n - 1, n)
     early, late = (x, y) if f.offset <= g.offset else (y, x)
     lo, hi = sorted((f.offset, g.offset))
     total = 0.0
-    for i in range(-n, n + 1):
-        mismatch = ((x.at(i - 1) != y.at(i - 1)) * lo
-                    + (early.at(i) != late.at(i - 1)) * (hi - lo)
-                    + (x.at(i) != y.at(i)) * (h - hi))
+    for j in range(1, 2 * n + 2):
+        mismatch = ((x[j - 1] != y[j - 1]) * lo
+                    + (early[j] != late[j - 1]) * (hi - lo)
+                    + (x[j] != y[j]) * (h - hi))
         if mismatch:
-            total += mismatch / h * 4.0 ** (-abs(i))
+            total += mismatch / h * 4.0 ** (-abs(j - n - 1))
     return total
 
 

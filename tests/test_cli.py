@@ -238,6 +238,20 @@ def test_bad_cli_input_exits_2(config, command, config_path, tmp_path, capsys):
     assert "validation error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("power", ["(-1.0)**0.5", "0.0**-1", "10.0**400", "10**400",
+                                   "cos(2)**0.5", "exp(1000)**1"])
+def test_bad_constant_power_exits_2(power, tmp_path, capsys):
+    doc = json.loads(json.dumps(COMPLETE2))
+    expr = f"-x1 + {power}"
+    doc["system"]["fields"][0] = expr
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), *SIMULATE,
+                 "--x0", "0.5", "--t-end", "0.2", "--sample-dt", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and repr(expr) in err and "Traceback" not in err
+
+
 def test_simulate_infinite_t_end_exits_2_at_once(config_path, tmp_path):
     # a fresh interpreter with a timeout, so that an endless loop fails the test
     src = Path(switchflow.__file__).resolve().parents[1]
@@ -458,6 +472,21 @@ class TestCommands:
                          "--sample-dt", "1.0"])
         assert code == 3
         assert (tmp_path / "o" / "trajectory_partial.csv").exists()
+
+    def test_division_by_zero_exits_3(self, tmp_path, capsys):
+        # the lone point divides by zero at its first field evaluation
+        doc = json.loads(json.dumps(COMPLETE2))
+        doc["system"]["fields"] = ["1/(x1-0.5)", "-x1"]
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(doc))
+        import numpy as np
+        with np.errstate(divide="ignore"):  # numpy scalars give inf, Python floats raise
+            code = main(["--config", str(path), "--out", str(tmp_path / "o"), *SIMULATE,
+                         "--x0", "0.5", "--t-end", "1.0", "--sample-dt", "0.5"])
+        assert code == 3
+        assert "Traceback" not in capsys.readouterr().err
+        rows = (tmp_path / "o" / "trajectory_partial.csv").read_text().splitlines()
+        assert rows[-2:] == ["t,x1,active_vertex", "0.0,0.5,A"]
 
     def test_chain_sets_outputs(self, config_path, tmp_path):
         out = tmp_path / "o"
