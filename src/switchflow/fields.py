@@ -53,40 +53,62 @@ def _square(a):
     return a * a
 
 
+def _constant_value(node: ast.expr):
+    """The value of a variable-free subexpression, as the compiled field
+    computes it.  An int power beyond the float range raises OverflowError
+    before Python computes it: ``9**9**9`` would run without bound."""
+    def value(n: ast.expr):
+        if isinstance(n, ast.Constant):
+            return n.value
+        return eval(compile(ast.Expression(n), "<field>", "eval"),
+                    {"__builtins__": {}, **_ALLOWED_CALLS})
+
+    for n in reversed(list(ast.walk(node))):  # inner powers first
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow):
+            base, exponent = value(n.left), value(n.right)
+            if (isinstance(base, int) and isinstance(exponent, int) and abs(base) > 1
+                    and exponent * math.log2(abs(base)) > 1024):
+                raise OverflowError(f"{ast.unparse(n)} is beyond the float range")
+    return value(node)
+
+
 class _ArrayPowers(ast.NodeTransformer):
     """Rewrites ``a ** b`` with a variable operand as ``square(a)`` when b
     is the constant 2, else as ``power(a, b)``: Python and numpy scalars
     compute ``**`` with libm ``pow``, which can differ in the last bit from
     ndarray ``**``, while ``np.power`` agrees with it and computes the
-    exponent 2 as ``a * a``.  Powers between constants stay Python ``**``;
-    one whose value is complex or not finite raises ValidationError."""
+    exponent 2 as ``a * a``.  Each maximal variable-free subexpression is
+    evaluated once and kept as written; one whose value is complex or not
+    finite raises ValidationError."""
 
     def __init__(self, names: set[str], expr: str) -> None:
         self.names = names
         self.expr = expr
 
+    def visit(self, node: ast.AST) -> ast.AST:
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant)) and not any(
+                isinstance(n, ast.Name) and n.id in self.names for n in ast.walk(node)):
+            self._check_constant(node)
+            return node
+        return super().visit(node)
+
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
         self.generic_visit(node)
         if not isinstance(node.op, ast.Pow):
-            return node
-        if not any(isinstance(n, ast.Name) and n.id in self.names
-                   for side in (node.left, node.right) for n in ast.walk(side)):
-            self._check_constant(node)
             return node
         if isinstance(node.right, ast.Constant) and node.right.value == 2:
             return ast.Call(ast.Name("square", ast.Load()), [node.left], [])
         return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
 
-    def _check_constant(self, node: ast.BinOp) -> None:
-        code = compile(ast.Expression(node), "<field>", "eval")
+    def _check_constant(self, node: ast.expr) -> None:
         try:
             with np.errstate(all="ignore"):
-                value = eval(code, {"__builtins__": {}, **_ALLOWED_CALLS})
+                value = _constant_value(node)
             finite = not isinstance(value, complex) and math.isfinite(value)
-        except ArithmeticError:  # 0.0 ** -1, 10.0 ** 400, or an int beyond floats
+        except ArithmeticError:  # 1/0, 0.0 ** -1, 10.0 ** 400, or an int beyond floats
             finite = False
         if not finite:
-            raise ValidationError(f"constant power {ast.unparse(node)} in field "
+            raise ValidationError(f"constant {ast.unparse(node)} in field "
                                   f"expression {self.expr!r} is not a finite real number")
 
 

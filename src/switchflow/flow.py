@@ -69,7 +69,9 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
     ``x0`` has shape (..., d).  The state is held as its d coordinate
     columns: Python floats for a lone point, arrays for a batch.  One loop
     serves both, and every point comes out bit for bit as if flowed alone,
-    since ``+ - * /`` round the same on Python floats as on float64.
+    since ``+ - * /`` round the same on Python floats as on float64.  Where
+    Python raises instead (division by zero), a lone point is rerun as a
+    batch of one.
     """
     x = np.asarray(x0, dtype=float)
     if dt == 0.0:
@@ -87,10 +89,12 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
             k4 = columns(*[a + hstep * k for a, k in zip(xs, k3)])
             xs = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
                   for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
-    except (ZeroDivisionError, OverflowError) as exc:
-        # Python floats raise where float64 arrays give inf or nan
-        raise IntegrationError(
-            f"state became non-finite under field {field_index}: {exc}") from exc
+    except ZeroDivisionError:
+        if x.ndim != 1:
+            raise
+        # Python floats raise where float64 gives inf or nan, which a later
+        # operation may make finite again (exp(-1/0.0) is 0): rerun as a batch
+        return integrate_segment(sys, field_index, x[None], dt)[0]
     x = stack_columns(xs, x.shape[:-1])
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"state became non-finite under field {field_index}")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import switchflow
@@ -238,11 +239,13 @@ def test_bad_cli_input_exits_2(config, command, config_path, tmp_path, capsys):
     assert "validation error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("power", ["(-1.0)**0.5", "0.0**-1", "10.0**400", "10**400",
-                                   "cos(2)**0.5", "exp(1000)**1"])
-def test_bad_constant_power_exits_2(power, tmp_path, capsys):
+@pytest.mark.parametrize("constant", ["(-1.0)**0.5", "0.0**-1", "10.0**400", "10**400",
+                                      "cos(2)**0.5", "exp(1000)**1", "9**9**9", "1/0",
+                                      "1e308*10", "exp(1000)"])
+def test_bad_constant_power_exits_2(constant, tmp_path, capsys):
+    # 9**9**9 would run without bound if Python computed it
     doc = json.loads(json.dumps(COMPLETE2))
-    expr = f"-x1 + {power}"
+    expr = f"-x1 + {constant}"
     doc["system"]["fields"][0] = expr
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -464,7 +467,6 @@ class TestCommands:
         del doc["analysis"]
         path = tmp_path / "blow.json"
         path.write_text(json.dumps(doc))
-        import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["--config", str(path), "--out", str(tmp_path / "o"),
                          "simulate", "--x0", "1e150", "--signal",
@@ -479,8 +481,7 @@ class TestCommands:
         doc["system"]["fields"] = ["1/(x1-0.5)", "-x1"]
         path = tmp_path / "pole.json"
         path.write_text(json.dumps(doc))
-        import numpy as np
-        with np.errstate(divide="ignore"):  # numpy scalars give inf, Python floats raise
+        with np.errstate(divide="ignore"):  # the batch of one it is rerun as gives inf
             code = main(["--config", str(path), "--out", str(tmp_path / "o"), *SIMULATE,
                          "--x0", "0.5", "--t-end", "1.0", "--sample-dt", "0.5"])
         assert code == 3
