@@ -130,10 +130,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
 
 
 def cmd_metric(cfg: ExperimentConfig, kind: str, a_text: str, b_text: str,
-               tol: float, check_isometry: bool,
-               x_text: str | None, y_text: str | None) -> int:
+               check_isometry: bool, x_text: str | None, y_text: str | None) -> int:
     g = cfg.graph
     h = cfg.system.step
+    tol = cfg.run.tol
     if kind == "omega":
         x = parse_sequence(g, a_text)
         y = parse_sequence(g, b_text)
@@ -219,11 +219,12 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_stitch_demo(cfg: ExperimentConfig, out_dir: Path, links: int,
-                    window: int, tol: float) -> int:
+                    window: int) -> int:
     g = cfg.graph
     if not g.is_complete():
         raise ValidationError("stitch-demo needs a complete switching graph")
     h = cfg.system.step
+    tol = cfg.run.tol
     rng = np.random.default_rng(cfg.run.seed)
 
     def random_signal():
@@ -268,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and numerical chain analysis")
     parser.add_argument("--config", required=True, help="experiment JSON document")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override run.tol for metric evaluations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("analyze-graph", help="SCCs, order, per-component certificates")
@@ -302,19 +301,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         out_dir = Path(args.out if args.out is not None else cfg.run.out)
-        tol = args.tol if args.tol is not None else cfg.run.tol
         if args.command == "analyze-graph":
             return cmd_analyze_graph(cfg, out_dir)
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir, args.x0, args.signal,
                                 args.t_end, args.sample_dt)
         if args.command == "metric":
-            return cmd_metric(cfg, args.kind, args.a, args.b, tol,
+            return cmd_metric(cfg, args.kind, args.a, args.b,
                               args.check_isometry, args.x, args.y)
         if args.command == "chain-sets":
             return cmd_chain_sets(cfg, out_dir)
         if args.command == "stitch-demo":
-            return cmd_stitch_demo(cfg, out_dir, args.links, args.window, tol)
+            return cmd_stitch_demo(cfg, out_dir, args.links, args.window)
         raise ValidationError(f"unknown command {args.command!r}")
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -103,26 +103,6 @@ class DirectedGraph:
         return cls.from_edges(n, edges, labels)
 
     @classmethod
-    def from_edge_list_text(cls, text: str) -> "DirectedGraph":
-        """Parse one ``u v`` pair per line; ``#`` starts a comment."""
-        pairs: list[tuple[int, int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) != 2:
-                raise ValidationError(f"line {lineno}: expected 'u v', got {raw!r}")
-            try:
-                pairs.append((int(toks[0]), int(toks[1])))
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
-        if not pairs:
-            raise ValidationError("edge list is empty")
-        n = max(max(u, v) for u, v in pairs) + 1
-        return cls.from_edges(n, pairs)
-
-    @classmethod
     def complete(cls, n: int) -> "DirectedGraph":
         """Complete graph: all n*n ordered pairs, self-loops included."""
         return cls.from_edges(n, [(u, v) for u in range(n) for v in range(n)])
@@ -420,13 +400,21 @@ def admissible_path(g: DirectedGraph, u: int, v: int) -> list[int] | None:
 def morse_order(decomp: SccDecomposition) -> frozenset[tuple[int, int]]:
     """Reflexive-transitive closure of the condensation: the order on components.
 
-    Antisymmetry is automatic because the condensation is acyclic.
+    One ``tarjan`` pass over the condensation emits its one-node components
+    in reverse topological order, so the reach set of every successor is
+    complete before it is read.  Antisymmetry is automatic because the
+    condensation is acyclic.
     """
     k = len(decomp.components)
-    cond = DirectedGraph(k, decomp.condensation_edges)
-    every = frozenset(range(k))
-    return frozenset((a, b) for a in range(k) for b in range(k)
-                     if path_within(cond, every, a, b) is not None)
+    keys = np.array(sorted(a * k + b for a, b in decomp.condensation_edges), dtype=np.int64)
+    csr = Csr.from_keys(keys, k)
+    ptr, succ = csr.indptr.tolist(), csr.indices.tolist()
+    below: list[set[int]] = [set() for _ in range(k)]
+    for (a,) in tarjan(csr):
+        below[a].add(a)
+        for b in succ[ptr[a]:ptr[a + 1]]:
+            below[a] |= below[b]
+    return frozenset((a, b) for a in range(k) for b in below[a])
 
 
 def path_within(g: DirectedGraph, allowed: frozenset[int] | set[int],

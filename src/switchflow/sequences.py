@@ -91,21 +91,6 @@ def shift_discrete(x: SymbolicSequence, k: int) -> SymbolicSequence:
                             x.index_shift + k)
 
 
-def rebase(x: SymbolicSequence, lo: int, hi: int) -> SymbolicSequence:
-    """Equivalent representation whose core covers actual indices [lo, hi].
-
-    The window is widened as needed so that everything left of it is purely
-    left-periodic and everything right of it purely right-periodic.
-    """
-    lo = min(lo, x.left_boundary, hi)
-    hi = max(hi, x.right_boundary - 1, lo)
-    p = len(x.left_period)
-    left = tuple(x.at(lo - p + r) for r in range(p))
-    core = tuple(x.at(i) for i in range(lo, hi + 1))
-    right = tuple(x.at(hi + 1 + r) for r in range(len(x.right_period)))
-    return SymbolicSequence(x.graph, left, core, right, -lo)
-
-
 def concat_past_future(past: SymbolicSequence, future: SymbolicSequence) -> SymbolicSequence:
     """Sequence equal to ``past`` at indices < 0 and to ``future`` at >= 0.
 

@@ -165,18 +165,10 @@ def sensitivity_witness(f: SwitchingSignal, eps: float,
     n_window = witness_window(eps)
 
     base = f.base
-    # first index >= N where f equals the branching vertex, if any
-    occurrence: int | None = None
-    for i in range(n_window, max(n_window, base.right_boundary)):
-        if base.at(i) == gamma1:
-            occurrence = i
-            break
-    if occurrence is None:
-        start = max(n_window, base.right_boundary)
-        for r in range(len(base.right_period)):
-            if base.at(start + r) == gamma1:
-                occurrence = start + r
-                break
+    # first index >= N where f equals the branching vertex, if any: past
+    # the core, one right period holds every vertex the tail takes
+    stop = max(n_window, base.right_boundary) + len(base.right_period)
+    occurrence = next((i for i in range(n_window, stop) if base.at(i) == gamma1), None)
 
     def prefix_through(k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """Left period, core covering exactly [lo, k], and origin shift."""

@@ -223,8 +223,6 @@ PRODUCT = ["metric", "--kind", "product", "--a", CONSTANT_A, "--b", CONSTANT_A]
     pytest.param(None, [*PRODUCT, "--x", "1,abc", "--y", "0.5"], id="x-not-a-number"),
     pytest.param(None, [*PRODUCT, "--x", "1,2", "--y", "0.5"], id="x-of-two"),
     pytest.param(None, [*PRODUCT, "--x", "1", "--y", "0.5,1,2"], id="y-of-three"),
-    pytest.param(None, ["--tol", "nan", "metric", "--kind", "delta", "--a", CONSTANT_A,
-                        "--b", CONSTANT_A], id="tol-nan"),
     pytest.param(None, ["metric", "--kind", "delta", "--a", "left=(A) right=(B) tua=0.3",
                         "--b", CONSTANT_A], id="signal-key-typo"),
     pytest.param(None, ["metric", "--kind", "omega", "--a", "left=(A) right=(B) tau=0.5",

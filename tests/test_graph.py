@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import switchflow
 from switchflow.graph import (
     DirectedGraph,
     SccDecomposition,
@@ -53,14 +59,6 @@ class TestParsing:
         g = DirectedGraph.from_json_dict(
             {"vertices": 2, "edges": [[0, 1], [1, 0]], "labels": ["A", "B"]})
         assert g.n == 2 and g.has_edge(0, 1) and g.label_of(1) == "B"
-
-    def test_edge_list_text(self):
-        g = DirectedGraph.from_edge_list_text("0 1\n# comment\n1 0  # inline\n")
-        assert g.edges == frozenset({(0, 1), (1, 0)})
-
-    def test_bad_edge_list_line(self):
-        with pytest.raises(ValidationError):
-            DirectedGraph.from_edge_list_text("0 1 2\n")
 
     def test_index_of_label_and_index(self):
         g = labels2()
@@ -190,6 +188,23 @@ class TestMorseOrder:
         d = SccDecomposition(tuple(frozenset([c]) for c in range(k)),
                              tuple(range(k)), edges)
         assert morse_order(d) == fixed_point_morse_order(d)
+
+
+def test_morse_order_of_long_chain_is_quick():
+    # a fresh interpreter with a timeout, so that an order costing one path
+    # search per component pair (minutes on this chain) fails the test
+    code = """
+from switchflow.graph import DirectedGraph, morse_order, scc
+k = 1000
+g = DirectedGraph.from_edges(k, [(i, i) for i in range(k)] + [(i, i + 1) for i in range(k - 1)])
+order = morse_order(scc(g))
+print(len(order), order == {(a, b) for a in range(k) for b in range(a, k)})
+"""
+    src = Path(switchflow.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=30)
+    assert done.stdout.split() == ["500500", "True"]
 
 
 def fixed_point_morse_order(decomp):

@@ -13,7 +13,6 @@ from switchflow.sequences import (
     enumerate_admissible_words,
     metric_omega,
     periodic_sequence,
-    rebase,
     shift_discrete,
     transitive_sequence,
     truncation_order,
@@ -64,13 +63,6 @@ class TestRepresentation:
         x = random_sequence(g, rng)
         y = shift_discrete(shift_discrete(x, 4), -4)
         assert all(y.at(i) == x.at(i) for i in range(-12, 13))
-
-    def test_rebase_preserves_values(self, rng):
-        g = random_strong_graph(rng, 4)
-        for _ in range(20):
-            x = random_sequence(g, rng)
-            y = rebase(x, -6, 9)
-            assert all(y.at(i) == x.at(i) for i in range(-25, 26))
 
     def test_concat_past_future(self, rng):
         g = DirectedGraph.complete(3)
