@@ -124,10 +124,13 @@ def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
 class VectorField:
     """Base of the field classes, which define ``columns(x1, ..., xd)``;
     ``field(x)`` evaluates it on the coordinate columns of a ``(..., d)``
-    array."""
+    array.  A lone point runs as a batch of one, since numpy scalars may give
+    a NaN another sign than the array loop does."""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return self(x[None])[0]
         return stack_columns(self.columns(*np.moveaxis(x, -1, 0)), x.shape[:-1])
 
 

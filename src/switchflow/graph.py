@@ -208,9 +208,12 @@ def expand_ranges(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.n
 def _join_ranges(n: int, rows: np.ndarray) -> np.ndarray:
     """Rows ``(source, first, last)`` sorted once on the packed key
     ``source * n + first``, with each source's overlapping or adjacent ranges
-    joined."""
+    joined.  The rows come in ascending runs (the joined rows, then one run
+    per word) or nearly sorted (the contracted rows of
+    ``self_reaching_components``), where a stable sort, timsort, takes
+    about linear time."""
     key = rows[0] * n + rows[1]
-    order = np.argsort(key)
+    order = np.argsort(key, kind="stable")
     key = key[order]
     src = key // n
     # running maximum of the packed end src * n + last: sources ascend, so
@@ -279,25 +282,44 @@ class RangeRows:
 
 def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     """Strongly connected components of the relation that can reach
-    themselves (more than one id, or one id with an edge to itself), in
-    Tarjan's emission order, without expanding any range.
+    themselves (more than one id, or one id with an edge to itself), without
+    expanding any range.
 
-    ``tarjan`` runs on a bottom-up segment-tree gadget: node 0 is unused,
-    internal node ``j`` in ``1..n-1`` points at its children ``2j`` and
-    ``2j + 1``, leaf ``n + i`` stands for id ``i``, and each leaf points at
-    the O(log n) tree nodes whose leaves tile its ranges.  Paths between
-    leaves are exactly the relation's paths, and every cycle passes through
-    a leaf, so the components with more than one gadget node are the
-    non-trivial ones.  A range of one id is covered by its own leaf, a
-    gadget self-loop, so a single-leaf component is kept when one of its
-    ranges contains it.
+    Ids ``i`` and ``i + 1`` that each have a range containing the other share
+    a component, so runs of such ids are contracted first.  A run is a group
+    of consecutive ids, so a range of ids maps to a range of groups, and the
+    mapped rows are joined again.  A group of two or more ids reaches itself.
+
+    ``tarjan`` then runs on a bottom-up segment-tree gadget over the ``g``
+    groups: node 0 is unused, internal node ``j`` in ``1..g-1`` points at its
+    children ``2j`` and ``2j + 1``, leaf ``g + i`` stands for group ``i``,
+    and each leaf points at the O(log g) tree nodes whose leaves tile its
+    ranges.  Paths between leaves are exactly the contracted relation's
+    paths, and every cycle passes through a leaf, so the components with more
+    than one gadget node are the non-trivial ones.  A range of one group is
+    covered by its own leaf, a gadget self-loop, so a single-leaf component
+    is kept when one of its ranges contains it.  Components come in Tarjan's
+    emission order over the groups, which is reverse topological, each
+    expanded back to its ids.
     """
     n = rows.n
-    src = np.repeat(np.arange(n, 2 * n), np.diff(rows.indptr))
-    lo, hi = rows.first + n, rows.last + n + 1
-    self_loop = np.zeros(n, dtype=bool)
-    self_loop[src[(lo <= src) & (src < hi)] - n] = True
-    tails, heads = [np.repeat(np.arange(1, n), 2)], [np.arange(2, 2 * n)]
+    src = np.repeat(np.arange(n), np.diff(rows.indptr))
+    first, last = rows.first, rows.last
+    # up[i]: i points at i + 1; down[i]: i points at i - 1
+    up, down = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    up[src[(first <= src + 1) & (src + 1 <= last)]] = True
+    down[src[(first < src) & (src <= last + 1)]] = True
+    # apart[i]: ids i and i + 1 lie in different groups
+    apart = ~(up[:-1] & down[1:])
+    group = np.cumsum(np.concatenate(([0], apart)))
+    bounds = np.flatnonzero(np.concatenate(([True], apart, [True]))).tolist()
+    g = len(bounds) - 1
+    src, first, last = _join_ranges(g, np.stack((group[src], group[first], group[last])))
+    src = src + g
+    lo, hi = first + g, last + g + 1
+    self_loop = np.zeros(2 * g, dtype=bool)
+    self_loop[src[(lo <= src) & (src < hi)]] = True
+    tails, heads = [np.repeat(np.arange(1, g), 2)], [np.arange(2, 2 * g)]
     while len(lo):
         odd = (lo & 1) == 1
         tails.append(src[odd])
@@ -310,24 +332,23 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
         lo, hi = lo >> 1, hi >> 1
         more = lo < hi
         src, lo, hi = src[more], lo[more], hi[more]
-    keys = np.sort(np.concatenate(tails) * (2 * n) + np.concatenate(heads))
-    kept = []
-    for comp in tarjan(Csr.from_keys(keys, 2 * n)):
-        ids = [v - n for v in comp if v >= n]
-        if len(comp) > 1 or (ids and self_loop[ids[0]]):
-            kept.append(ids)
-    return kept
+    keys = np.sort(np.concatenate(tails) * (2 * g) + np.concatenate(heads))
+    self_loop = self_loop.tolist()
+    return [[i for v in comp if v >= g for i in range(bounds[v - g], bounds[v - g + 1])]
+            for comp in tarjan(Csr.from_keys(keys, 2 * g))
+            if len(comp) > 1 or self_loop[comp[0]]]
 
 
 def tarjan(csr: Csr) -> list[list[int]]:
     """Strongly connected components, in Tarjan's emission order (reverse
     topological), taking roots by ascending id and successors in row order.
     Iterative to avoid recursion limits."""
-    ptr, adj = memoryview(csr.indptr), memoryview(csr.indices)
+    ptr, adj = csr.indptr.tolist(), csr.indices.tolist()
     n = csr.n
+    # index[v] is -1 before v is visited, its visit number while v is on the
+    # stack, and n once its component is emitted, so that one compare with
+    # the current lowlink both skips emitted nodes and lowers it
     index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     counter = 0
     components: list[list[int]] = []
@@ -335,42 +356,39 @@ def tarjan(csr: Csr) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, -1)]
-        while work:
-            v, pi = work[-1]
-            if pi == -1:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-                pi = ptr[v]
-            end = ptr[v + 1]
-            advanced = False
-            while pi < end:
-                w = adj[pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, -1))
-                    advanced = True
+        # the node being scanned: its id, its unscanned successors, its
+        # lowlink and its position on the stack; its callers' are on calls
+        calls = []
+        v, succ, low, base = root, iter(adj[ptr[root]:ptr[root + 1]]), counter, len(stack)
+        index[v] = counter
+        counter += 1
+        stack.append(v)
+        while True:
+            for w in succ:
+                at = index[w]
+                if at == -1:
+                    calls.append((v, succ, low, base))
+                    v, succ, low, base = w, iter(adj[ptr[w]:ptr[w + 1]]), counter, len(stack)
+                    index[w] = counter
+                    counter += 1
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if at < low:
+                    low = at
+            else:
+                if low == index[v]:
+                    comp = stack[base:]
+                    del stack[base:]
+                    for w in comp:
+                        index[w] = n
+                    comp.reverse()
+                    components.append(comp)
+                if not calls:
+                    break
+                reached = low
+                v, succ, low, base = calls.pop()
+                if reached < low:
+                    low = reached
     return components
 
 

@@ -81,3 +81,24 @@ def random_signal(g: DirectedGraph, rng: np.random.Generator, h: float,
                   aligned: bool = False) -> SwitchingSignal:
     tau = 0.0 if aligned else float(rng.uniform(0.0, h))
     return SwitchingSignal(random_sequence(g, rng), tau, h)
+
+
+def reachability(n: int, pairs) -> np.ndarray:
+    """``reach[u, v]``: a path of one or more of the edges ``pairs`` leads
+    from u to v, as a boolean matrix closed by repeated squaring."""
+    reach = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        reach[u, v] = True
+    while True:
+        step = reach | (reach.astype(np.int64) @ reach.astype(np.int64) > 0)
+        if (step == reach).all():
+            return reach
+        reach = step
+
+
+def mutual_classes(reach: np.ndarray) -> list[list[int]]:
+    """The sorted classes ``{v : reach[u, v] and reach[v, u]}`` of the ids
+    ``u`` that reach themselves."""
+    mutual = reach & reach.T
+    return sorted(map(list, {tuple(np.flatnonzero(mutual[u]).tolist())
+                             for u in range(len(reach)) if mutual[u, u]}))

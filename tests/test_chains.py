@@ -32,6 +32,8 @@ from switchflow.graph import (
 )
 from switchflow.sequences import enumerate_admissible_words
 
+from conftest import mutual_classes, reachability
+
 H = 0.1
 
 
@@ -543,6 +545,28 @@ class TestSelfReachingComponents:
                 [v in successors for v in range(n)]
         assert sorted(map(sorted, self_reaching_components(relation))) == \
             sorted(map(sorted, expanded_self_reaching(csr)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_match_closure_of_expanded_pairs(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        ids = st.integers(0, n - 1)
+        if data.draw(st.booleans(), label="one run"):
+            runs, links = [(0, n - 1)], []
+        else:
+            # runs of mutual neighbours, some ending at the last id, and
+            # links that are mostly one-way: single edges and ranges
+            run = st.one_of(st.tuples(ids, ids).map(sorted), ids.map(lambda lo: (lo, n - 1)))
+            runs = data.draw(st.lists(run, max_size=6), label="runs")
+            single = st.tuples(ids, ids).map(lambda r: (r[0], r[1], r[1]))
+            span = st.tuples(ids, ids, ids).map(lambda r: (r[0], min(r[1:]), max(r[1:])))
+            links = data.draw(st.lists(st.one_of(single, span), max_size=n), label="links")
+        rows = [(i, max(i - 1, lo), min(i + 1, hi)) for lo, hi in runs
+                for i in range(lo, hi + 1)] + links
+        relation = RangeRows.from_rows(n, [np.array(rows, dtype=np.int64).reshape(-1, 3).T])
+        pairs = {(u, v) for u, first, last in rows for v in range(first, last + 1)}
+        assert sorted(map(sorted, self_reaching_components(relation))) == \
+            mutual_classes(reachability(n, pairs))
 
 
 def expanded_csr(pairs, n):

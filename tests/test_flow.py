@@ -139,6 +139,17 @@ class TestFields:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+    def test_lone_point_nan_sign_matches_batch_row(self):
+        # for x1 < 0, x1**x1 is a NaN with the sign set and its negation one
+        # with the sign clear; numpy's scalar + and its array loop return
+        # different ones of the two, so a lone point runs as a batch of one
+        exprs = ("x1", "((x1)**x1 + -(x1)**x1)")
+        field, reference = ExpressionField(exprs), per_component_field(exprs, 2)
+        with np.errstate(all="ignore"):
+            for seed in range(40):
+                x = np.random.default_rng(seed).uniform(-3.0, 3.0, (2,))
+                assert field(x).tobytes() == reference(x).tobytes()
+
 
 def field_expressions(d):
     """Whitelisted expressions over x1..xd.  Exponents are float constants or

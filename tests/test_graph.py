@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import switchflow
 from switchflow.graph import (
+    Csr,
     DirectedGraph,
     SccDecomposition,
     ValidationError,
@@ -17,10 +18,11 @@ from switchflow.graph import (
     connector,
     morse_order,
     scc,
+    tarjan,
     validate_n_graph,
 )
 
-from conftest import random_validated_graph
+from conftest import mutual_classes, random_validated_graph, reachability
 
 
 def labels2():
@@ -112,6 +114,23 @@ class TestScc:
             order = morse_order(d)
             for a, b in d.condensation_edges:
                 assert (b, a) not in order
+
+
+class TestTarjan:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_reverse_topological_partition(self, data):
+        n = data.draw(st.integers(1, 30), label="n")
+        ids = st.integers(0, n - 1)
+        pairs = data.draw(st.sets(st.tuples(ids, ids), max_size=3 * n), label="edges")
+        keys = np.array(sorted(u * n + v for u, v in pairs), dtype=np.int64)
+        components = tarjan(Csr.from_keys(keys, n))
+        emitted = {v: k for k, comp in enumerate(components) for v in comp}
+        # an edge never leads to a component emitted later: every
+        # condensation edge points back in the emission order
+        assert all(emitted[u] >= emitted[v] for u, v in pairs)
+        reach = reachability(n, pairs) | np.eye(n, dtype=bool)
+        assert sorted(map(sorted, components)) == mutual_classes(reach)
 
 
 class TestPaths:
