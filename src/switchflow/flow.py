@@ -7,6 +7,7 @@ are deterministic and the only error is the smooth per-field RK4 error.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,6 +43,8 @@ class SwitchedSystem:
             raise ValidationError("substeps must be >= 1")
         if not all(callable(getattr(f, "columns", None)) for f in self.fields):
             raise ValidationError("every field needs a columns(x1, ..., xd) evaluation")
+        if not self.box:
+            raise ValidationError("box needs at least one interval")
         for lo, hi in self.box:
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValidationError("box intervals must be nonempty and finite")
@@ -62,33 +65,63 @@ class HybridState:
     f: SwitchingSignal
 
 
+@functools.cache
+def _rk4_loop(d: int):
+    """The fixed-step RK4 loop on d coordinate columns, compiled once per d.
+
+    ``loop(columns, n_steps, half, hstep, sixth, x1, ..., xd)`` returns the
+    d columns after ``n_steps`` steps.  The coordinates and the stage values
+    ``k1_i, ..., k4_i`` are locals, so a step builds no lists; the template
+    holds only generated names, never a field's text.
+    """
+    xs = [f"x{i}" for i in range(1, d + 1)]
+    ks = [[f"k{k}_{i}" for i in range(1, d + 1)] for k in range(1, 5)]
+
+    def names(seq):  # the trailing comma makes d = 1 a 1-tuple
+        return ", ".join(seq) + ","
+
+    def moved(step, k):
+        return ", ".join(f"{x} + {step} * {v}" for x, v in zip(xs, k))
+
+    updates = "\n        ".join(f"{x} = {x} + sixth * ({p} + 2.0 * {q} + 2.0 * {r} + {s})"
+                                 for x, p, q, r, s in zip(xs, *ks))
+    source = f"""def loop(columns, n_steps, half, hstep, sixth, {", ".join(xs)}):
+    for _ in range(n_steps):
+        {names(ks[0])} = columns({", ".join(xs)})
+        {names(ks[1])} = columns({moved("half", ks[0])})
+        {names(ks[2])} = columns({moved("half", ks[1])})
+        {names(ks[3])} = columns({moved("hstep", ks[2])})
+        {updates}
+    return {names(xs)}
+"""
+    namespace = {"__builtins__": {}, "range": range}
+    exec(compile(source, f"<rk4 d={d}>", "exec"), namespace)
+    return namespace["loop"]
+
+
 def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
                       dt: float) -> np.ndarray:
     """Fixed-step RK4 under a single field for (possibly negative) time dt.
 
     ``x0`` has shape (..., d).  The state is held as its d coordinate
     columns: Python floats for a lone point, arrays for a batch.  One loop
-    serves both, and every point comes out bit for bit as if flowed alone,
-    since ``+ - * /`` round the same on Python floats as on float64.  Where
-    Python raises instead (division by zero), a lone point is rerun as a
-    batch of one.
+    per d serves both, and every point comes out bit for bit as if flowed
+    alone, since ``+ - * /`` round the same on Python floats as on float64.
+    Where Python raises instead (division by zero), a lone point is rerun
+    as a batch of one.
     """
     x = np.asarray(x0, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != sys.dimension:
+        raise ValidationError(f"state of shape {x.shape} does not end in the "
+                              f"system dimension {sys.dimension}")
     if dt == 0.0:
         return x.copy()
-    columns = sys.fields[field_index].columns
     n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
     hstep = dt / n_steps
-    half, sixth = 0.5 * hstep, hstep / 6.0
-    xs = x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
+    xs = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
     try:
-        for _ in range(n_steps):
-            k1 = columns(*xs)
-            k2 = columns(*[a + half * k for a, k in zip(xs, k1)])
-            k3 = columns(*[a + half * k for a, k in zip(xs, k2)])
-            k4 = columns(*[a + hstep * k for a, k in zip(xs, k3)])
-            xs = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-                  for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
+        xs = _rk4_loop(sys.dimension)(sys.fields[field_index].columns, n_steps,
+                                      0.5 * hstep, hstep, hstep / 6.0, *xs)
     except ZeroDivisionError:
         if x.ndim != 1:
             raise

@@ -70,8 +70,13 @@ class SymbolicSequence:
         return self.left_period[j % len(self.left_period)]
 
     def window(self, lo: int, hi: int) -> tuple[int, ...]:
-        """Symbols at indices lo..hi inclusive."""
-        return tuple(self.at(i) for i in range(lo, hi + 1))
+        """Symbols at indices lo..hi inclusive: the left-period, core and
+        right-period parts of that range, each read as one slice."""
+        a, b = lo + self.index_shift, hi + self.index_shift + 1  # layout [a, b)
+        n = len(self.core)
+        return (_repeated(self.left_period, a, min(b, 0) - a)
+                + self.core[max(a, 0):max(min(b, n), 0)]
+                + _repeated(self.right_period, max(a, n) - n, b - max(a, n)))
 
     # boundaries of the purely periodic regions, in shifted (actual) indices
     @property
@@ -83,6 +88,15 @@ class SymbolicSequence:
     def right_boundary(self) -> int:
         """Indices at or above this are governed by the right period."""
         return len(self.core) - self.index_shift
+
+
+def _repeated(period: tuple[int, ...], start: int, length: int) -> tuple[int, ...]:
+    """``length`` symbols of ``period`` repeated forever both ways, from its
+    index ``start`` (any integer, read modulo the period)."""
+    if length <= 0:
+        return ()
+    start %= len(period)
+    return (period * ((start + length - 1) // len(period) + 1))[start:start + length]
 
 
 def shift_discrete(x: SymbolicSequence, k: int) -> SymbolicSequence:

@@ -1,9 +1,13 @@
 """Shared generators for randomized tests."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
+from switchflow.fields import stack_columns
+from switchflow.flow import IntegrationError
 from switchflow.graph import DirectedGraph, connector, validate_n_graph
 from switchflow.sequences import SymbolicSequence
 from switchflow.signals import SwitchingSignal
@@ -12,6 +16,36 @@ from switchflow.signals import SwitchingSignal
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
+    """``integrate_segment`` as one loop over lists of coordinate columns,
+    the form the generated per-dimension loop replaced: each stage is a
+    list comprehension over ``zip``, unpacked into ``columns``."""
+    x = np.asarray(x0, dtype=float)
+    if dt == 0.0:
+        return x.copy()
+    columns = sys.fields[field_index].columns
+    n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
+    hstep = dt / n_steps
+    half, sixth = 0.5 * hstep, hstep / 6.0
+    xs = x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
+    try:
+        for _ in range(n_steps):
+            k1 = columns(*xs)
+            k2 = columns(*[a + half * k for a, k in zip(xs, k1)])
+            k3 = columns(*[a + half * k for a, k in zip(xs, k2)])
+            k4 = columns(*[a + hstep * k for a, k in zip(xs, k3)])
+            xs = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
+                  for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
+    except ZeroDivisionError:
+        if x.ndim != 1:
+            raise
+        return reference_rk4(sys, field_index, x[None], dt)[0]
+    x = stack_columns(xs, x.shape[:-1])
+    if not np.all(np.isfinite(x)):
+        raise IntegrationError(f"state became non-finite under field {field_index}")
+    return x
 
 
 def complete2() -> DirectedGraph:

@@ -27,7 +27,7 @@ from switchflow.graph import DirectedGraph, ValidationError
 from switchflow.sequences import constant_sequence, periodic_sequence
 from switchflow.signals import metric_delta, shift, sigma_embed
 
-from conftest import random_signal
+from conftest import random_signal, reference_rk4
 
 H = 0.1
 
@@ -249,6 +249,8 @@ class TestIntegrateSegment:
             batch = outcome(lambda: integrate_segment(sys, 0, x, dt))
             alone = [outcome(lambda: integrate_segment(sys, 0, p, dt))
                      for p in x.reshape(-1, d)]
+            reference = outcome(lambda: reference_rk4(sys, 0, x, dt))
+        assert batch == reference
         if all(kind == "ok" for kind, _ in alone):
             assert batch == ("ok", b"".join(b for _, b in alone))
         else:
@@ -259,6 +261,23 @@ class TestIntegrateSegment:
         g = DirectedGraph.from_edges(1, [(0, 0)])
         with pytest.raises(ValidationError, match="columns"):
             SwitchedSystem(g, ((-1.0, 1.0),), H, (lambda x: -x,))
+
+    def test_empty_box_rejected(self):
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        with pytest.raises(ValidationError, match="at least one interval"):
+            SwitchedSystem(g, (), H, (ExpressionField(()),))
+
+    @pytest.mark.parametrize("field", [LinearField(((0.1, 1.3), (-1.1, -0.4))),
+                                       ExpressionField(("x2", "-x1"))], ids=["linear", "expr"])
+    @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.1, 0.2], [[0.5, 0.1, 0.2]], np.zeros((2, 5))],
+                             ids=["one-column", "three-columns", "batch-of-three", "transposed"])
+    def test_state_of_wrong_dimension_rejected(self, field, x0):
+        # zip would truncate and LinearField ignores extra columns, so a
+        # mismatched state must be refused before it is integrated
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        sys = SwitchedSystem(g, ((-1.0, 1.0),) * 2, H, (field,))
+        with pytest.raises(ValidationError, match="system dimension 2"):
+            integrate_segment(sys, 0, np.array(x0), 0.1)
 
     def test_zero_field(self):
         g = DirectedGraph.from_edges(1, [(0, 0)])
@@ -318,6 +337,8 @@ class TestIntegrateSegment:
         pytest.param(ExpressionField(("x2*exp(-x1*x1)", "sin(x1) - x2**3")), 2, id="expr-2d"),
         pytest.param(ExpressionField(("sin(x2) - x1", "exp(x3)*x1", "x1*x2 - sin(x3)")), 3,
                      id="expr-3d"),
+        # a constant column is a float, and an identity column is its argument
+        pytest.param(ExpressionField(("x2", "1.0")), 2, id="expr-identity-constant"),
         pytest.param(PolynomialField1D((0.3, -1.0, 0.5, -2.0)), 1, id="poly1d"),
         pytest.param(LinearField(((-0.7,),)), 1, id="linear-1d"),
         pytest.param(LinearField(((0.1, 1.3), (-1.1, -0.4))), 2, id="linear-2d"),
@@ -336,6 +357,7 @@ class TestIntegrateSegment:
         alone = np.stack([integrate_segment(sys, 0, x, dt) for x in stacked])
         assert out.shape == stacked.shape
         assert out.tobytes() == alone.tobytes()
+        assert out.tobytes() == reference_rk4(sys, 0, stacked, dt).tobytes()
 
     def test_rk4_fourth_order(self):
         errs = []
@@ -363,6 +385,10 @@ class TestSwitchedFlow:
         f = alternating_signal()
         out = switched_flow(sys, 2 * H, np.array([0.25]), f)
         assert out[0] == pytest.approx(0.25 + H, abs=1e-13)
+
+    def test_state_of_wrong_dimension_rejected(self):
+        with pytest.raises(ValidationError, match="system dimension 1"):
+            switched_flow(sys_decay_grow(), 2 * H, np.array([0.5, 0.1]), alternating_signal())
 
     def test_decay_grow_cancellation(self):
         sys = sys_decay_grow()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchflow.graph import DirectedGraph, ValidationError, scc
@@ -57,6 +57,22 @@ class TestRepresentation:
             k = int(rng.integers(-7, 8))
             y = shift_discrete(x, k)
             assert all(y.at(i) == x.at(i + k) for i in range(-12, 13))
+
+    @settings(max_examples=300, deadline=None)
+    @given(left=st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple),
+           core=st.lists(st.integers(0, 2), max_size=6).map(tuple),
+           right=st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple),
+           shift=st.integers(-15, 15), lo=st.integers(-30, 30), width=st.integers(-3, 40))
+    @example(left=(0, 1), core=(2,), right=(1,), shift=0, lo=-9, width=5)  # left period only
+    @example(left=(0,), core=(1, 2, 0, 1), right=(2,), shift=-1, lo=1, width=3)  # core only
+    @example(left=(0,), core=(1,), right=(2, 0, 1), shift=3, lo=0, width=9)  # right period only
+    @example(left=(0, 1, 2), core=(), right=(2, 1), shift=-4, lo=-3, width=12)  # empty core
+    @example(left=(0,), core=(1, 2), right=(2,), shift=0, lo=2, width=-1)  # hi < lo
+    def test_window_reads_at(self, left, core, right, shift, lo, width):
+        # window slices the three parts; it must equal one at() per index
+        x = SymbolicSequence(DirectedGraph.complete(3), left, core, right, shift)
+        hi = lo + width - 1
+        assert x.window(lo, hi) == tuple(x.at(i) for i in range(lo, hi + 1))
 
     def test_shift_group_law(self, rng):
         g = random_strong_graph(rng, 3)
