@@ -352,8 +352,12 @@ class TestBuildChainGraph:
 # hashed as (sorted nodes, sorted cells).  two_well_cycle was re-recorded
 # when its (cell, vertex) nodes gave way to cells: its edges are the old
 # ones projected to cells, its components the old cell sets re-sorted.
+# plane2d, the only 2-D config, was recorded from the row query that walked
+# every line with four distance checks, before the rounding-margin query.
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 FROZEN_EDGES = {
+    "plane2d": (
+        20094, "4ad177df63223cd7e49846aba030af0e792151081e084ac7fa3f76a2deb1c7ff"),
     "sine_curve_reduced": (
         21040, "c669837680d3ccc3a9a60a6421aadcb180198ea563b8fe0a02010b45b347f571"),
     "two_well_complete": (
@@ -362,6 +366,8 @@ FROZEN_EDGES = {
         2086, "baa2a59fe90b4bfe773fa5d46de055af3811454a08033bcc4c3e186171c2d3ae"),
 }
 FROZEN_COMPONENTS = {
+    "plane2d": (
+        1, "fc1e2590bc5db21d7d14c3cea495cd04cf5b4a152172532fe5430e2edac0c47c"),
     "sine_curve_reduced": (
         1, "a1cd7f178b215835b0ead00b6966a70aca6610a983461432c953abe9fe0fe2ab"),
     "two_well_complete": (

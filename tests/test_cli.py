@@ -301,8 +301,14 @@ def test_chain_sets_too_many_words_exits_4_before_listing_them(monkeypatch, tmp_
 # (nothing else in them changed), and again when analysis.mode and
 # parameters.mode left them (two_well_cycle's components, whose sizes had
 # counted (cell, vertex) nodes, also came out re-sorted by cell count).
+# plane2d was recorded before the rounding-margin row query.
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 FROZEN_OUTPUTS = {
+    ("plane2d", "chain-sets"): {
+        "components.csv": "c2f0144557ec467ad43f9a4781f61a128de7c4a99a9b8637fa7f149ed5eeb40c",
+        "chain_summary.json": "a4aae88c141a62cc80f8b4fcc14af3245ebb31c1a55c71146d347fbbf80fb93a"},
+    ("plane2d", "analyze-graph"): {
+        "graph_analysis.json": "906f16a62bc9b13e99a08ad902eae078fdbc7de89473c9bec52f8c1a98e542f1"},
     ("sine_curve_reduced", "chain-sets"): {
         "components.csv": "34df419be45c8465ee86be9c426315b63c5a10ad25137184cf1b0fa5c2d08529",
         "chain_summary.json": "33a1014479a5addd896cbbd2b1ecac2506f8b41e217d303ed325f1ef4b02eb51"},
