@@ -94,93 +94,92 @@ class Grid:
     def rows_within(self, points: np.ndarray, dist: float | np.ndarray) -> np.ndarray:
         """``(point index, first cell, last cell)`` rows for the cells whose
         center lies within Euclidean ``dist`` of a point of ``points`` (shape
-        ``(..., d)``, numbered flat); ``dist`` is one radius, or one per
-        point.  A ball meets each line of cells along the last axis in one
-        run of consecutive flat indices, so each row is one such run; rows
-        are sorted by point, then by first cell.
+        ``(..., d)``, numbered flat), as ``math.dist`` decides; ``dist`` is one
+        radius, or one per point.  A ball meets each line of cells along the
+        last axis in one run of consecutive flat indices, so each row is one
+        such run; rows are sorted by point, then by first cell.
 
         Each point's lines are enumerated over the first d-1 axes, one axis
-        at a time.  A line's run is taken from the ball's rounded chord, and
-        one vectorised pass over four cells per line proves it: its end
-        cells are inside, and the cells just beyond them are outside or off
-        the grid.  Only lines that fail this test walk their ends inward.
+        at a time, and each line's run is read off the ball's rounded chord.
+        A bound on the rounding error certifies the run where both chord ends
+        lie far enough from a cell centre.  Only lines near such a tie test
+        distances, walking their ends inward from one cell beyond the chord.
         """
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         dist = np.broadcast_to(np.asarray(dist, dtype=float), pts.shape[:1])
-        lo = np.array([b[0] for b in self.box])
-        w = np.array(self.widths)
-        counts = np.array(self.counts)
-        # lines: per-axis index ranges over the first d-1 axes, one index
-        # wider on each side than the rounded bounds (a centre at distance
-        # exactly dist may round out of them), clipped to the grid
-        reach = dist[:, None]
-        k_lo = np.clip(np.ceil((pts[:, :-1] - reach - lo[:-1]) / w[:-1] - 0.5) - 1,
+        lo, w, counts = np.array([b[0] for b in self.box]), np.array(self.widths), self.counts
+        eps, c = np.finfo(float).eps, counts[-1]
+        # a centre offset lo + (k + 0.5) * w - p, or a bound or chord end in
+        # cells, takes a few roundings of values below scale = |p| + dist +
+        # |lo| + |hi|, each off by at most eps/2 of it: under 8 eps * scale
+        scale = np.abs(pts) + dist[:, None] + np.abs(self.box).sum(axis=1)
+        # lines: per-axis index ranges over the first d-1 axes, widened by
+        # one only where a rounded bound is that close to an integer
+        reach, tol = dist[:, None], 8 * eps * scale[:, :-1] / w[:-1]
+        k_lo = np.clip(np.ceil((pts[:, :-1] - reach - lo[:-1]) / w[:-1] - 0.5 - tol),
                        0, counts[:-1]).astype(np.int64)
-        k_hi = np.clip(np.floor((pts[:, :-1] + reach - lo[:-1]) / w[:-1] - 0.5) + 1,
-                       -1, counts[:-1] - 1).astype(np.int64)
-        point = np.arange(len(pts))
-        line = np.empty((len(pts), 0), dtype=np.int64)
+        k_hi = np.clip(np.floor((pts[:, :-1] + reach - lo[:-1]) / w[:-1] - 0.5 + tol),
+                       -1, np.array(counts[:-1]) - 1).astype(np.int64)
+        # each line's point, flat index over the first d-1 axes, and squared
+        # offset from its centres on those axes
+        point, base = np.arange(len(pts)), np.zeros(len(pts), dtype=np.int64)
+        gap2 = np.zeros(len(pts))
         for axis in range(self.dimension - 1):
             first = k_lo[point, axis]
             row, k = expand_ranges(first, np.maximum(k_hi[point, axis], first - 1))
-            point, line = point[row], np.column_stack((line[row], k))
-        p, dist = pts[point, -1], dist[point]
-        # offsets of each line's centres from the point on the first d-1 axes
-        gap = lo[:-1] + (line + 0.5) * w[:-1] - pts[point, :-1]
-        gap2 = np.sum(gap * gap, axis=-1)
-        del gap
+            point, base = point[row], base[row] * counts[axis] + k
+            gap = lo[axis] + (k + 0.5) * w[axis] - pts[point, axis]
+            gap2 = gap2[row] + gap * gap
+        p, r = pts[point, -1], dist[point]
+        # along the last axis, the chord [u, v] in cells, rounded in to the
+        # cells whose centres it covers
+        h2 = r * r - gap2
+        half = np.sqrt(np.maximum(h2, 0.0))
+        u = (p - half - lo[-1]) / w[-1] - 0.5
+        v = (p + half - lo[-1]) / w[-1] - 0.5
+        first = np.clip(np.ceil(u), 0, c).astype(np.int64)
+        # Certificate, in squared length.  On a line with gap2 <= 2 r^2, the
+        # rounded h2 is off the exact r^2 - gap2 by at most (d + 1) eps/2 *
+        # (r^2 + gap2), sqrt adds eps * half^2, and math.dist, rounding a
+        # distance near r by eps * r, moves the squares by 5 eps/2 * r^2:
+        # under 3 (d + 4) eps * r^2 in all.  An end whose distance to an
+        # integer, times w, exceeds the offsets' error (8 eps * scale) by m
+        # puts its cells' squared offsets at least half * m clear of half^2,
+        # so with half <= r, a line is decided where margin > err.
+        # A line with h2 < -err holds no centre (with gap2 > 2 r^2, none is
+        # near).  tiny covers the absolute rounding of underflowed squares.
+        err = (eps * (3 * (self.dimension + 4) * dist * dist + 8 * scale[:, -1] * dist)
+               + np.finfo(float).tiny)[point]
+        margin = np.minimum(np.abs(u - np.rint(u)), np.abs(v - np.rint(v))) * (w[-1] * half)
+        last = np.clip(np.where(h2 < -err, -1, np.floor(v)), -1, c - 1).astype(np.int64)
+        # lines near a tie: widen the run by one cell on each side, then move
+        # each end inward while its cell is outside the ball
+        near = np.flatnonzero((margin <= err) & (h2 >= -err))
+        if len(near):
+            multi = np.stack(np.unravel_index(base[near] * c, counts), axis=-1)
+            gap = (self._centers_at(multi) - pts[point[near]])[:, :-1]
 
-        index = np.arange(len(p))
+            def outside(j: np.ndarray, i: np.ndarray) -> np.ndarray:
+                """Whether cell ``j`` of near line ``i`` is outside the ball, with
+                math.dist deciding near-ties and underflow."""
+                t = lo[-1] + (j + 0.5) * w[-1] - p[near[i]]
+                d, ri = np.sqrt(gap2[near[i]] + t * t), r[near[i]]
+                out = d > ri
+                for k in np.flatnonzero((np.abs(d - ri) <= 1e-9 * ri) | (d < 1e-150)):
+                    out[k] = math.hypot(*gap[i[k]], t[k]) > ri[k]
+                return out
 
-        def outside(j: np.ndarray, i: np.ndarray | slice = slice(None)):
-            """Whether cell ``j`` along the last axis of row ``i``'s line is
-            outside the ball, as math.dist decides, and its offset there."""
-            t = lo[-1] + (j + 0.5) * w[-1] - p[i]
-            d = np.sqrt(gap2[i] + t * t)
-            r = dist[i]
-            out = d > r
-            # math.dist rounds the last bit differently and does not
-            # underflow: let it decide near-ties
-            near = np.flatnonzero((np.abs(d - r) <= 1e-9 * r) | (d < 1e-150))
-            for k, a in zip(near, index[i][near]):
-                gap = lo[:-1] + (line[a] + 0.5) * w[:-1] - pts[point[a], :-1]
-                out[k] = math.hypot(*gap, t[k]) > r[k]
-            return out, t
-
-        # along the last axis, the chord of the ball on each line, rounded
-        # in to the cells whose centres it covers
-        half = np.sqrt(np.maximum(dist * dist - gap2, 0.0))
-        c = self.counts[-1]
-        first = np.clip(np.ceil((p - half - lo[-1]) / w[-1] - 0.5), 0, c).astype(np.int64)
-        last = np.clip(np.floor((p + half - lo[-1]) / w[-1] - 0.5), -1, c - 1).astype(np.int64)
-        del half
-        # the cells inside a line are consecutive, so a run is exact when its
-        # end cells are inside and the cells just beyond it are outside or
-        # off the grid; an empty run is exact when the two cells around the
-        # point's projection onto the line are outside or off the grid
-        below, t_below = outside(first - 1)
-        above, t_above = outside(last + 1)
-        run = ~(outside(first)[0] | outside(last)[0])
-        around = ((first == last + 1) & ((t_below <= 0) | (first == 0))
-                  & ((t_above >= 0) | (last == c - 1)))
-        exact = ((below | (first == 0)) & (above | (last == c - 1))
-                 & np.where(first <= last, run, around))
-        # other lines: widen the run by one cell on each side, then move
-        # each end inward while its cell is outside
-        rows = np.flatnonzero(~exact)
-        first[rows] = np.maximum(first[rows] - 1, 0)
-        last[rows] = np.minimum(last[rows] + 1, c - 1)
-        for end, step in ((first, 1), (last, -1)):
-            todo = rows[first[rows] <= last[rows]]
-            while len(todo):
-                todo = todo[outside(end[todo], todo)[0]]
-                end[todo] += step
-                todo = todo[first[todo] <= last[todo]]
+            a, b = np.maximum(first[near] - 1, 0), np.minimum(last[near] + 1, c - 1)
+            for end, step in ((a, 1), (b, -1)):
+                todo = np.flatnonzero(a <= b)
+                while len(todo):
+                    todo = todo[outside(end[todo], todo)]
+                    end[todo] += step
+                    todo = todo[a[todo] <= b[todo]]
+            first[near], last[near] = a, b
         hit = first <= last
-        line = tuple(line[hit].T)
-        return np.column_stack((point[hit],
-                                np.ravel_multi_index(line + (first[hit],), self.counts),
-                                np.ravel_multi_index(line + (last[hit],), self.counts)))
+        base = base[hit] * c
+        return np.column_stack((point[hit], base + first[hit], base + last[hit]))
 
     def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
         """``(point index, cell)`` rows, one per cell whose center lies within

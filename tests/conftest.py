@@ -8,7 +8,7 @@ import pytest
 
 from switchflow.fields import stack_columns
 from switchflow.flow import IntegrationError
-from switchflow.graph import DirectedGraph, connector, validate_n_graph
+from switchflow.graph import DirectedGraph, connector, expand_ranges, validate_n_graph
 from switchflow.sequences import SymbolicSequence
 from switchflow.signals import SwitchingSignal
 
@@ -46,6 +46,70 @@ def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"state became non-finite under field {field_index}")
     return x
+
+
+def reference_rows_within(grid, points, dist) -> np.ndarray:
+    """``Grid.rows_within`` as it proved every line: lines one index wider
+    than the ball's rounded bounds on each side, each line's rounded chord
+    checked with four vectorised distance tests, and an inward walk where
+    they fail; near-ties and underflow are decided by ``math.hypot``."""
+    pts = np.asarray(points, dtype=float).reshape(-1, grid.dimension)
+    dist = np.broadcast_to(np.asarray(dist, dtype=float), pts.shape[:1])
+    lo = np.array([b[0] for b in grid.box])
+    w = np.array(grid.widths)
+    counts = np.array(grid.counts)
+    reach = dist[:, None]
+    k_lo = np.clip(np.ceil((pts[:, :-1] - reach - lo[:-1]) / w[:-1] - 0.5) - 1,
+                   0, counts[:-1]).astype(np.int64)
+    k_hi = np.clip(np.floor((pts[:, :-1] + reach - lo[:-1]) / w[:-1] - 0.5) + 1,
+                   -1, counts[:-1] - 1).astype(np.int64)
+    point = np.arange(len(pts))
+    line = np.empty((len(pts), 0), dtype=np.int64)
+    for axis in range(grid.dimension - 1):
+        first = k_lo[point, axis]
+        row, k = expand_ranges(first, np.maximum(k_hi[point, axis], first - 1))
+        point, line = point[row], np.column_stack((line[row], k))
+    p, dist = pts[point, -1], dist[point]
+    gap = lo[:-1] + (line + 0.5) * w[:-1] - pts[point, :-1]
+    gap2 = np.sum(gap * gap, axis=-1)
+    index = np.arange(len(p))
+
+    def outside(j, i=slice(None)):
+        t = lo[-1] + (j + 0.5) * w[-1] - p[i]
+        d = np.sqrt(gap2[i] + t * t)
+        r = dist[i]
+        out = d > r
+        near = np.flatnonzero((np.abs(d - r) <= 1e-9 * r) | (d < 1e-150))
+        for k, a in zip(near, index[i][near]):
+            gap = lo[:-1] + (line[a] + 0.5) * w[:-1] - pts[point[a], :-1]
+            out[k] = math.hypot(*gap, t[k]) > r[k]
+        return out, t
+
+    half = np.sqrt(np.maximum(dist * dist - gap2, 0.0))
+    c = grid.counts[-1]
+    first = np.clip(np.ceil((p - half - lo[-1]) / w[-1] - 0.5), 0, c).astype(np.int64)
+    last = np.clip(np.floor((p + half - lo[-1]) / w[-1] - 0.5), -1, c - 1).astype(np.int64)
+    below, t_below = outside(first - 1)
+    above, t_above = outside(last + 1)
+    run = ~(outside(first)[0] | outside(last)[0])
+    around = ((first == last + 1) & ((t_below <= 0) | (first == 0))
+              & ((t_above >= 0) | (last == c - 1)))
+    exact = ((below | (first == 0)) & (above | (last == c - 1))
+             & np.where(first <= last, run, around))
+    rows = np.flatnonzero(~exact)
+    first[rows] = np.maximum(first[rows] - 1, 0)
+    last[rows] = np.minimum(last[rows] + 1, c - 1)
+    for end, step in ((first, 1), (last, -1)):
+        todo = rows[first[rows] <= last[rows]]
+        while len(todo):
+            todo = todo[outside(end[todo], todo)[0]]
+            end[todo] += step
+            todo = todo[first[todo] <= last[todo]]
+    hit = first <= last
+    line = tuple(line[hit].T)
+    return np.column_stack((point[hit],
+                            np.ravel_multi_index(line + (first[hit],), grid.counts),
+                            np.ravel_multi_index(line + (last[hit],), grid.counts)))
 
 
 def complete2() -> DirectedGraph:

@@ -32,7 +32,7 @@ from switchflow.graph import (
 )
 from switchflow.sequences import enumerate_admissible_words
 
-from conftest import mutual_classes, reachability
+from conftest import mutual_classes, reachability, reference_rows_within
 
 H = 0.1
 
@@ -180,6 +180,56 @@ class TestGrid:
         for i, (p, r) in enumerate(zip(points, dists)):
             alone = grid.rows_within(np.array(p, dtype=float), r)
             assert rows[rows[:, 0] == i, 1:].tolist() == alone[:, 1:].tolist()
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rows_within_bit_equal_to_reference(self, data):
+        # grids at scales from the underflow range to 1e8, some far from
+        # the origin (|lo| about 1e5 cell widths); points off the box, at
+        # centres or a few ulps from them; radii 0, free, or the distance
+        # from the point to a centre give or take a few ulps
+        dim = data.draw(st.integers(1, 3), label="dim")
+        unit = data.draw(st.sampled_from([1e-170, 1e-8, 1.0, 1e8]), label="unit")
+        far = data.draw(st.sampled_from([0.0, 1e5, -1e5]), label="far")
+        counts = data.draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
+        box = []
+        for c in counts:
+            w = unit * data.draw(st.floats(0.5, 4.0))
+            lo = w * (far + data.draw(st.floats(-5.0, 5.0)))
+            box.append((lo, lo + c * w))
+        grid = build_grid(box, counts)
+        centers = grid.all_centers()
+
+        def nudge(x, ulps):
+            for _ in range(abs(ulps)):
+                x = np.nextafter(x, math.copysign(math.inf, ulps))
+            return x
+
+        ulps = st.integers(-3, 3)
+        free = st.tuples(*[st.floats(lo - (hi - lo), hi + (hi - lo)) for lo, hi in grid.box])
+        at_center = st.tuples(st.integers(0, grid.n_cells - 1), ulps).map(
+            lambda ck: nudge(centers[ck[0]], ck[1]).tolist())
+        points = data.draw(st.lists(st.one_of(free, at_center), max_size=6), label="points")
+        dists = []
+        for p in points:
+            j, k = data.draw(st.integers(0, grid.n_cells - 1)), data.draw(ulps)
+            tie = float(nudge(math.dist(p, centers[j]), k))
+            free_r = data.draw(st.floats(0.0, 1.5 * math.dist(*zip(*grid.box))))
+            dists.append(max(data.draw(st.sampled_from([tie, free_r, 0.0])), 0.0))
+        pts = np.array(points, dtype=float).reshape(-1, dim)
+        rows = grid.rows_within(pts, np.array(dists))
+        want = reference_rows_within(grid, pts, np.array(dists))
+        assert rows.dtype == want.dtype and rows.shape == want.shape
+        assert rows.tobytes() == want.tobytes()
+        if unit == 1e-170:
+            # squares underflow there, the chord can be off by more than the
+            # one cell the walk widens by, and both queries can miss a tie
+            return
+        expected = [(i, c) for i, (p, r) in enumerate(zip(points, dists))
+                    for c, center in enumerate(centers.tolist()) if math.dist(center, p) <= r]
+        assert [(i, c) for i, first, last in rows.tolist()
+                for c in range(first, last + 1)] == expected
 
 
 class TestStepImage:
