@@ -43,8 +43,9 @@ class Grid:
         for (lo, hi), c in zip(self.box, self.counts):
             if c < 1:
                 raise ValidationError("cell counts must be >= 1")
-            if not lo < hi:
-                raise ValidationError("degenerate box interval")
+            # hi - lo is not finite for an infinite bound or an overflowing width
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValidationError("box intervals must be nonempty and finite")
 
     @property
     def dimension(self) -> int:

@@ -100,9 +100,12 @@ def _repeated(period: tuple[int, ...], start: int, length: int) -> tuple[int, ..
 
 
 def shift_discrete(x: SymbolicSequence, k: int) -> SymbolicSequence:
-    """Shifted sequence: at(result, i) == at(x, i + k)."""
-    return SymbolicSequence(x.graph, x.left_period, x.core, x.right_period,
-                            x.index_shift + k)
+    """Shifted sequence: at(result, i) == at(x, i + k).  A shift moves only
+    the origin, and ``x`` was validated when it was built, so the result is
+    a copy of ``x`` with a new ``index_shift``, not validated again."""
+    shifted = object.__new__(type(x))
+    shifted.__dict__.update(x.__dict__, index_shift=x.index_shift + k)
+    return shifted
 
 
 def concat_past_future(past: SymbolicSequence, future: SymbolicSequence) -> SymbolicSequence:

@@ -96,6 +96,17 @@ class TestGrid:
         with pytest.raises(ValidationError):
             build_grid([(1.0, 1.0)], 10)
 
+    @pytest.mark.parametrize("interval", [(0.0, math.inf), (-math.inf, 0.0),
+                                          (math.nan, 1.0), (0.0, math.nan),
+                                          (-1e308, 1e308)])
+    def test_non_finite_box_rejected(self, interval):
+        # an infinite bound, or a width past the float range, gave a grid of
+        # non-finite centres on which every row query came back empty
+        with pytest.raises(ValidationError, match="finite"):
+            build_grid([interval], 4)
+        with pytest.raises(ValidationError, match="finite"):
+            build_grid([(0.0, 1.0), interval], 4)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_cells_within_matches_brute_force(self, data):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchflow.graph import DirectedGraph, ValidationError, scc
+from switchflow.literals import parse_sequence
 from switchflow.sequences import (
     SymbolicSequence,
     chaos_certificate,
@@ -57,6 +58,21 @@ class TestRepresentation:
             k = int(rng.integers(-7, 8))
             y = shift_discrete(x, k)
             assert all(y.at(i) == x.at(i + k) for i in range(-12, 13))
+
+    def test_shift_discrete_equals_the_constructed_sequence(self, rng):
+        # the shift copies a validated sequence instead of rebuilding it
+        g = random_strong_graph(rng, 4)
+        for _ in range(20):
+            x = random_sequence(g, rng)
+            k = int(rng.integers(-7, 8))
+            y = shift_discrete(x, k)
+            built = SymbolicSequence(g, x.left_period, x.core, x.right_period,
+                                     x.index_shift + k)
+            assert type(y) is SymbolicSequence and vars(y) == vars(built)
+            assert x.index_shift == y.index_shift - k
+        # an inadmissible literal is still refused when it is built
+        with pytest.raises(ValidationError, match="inadmissible"):
+            parse_sequence(DirectedGraph.cycle(2), "left=(0 1) core=[0] right=(0 1) shift=3")
 
     @settings(max_examples=300, deadline=None)
     @given(left=st.lists(st.integers(0, 2), min_size=1, max_size=5).map(tuple),
