@@ -108,19 +108,19 @@ class Grid:
         """
         pts = np.asarray(points, dtype=float).reshape(-1, self.dimension)
         dist = np.broadcast_to(np.asarray(dist, dtype=float), pts.shape[:1])
-        lo, w, counts = np.array([b[0] for b in self.box]), np.array(self.widths), self.counts
-        eps, c = np.finfo(float).eps, counts[-1]
+        lo, w = np.array([b[0] for b in self.box]), np.array(self.widths)
+        counts, c, eps = np.array(self.counts), self.counts[-1], np.finfo(float).eps
         # a centre offset lo + (k + 0.5) * w - p, or a bound or chord end in
-        # cells, takes a few roundings of values below scale = |p| + dist +
-        # |lo| + |hi|, each off by at most eps/2 of it: under 8 eps * scale
-        scale = np.abs(pts) + dist[:, None] + np.abs(self.box).sum(axis=1)
+        # cells, takes a few roundings of values below |p| + dist + |lo| +
+        # |hi|, each off by at most eps/2 of it: under slack, in length
+        slack = 8 * eps * (np.abs(pts) + dist[:, None] + np.abs(self.box).sum(axis=1))
         # lines: per-axis index ranges over the first d-1 axes, widened by
         # one only where a rounded bound is that close to an integer
-        reach, tol = dist[:, None], 8 * eps * scale[:, :-1] / w[:-1]
+        reach, tol = dist[:, None], slack[:, :-1] / w[:-1]
         k_lo = np.clip(np.ceil((pts[:, :-1] - reach - lo[:-1]) / w[:-1] - 0.5 - tol),
                        0, counts[:-1]).astype(np.int64)
         k_hi = np.clip(np.floor((pts[:, :-1] + reach - lo[:-1]) / w[:-1] - 0.5 + tol),
-                       -1, np.array(counts[:-1]) - 1).astype(np.int64)
+                       -1, counts[:-1] - 1).astype(np.int64)
         # each line's point, flat index over the first d-1 axes, and squared
         # offset from its centres on those axes
         point, base = np.arange(len(pts)), np.zeros(len(pts), dtype=np.int64)
@@ -143,26 +143,26 @@ class Grid:
         # rounded h2 is off the exact r^2 - gap2 by at most (d + 1) eps/2 *
         # (r^2 + gap2), sqrt adds eps * half^2, and math.dist, rounding a
         # distance near r by eps * r, moves the squares by 5 eps/2 * r^2:
-        # under 3 (d + 4) eps * r^2 in all.  An end whose distance to an
-        # integer, times w, exceeds the offsets' error (8 eps * scale) by m
-        # puts its cells' squared offsets at least half * m clear of half^2,
-        # so with half <= r, a line is decided where margin > err.
-        # A line with h2 < -err holds no centre (with gap2 > 2 r^2, none is
-        # near).  tiny covers the absolute rounding of underflowed squares.
-        err = (eps * (3 * (self.dimension + 4) * dist * dist + 8 * scale[:, -1] * dist)
+        # under 3 (d + 4) eps * r^2 in all.  If a chord end lies x cells from
+        # the nearest integer, the cells on either side of it are at least
+        # x * w - slack inside or outside the chord, so their squared
+        # offsets are at least half * (x * w - slack) clear of half^2.
+        # With half <= r, margin = x * w * half above err decides both ends.
+        # A line with h2 < -err holds no centre (if gap2 > 2 r^2, every centre
+        # is far out).  tiny covers the absolute rounding of underflowed squares.
+        err = (dist * (3 * (self.dimension + 4) * eps * dist + slack[:, -1])
                + np.finfo(float).tiny)[point]
         margin = np.minimum(np.abs(u - np.rint(u)), np.abs(v - np.rint(v))) * (w[-1] * half)
-        last = np.clip(np.where(h2 < -err, -1, np.floor(v)), -1, c - 1).astype(np.int64)
-        # lines near a tie: widen the run by one cell on each side, then move
-        # each end inward while its cell is outside the ball
-        near = np.flatnonzero((margin <= err) & (h2 >= -err))
+        empty = h2 < -err
+        last = np.clip(np.where(empty, -1, np.floor(v)), -1, c - 1).astype(np.int64)
+        # lines near a tie: widen the run by one cell each side, then walk in
+        near = np.flatnonzero((margin <= err) & ~empty)
         if len(near):
-            multi = np.stack(np.unravel_index(base[near] * c, counts), axis=-1)
+            multi = np.stack(np.unravel_index(base[near] * c, self.counts), axis=-1)
             gap = (self._centers_at(multi) - pts[point[near]])[:, :-1]
 
             def outside(j: np.ndarray, i: np.ndarray) -> np.ndarray:
-                """Whether cell ``j`` of near line ``i`` is outside the ball, with
-                math.dist deciding near-ties and underflow."""
+                """Whether cell j of near line i is outside, math.hypot deciding ties."""
                 t = lo[-1] + (j + 0.5) * w[-1] - p[near[i]]
                 d, ri = np.sqrt(gap2[near[i]] + t * t), r[near[i]]
                 out = d > ri
