@@ -121,8 +121,8 @@ class Grid:
                        0, counts[:-1]).astype(np.int64)
         k_hi = np.clip(np.floor((pts[:, :-1] + reach - lo[:-1]) / w[:-1] - 0.5 + tol),
                        -1, counts[:-1] - 1).astype(np.int64)
-        # each line's point, flat index over the first d-1 axes, and squared
-        # offset from its centres on those axes
+        # each line's point, flat index over the first d-1 axes (base; base *
+        # c is its first cell), and squared offset from its centres on those axes
         point, base = np.arange(len(pts)), np.zeros(len(pts), dtype=np.int64)
         gap2 = np.zeros(len(pts))
         for axis in range(self.dimension - 1):
@@ -131,7 +131,7 @@ class Grid:
             point, base = point[row], base[row] * counts[axis] + k
             gap = lo[axis] + (k + 0.5) * w[axis] - pts[point, axis]
             gap2 = gap2[row] + gap * gap
-        p, r = pts[point, -1], dist[point]
+        p, r, base = pts[point, -1], dist[point], base * c
         # along the last axis, the chord [u, v] in cells, rounded in to the
         # cells whose centres it covers
         h2 = r * r - gap2
@@ -149,16 +149,17 @@ class Grid:
         # offsets are at least half * (x * w - slack) clear of half^2.
         # With half <= r, margin = x * w * half above err decides both ends.
         # A line with h2 < -err holds no centre (if gap2 > 2 r^2, every centre
-        # is far out).  tiny covers the absolute rounding of underflowed squares.
-        err = (dist * (3 * (self.dimension + 4) * eps * dist + slack[:, -1])
-               + np.finfo(float).tiny)[point]
+        # is far out).  tiny covers the absolute rounding of underflowed squares,
+        # and err = -inf empties every line of a negative radius.
+        err = dist * (3 * (self.dimension + 4) * eps * dist + slack[:, -1]) + np.finfo(float).tiny
+        err = np.where(dist < 0, -np.inf, err)[point]
         margin = np.minimum(np.abs(u - np.rint(u)), np.abs(v - np.rint(v))) * (w[-1] * half)
         empty = h2 < -err
         last = np.clip(np.where(empty, -1, np.floor(v)), -1, c - 1).astype(np.int64)
         # lines near a tie: widen the run by one cell each side, then walk in
         near = np.flatnonzero((margin <= err) & ~empty)
         if len(near):
-            multi = np.stack(np.unravel_index(base[near] * c, self.counts), axis=-1)
+            multi = np.stack(np.unravel_index(base[near], self.counts), axis=-1)
             gap = (self._centers_at(multi) - pts[point[near]])[:, :-1]
 
             def outside(j: np.ndarray, i: np.ndarray) -> np.ndarray:
@@ -179,8 +180,7 @@ class Grid:
                     todo = todo[a[todo] <= b[todo]]
             first[near], last[near] = a, b
         hit = first <= last
-        base = base[hit] * c
-        return np.column_stack((point[hit], base + first[hit], base + last[hit]))
+        return np.column_stack((point[hit], base[hit] + first[hit], base[hit] + last[hit]))
 
     def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
         """``(point index, cell)`` rows, one per cell whose center lies within

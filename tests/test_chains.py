@@ -193,8 +193,8 @@ class TestGrid:
     def test_rows_within_bit_equal_to_reference(self, data):
         # grids at scales from the underflow range to 1e8, some far from
         # the origin (|lo| about 1e5 cell widths); points off the box, at
-        # centres or a few ulps from them; radii 0, free, or the distance
-        # from the point to a centre give or take a few ulps
+        # centres or a few ulps from them; radii 0, free, negative, or the
+        # distance from the point to a centre give or take a few ulps
         dim = data.draw(st.integers(1, 3), label="dim")
         unit = data.draw(st.sampled_from([1e-170, 1e-8, 1.0, 1e8]), label="unit")
         far = data.draw(st.sampled_from([0.0, 1e5, -1e5]), label="far")
@@ -222,7 +222,7 @@ class TestGrid:
             j, k = data.draw(st.integers(0, grid.n_cells - 1)), data.draw(ulps)
             tie = float(nudge(math.dist(p, centers[j]), k))
             free_r = data.draw(st.floats(0.0, 1.5 * math.dist(*zip(*grid.box))))
-            dists.append(max(data.draw(st.sampled_from([tie, free_r, 0.0])), 0.0))
+            dists.append(data.draw(st.sampled_from([tie, free_r, 0.0, -free_r])))
         pts = np.array(points, dtype=float).reshape(-1, dim)
         rows = grid.rows_within(pts, np.array(dists))
         want = reference_rows_within(grid, pts, np.array(dists))
