@@ -1,13 +1,17 @@
 """Vector-field families for the per-vertex dynamics.
 
-A field evaluates coordinate columns: ``field.columns(x1, ..., xd)`` returns
-the d velocity columns, where each ``xi`` is a float (a lone point; Python
-floats in integration) or an array (a batch), and each column is a number or
-an array of the inputs' shape.  Every operation acts elementwise, so a lone
-point equals its row of a batch bit for bit.  ``field(x)`` is the array
-form: shape (..., d) in, (..., d) out.  There are three config-friendly families:
-1-D polynomials, linear maps, and expression trees over x1..xd with +, -,
-*, /, ** and sin/cos/exp.
+Every field is one expression tree per component over x1..xd, its
+``bodies``, and two functions are compiled from them when the field is
+built.  ``field.columns(x1, ..., xd)`` returns the d velocity columns, where
+each ``xi`` is a float (a lone point; Python floats in integration) or an
+array (a batch), and each column is a number or an array of the inputs'
+shape.  ``field.rk4(n_steps, half, hstep, sixth, x1, ..., xd)`` is the
+fixed-step RK4 loop with the bodies inlined; it returns the d columns after
+``n_steps`` steps.  Every operation acts elementwise, so a lone point equals
+its row of a batch bit for bit.  ``field(x)`` is the array form: shape
+(..., d) in, (..., d) out.  There are three config-friendly families: 1-D
+polynomials, linear maps, and expression trees over x1..xd with +, -, *, /,
+** and sin/cos/exp.
 """
 from __future__ import annotations
 
@@ -121,11 +125,103 @@ def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+# the only names compiled field code sees besides its arguments and locals
+_GLOBALS = {"__builtins__": {}, "range": range, **_ALLOWED_CALLS, "power": np.power,
+            "square": _square}
+_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
+            ast.UAdd: "+", ast.USub: "-"}
+# how tightly each binary operation binds; a unary one binds at 3, an atom at 5
+_BINDS = {ast.Add: 1, ast.Sub: 1, ast.Mult: 2, ast.Div: 2, ast.Pow: 4}
+
+
+def _source(node: ast.expr, names: dict[str, str], inline: bool) -> tuple[str, int]:
+    """A component body as source text, with its coordinates renamed by
+    ``names`` and, if ``inline``, ``square(a)`` of a name written ``a * a``,
+    the product ``square`` returns; and how tightly the text's outer
+    operation binds.  Only the parentheses the order of operations needs are
+    written, since each one costs the compiler time.  Constants are finite,
+    but for an overflowing literal inside a finite constant subexpression,
+    such as ``1e309`` in ``1/1e309``, which is written back as that
+    literal."""
+    if isinstance(node, ast.BinOp):
+        binds, power = _BINDS[type(node.op)], isinstance(node.op, ast.Pow)
+        (left, lb), (right, rb) = (_source(node.left, names, inline),
+                                    _source(node.right, names, inline))
+        # + - * / group left to right; ** groups right to left, binds tighter
+        # than a unary left operand and takes a unary right one
+        if lb <= binds if power else lb < binds:
+            left = f"({left})"
+        if rb < 3 if power else rb <= binds:
+            right = f"({right})"
+        return f"{left} {_SYMBOLS[type(node.op)]} {right}", binds
+    if isinstance(node, ast.UnaryOp):
+        operand, binds = _source(node.operand, names, inline)
+        if binds < 3:
+            operand = f"({operand})"
+        return f"{_SYMBOLS[type(node.op)]}{operand}", 3
+    if isinstance(node, ast.Call):
+        args = [_source(a, names, inline)[0] for a in node.args]
+        if inline and node.func.id == "square" and isinstance(node.args[0], ast.Name):
+            return f"{args[0]} * {args[0]}", 2
+        return f"{node.func.id}({', '.join(args)})", 5
+    if isinstance(node, ast.Name):
+        return names.get(node.id, node.id), 5
+    text = repr(node.value).replace("inf", "1e309")
+    return text, 3 if text.startswith("-") else 5
+
+
+def _rk4_source(bodies: Sequence[ast.expr], xs: list[str]) -> str:
+    """The fixed-step RK4 loop with the component bodies inlined:
+    ``loop(n_steps, half, hstep, sixth, x1, ..., xd)`` returns the d columns
+    after ``n_steps`` steps.  Where a step would call ``columns``, a stage
+    assigns the moved coordinates to ``y1..yd``, then its values ``k{s}_i``
+    to the bodies read at them: the operations and their order are those of
+    four ``columns`` calls."""
+    ys = [f"y{i}" for i in range(1, len(xs) + 1)]
+    ks = [[f"k{s}_{i}" for i in range(1, len(xs) + 1)] for s in range(1, 5)]
+    at_x = [_source(body, {}, True)[0] for body in bodies]
+    at_y = [_source(body, dict(zip(xs, ys)), True)[0] for body in bodies]
+
+    def stage(k: list[str], values: list[str]) -> str:
+        return "".join(f"\n        {v} = {value}" for v, value in zip(k, values))
+
+    def moved(step: str, k: list[str]) -> str:
+        return "".join(f"\n        {y} = {x} + {step} * {v}" for y, x, v in zip(ys, xs, k))
+
+    step = "".join([
+        stage(ks[0], at_x), moved("half", ks[0]),
+        stage(ks[1], at_y), moved("half", ks[1]),
+        stage(ks[2], at_y), moved("hstep", ks[2]),
+        stage(ks[3], at_y),
+        *(f"\n        {x} = {x} + sixth * ({p} + 2.0 * {q} + 2.0 * {r} + {s})"
+          for x, p, q, r, s in zip(xs, *ks))])
+    # pass keeps the loop valid when d = 0; the trailing comma makes d = 1 a 1-tuple
+    return f"""def loop(n_steps, half, hstep, sixth, {", ".join(xs)}):
+    for _ in range(n_steps):
+        pass{step}
+    return ({"".join(x + ", " for x in xs)})
+"""
+
+
 class VectorField:
-    """Base of the field classes, which define ``columns(x1, ..., xd)``;
-    ``field(x)`` evaluates it on the coordinate columns of a ``(..., d)``
-    array.  A lone point runs as a batch of one, since numpy scalars may give
-    a NaN another sign than the array loop does."""
+    """Base of the field classes.  Each class's ``__post_init__`` passes one
+    expression tree per component, over x1..xd, to ``_compile``, which keeps
+    them as ``bodies`` and compiles ``columns`` and ``rk4`` from them under
+    ``__builtins__: {}``.  ``field(x)`` evaluates ``columns`` on the
+    coordinate columns of a ``(..., d)`` array.  A lone point runs as a batch
+    of one, since numpy scalars may give a NaN another sign than the array
+    loop does."""
+
+    def _compile(self, bodies: Sequence[ast.expr]) -> None:
+        # one compile of text, which costs less than building AST objects
+        xs = [f"x{i}" for i in range(1, len(bodies) + 1)]
+        columns = "".join(_source(body, {}, False)[0] + ", " for body in bodies)
+        namespace = dict(_GLOBALS)
+        exec(compile(f"columns = lambda {', '.join(xs)}: ({columns})\n"
+                     + _rk4_source(bodies, xs), "<field>", "exec"), namespace)
+        object.__setattr__(self, "bodies", tuple(bodies))
+        object.__setattr__(self, "columns", namespace.pop("columns"))
+        object.__setattr__(self, "rk4", namespace.pop("loop"))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -138,29 +234,24 @@ class VectorField:
 class ExpressionField(VectorField):
     """Vector field given by one expression per state component.
 
-    The components compile to one function ``lambda x1, ..., xd: (c1, ...,
-    cd)``, the instance's ``columns``, that sees only sin, cos, exp,
-    ``np.power`` and ``square`` besides its arguments.
+    Each expression is validated against the whitelist, and every ``**``
+    with a variable operand is rewritten by ``_ArrayPowers``; the results
+    are the field's bodies.
     """
 
     expressions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        names = [f"x{i + 1}" for i in range(self.dimension)]
+        names = {f"x{i + 1}" for i in range(self.dimension)}
         bodies = []
         for expr in self.expressions:
             try:
                 tree = ast.parse(expr, mode="eval")
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-            _validate_expr(tree, set(names))
-            bodies.append(_ArrayPowers(set(names), expr).visit(tree.body))
-        args = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
-                             kwonlyargs=[], kw_defaults=[], defaults=[])
-        tree = ast.fix_missing_locations(
-            ast.Expression(ast.Lambda(args, ast.Tuple(bodies, ast.Load()))))
-        object.__setattr__(self, "columns", eval(compile(tree, "<field>", "eval"), {
-            "__builtins__": {}, **_ALLOWED_CALLS, "power": np.power, "square": _square}))
+            _validate_expr(tree, names)
+            bodies.append(_ArrayPowers(names, expr).visit(tree.body))
+        self._compile(bodies)
 
     @property
     def dimension(self) -> int:
@@ -169,31 +260,35 @@ class ExpressionField(VectorField):
 
 @dataclass(frozen=True)
 class PolynomialField1D(VectorField):
-    """1-D field xdot = sum_k coeffs[k] * x^k, by Horner's rule."""
+    """1-D field xdot = sum_k coeffs[k] * x^k, by Horner's rule from 0.0:
+    ``(0.0 * x1 + c_n) * x1 + ... + c_0``."""
 
     coeffs: tuple[float, ...]
 
-    def columns(self, x1):
-        out = 0.0
+    def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ValidationError("polynomial coefficients must be finite")
+        horner = "0.0"
         for c in reversed(self.coeffs):
-            out = out * x1 + c
-        return (out,)
+            horner = f"({horner}) * x1 + ({float(c)!r})"
+        self._compile([ast.parse(horner, mode="eval").body])
 
 
 @dataclass(frozen=True)
 class LinearField(VectorField):
-    """d-D field xdot = A @ x, each row summed left to right."""
+    """d-D field xdot = A @ x, each row summed left to right:
+    ``a0 * x1 + a1 * x2 + ...``."""
 
     matrix: tuple[tuple[float, ...], ...]
 
-    def columns(self, *xs):
-        out = []
-        for row in self.matrix:
-            column = row[0] * xs[0]
-            for a, x in zip(row[1:], xs[1:]):
-                column = column + a * x
-            out.append(column)
-        return tuple(out)
+    def __post_init__(self) -> None:
+        if any(len(row) != len(self.matrix) for row in self.matrix):
+            raise ValidationError("linear field matrix must be d x d")
+        if not all(math.isfinite(a) for row in self.matrix for a in row):
+            raise ValidationError("linear field matrix entries must be finite")
+        rows = [" + ".join(f"({float(a)!r}) * x{i}" for i, a in enumerate(row, 1))
+                for row in self.matrix]
+        self._compile([ast.parse(row, mode="eval").body for row in rows])
 
 
 def field_from_config(entry, dimension: int) -> VectorField:
@@ -219,7 +314,7 @@ def field_from_config(entry, dimension: int) -> VectorField:
             return PolynomialField1D(tuple(float(c) for c in entry["coeffs"]))
         if kind == "linear":
             m = tuple(tuple(float(v) for v in row) for row in entry["matrix"])
-            if len(m) != dimension or any(len(r) != dimension for r in m):
+            if len(m) != dimension:
                 raise ValidationError("linear field matrix must be d x d")
             return LinearField(m)
         if kind == "expr":

@@ -20,8 +20,8 @@ def rng():
 
 def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
     """``integrate_segment`` as one loop over lists of coordinate columns,
-    the form the generated per-dimension loop replaced: each stage is a
-    list comprehension over ``zip``, unpacked into ``columns``."""
+    the form the field's compiled loop replaced: each stage is a list
+    comprehension over ``zip``, unpacked into ``columns``."""
     x = np.asarray(x0, dtype=float)
     if dt == 0.0:
         return x.copy()
@@ -46,6 +46,29 @@ def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"state became non-finite under field {field_index}")
     return x
+
+
+def reference_linear_columns(matrix, *xs) -> tuple:
+    """``LinearField.columns`` as a method over the matrix, the form its
+    compiled component expressions replaced: each row summed left to
+    right."""
+    out = []
+    for row in matrix:
+        column = row[0] * xs[0]
+        for a, x in zip(row[1:], xs[1:]):
+            column = column + a * x
+        out.append(column)
+    return tuple(out)
+
+
+def reference_polynomial_columns(coeffs, x1) -> tuple:
+    """``PolynomialField1D.columns`` as a method over the coefficients, the
+    form its compiled component expression replaced: Horner's rule from
+    0.0."""
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * x1 + c
+    return (out,)
 
 
 def reference_rows_within(grid, points, dist) -> np.ndarray:

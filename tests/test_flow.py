@@ -13,6 +13,7 @@ from switchflow.fields import (
     LinearField,
     PolynomialField1D,
     field_from_config,
+    stack_columns,
 )
 from switchflow.flow import (
     HybridState,
@@ -27,7 +28,12 @@ from switchflow.graph import DirectedGraph, ValidationError
 from switchflow.sequences import constant_sequence, periodic_sequence
 from switchflow.signals import metric_delta, shift, sigma_embed
 
-from conftest import random_signal, reference_rk4
+from conftest import (
+    random_signal,
+    reference_linear_columns,
+    reference_polynomial_columns,
+    reference_rk4,
+)
 
 H = 0.1
 
@@ -113,6 +119,54 @@ class TestFields:
         field = ExpressionField(("x1 * 2**0.5 + (-2.0)**2 + 2**-1 + (-8)**3",))
         assert "power" not in field.columns.__code__.co_names
         assert field.columns(1.0) == (2**0.5 + (-2.0)**2 + 2**-1 + (-8)**3,)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_linear_and_polynomial_equal_references(self, data):
+        # both kinds compile one expression per component; they must compute
+        # what their hand-written columns methods did, signed zeros and
+        # infinities included, on lone Python floats and on arrays
+        coeffs = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
+        values = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                           st.floats())
+        if data.draw(st.booleans(), label="linear"):
+            d = data.draw(st.integers(1, 3), label="d")
+            matrix = data.draw(st.lists(st.lists(coeffs, min_size=d, max_size=d).map(tuple),
+                                        min_size=d, max_size=d).map(tuple), label="matrix")
+            field = LinearField(matrix)
+
+            def reference(*xs):
+                return reference_linear_columns(matrix, *xs)
+        else:
+            d = 1
+            poly = data.draw(st.lists(coeffs, max_size=5).map(tuple), label="coeffs")
+            field = PolynomialField1D(poly)
+
+            def reference(x1):
+                return reference_polynomial_columns(poly, x1)
+        lone = data.draw(st.lists(values, min_size=d, max_size=d), label="lone point")
+        batch = [np.array(data.draw(st.lists(values, min_size=6, max_size=6), label=f"x{i}"))
+                 for i in range(1, d + 1)]
+        with np.errstate(all="ignore"):
+            got, want = np.array(field.columns(*lone)), np.array(reference(*lone))
+            assert stack_columns(field.columns(*batch), (6,)).tobytes() \
+                == stack_columns(reference(*batch), (6,)).tobytes()
+        # CPython's float + returns one NaN operand before the interpreter
+        # specialises the instruction and the other after, so on lone floats
+        # only the NaN positions, not their signs, are fixed
+        nan = np.isnan(want)
+        assert (np.isnan(got) == nan).all()
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("make", [lambda v: LinearField(((1.0, 0.0), (v, -1.0))),
+                                      lambda v: PolynomialField1D((0.5, v))],
+                             ids=["linear", "poly1d"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_coefficient_rejected(self, make, value):
+        # as for a constant in an expression field: such a field could only
+        # ever give a non-finite state
+        with pytest.raises(ValidationError, match="finite"):
+            make(value)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -262,6 +316,46 @@ class TestIntegrateSegment:
         with pytest.raises(ValidationError, match="columns"):
             SwitchedSystem(g, ((-1.0, 1.0),), H, (lambda x: -x,))
 
+    @pytest.mark.parametrize("field", [ExpressionField(("x2", "-x1")), LinearField(((1.0,),))],
+                             ids=["two-components", "one-component"])
+    def test_field_of_other_dimension_rejected(self, field):
+        # a field's compiled loop takes exactly its own number of columns
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        with pytest.raises(ValidationError, match="one per box interval"):
+            SwitchedSystem(g, ((-1.0, 1.0),) * (3 - len(field.bodies)), H, (field,))
+
+    def test_compiled_loop_namespace(self):
+        # the loop runs under __builtins__: {} and sees only the whitelisted
+        # functions; a square of a name is inlined as a multiply, the literal
+        # 1e309 (inf) inside a finite constant is compiled as written, and
+        # constant powers keep their grouping ((-2.0)**2 - (2**2)**0.5 is 2)
+        field = ExpressionField(("sin(x2) / x3**2 - x1**2", "cos(x1) * x3**3 - exp(-x2)",
+                                 "x1 / (1.5 + x2**2) - x3 * (1 - 1/1e309)"
+                                 " + ((-2.0)**2 - (2**2)**0.5 - 2)"))
+        namespace = field.rk4.__globals__
+        assert namespace["__builtins__"] == {}
+        assert set(namespace) == {"__builtins__", "range", "sin", "cos", "exp", "power",
+                                  "square"}
+        assert "square" not in field.rk4.__code__.co_names
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        sys = SwitchedSystem(g, ((-2.0, 2.0),) * 3, H, (field,), substeps=3)
+        x = np.random.default_rng(3).uniform(0.5, 1.5, (50, 3))  # x3 stays away from 0
+        for x0 in (x[0], x):
+            for dt in (0.25, -0.1):
+                assert integrate_segment(sys, 0, x0, dt).tobytes() \
+                    == reference_rk4(sys, 0, x0, dt).tobytes()
+
+    @pytest.mark.parametrize("dt", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("x0", [[0.5], [[0.5], [0.2]]], ids=["lone", "batch"])
+    def test_nonfinite_time_rejected(self, dt, x0):
+        # an infinite or NaN time has no finite list of breakpoints and no
+        # step count
+        sys = sys_decay_grow()
+        with pytest.raises(ValidationError, match="not finite"):
+            integrate_segment(sys, 0, np.array(x0), dt)
+        with pytest.raises(ValidationError, match="not finite"):
+            switched_flow(sys, dt, np.array(x0), alternating_signal())
+
     def test_empty_box_rejected(self):
         g = DirectedGraph.from_edges(1, [(0, 0)])
         with pytest.raises(ValidationError, match="at least one interval"):
@@ -272,8 +366,8 @@ class TestIntegrateSegment:
     @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.1, 0.2], [[0.5, 0.1, 0.2]], np.zeros((2, 5))],
                              ids=["one-column", "three-columns", "batch-of-three", "transposed"])
     def test_state_of_wrong_dimension_rejected(self, field, x0):
-        # zip would truncate and LinearField ignores extra columns, so a
-        # mismatched state must be refused before it is integrated
+        # the compiled loop takes exactly d columns, so a mismatched state
+        # must be refused before it is integrated
         g = DirectedGraph.from_edges(1, [(0, 0)])
         sys = SwitchedSystem(g, ((-1.0, 1.0),) * 2, H, (field,))
         with pytest.raises(ValidationError, match="system dimension 2"):
@@ -390,6 +484,12 @@ class TestSwitchedFlow:
         with pytest.raises(ValidationError, match="system dimension 1"):
             switched_flow(sys_decay_grow(), 2 * H, np.array([0.5, 0.1]), alternating_signal())
 
+    @pytest.mark.parametrize("x0", [[0.5, 0.1], 0.5], ids=["two-columns", "scalar"])
+    def test_state_of_wrong_dimension_rejected_at_time_zero(self, x0):
+        # no segment runs at t = 0, so switched_flow checks the state itself
+        with pytest.raises(ValidationError, match="system dimension 1"):
+            switched_flow(sys_decay_grow(), 0.0, np.array(x0), alternating_signal())
+
     def test_decay_grow_cancellation(self):
         sys = sys_decay_grow()
         f = alternating_signal()
@@ -460,6 +560,11 @@ class TestSkewProduct:
         assert abs(once.x[0] - twice.x[0]) <= 1e-7
         assert metric_delta(once.f, twice.f, 1e-10) <= 1e-9
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_time_rejected(self, t):
+        with pytest.raises(ValidationError, match="not finite"):
+            skew_product(sys_decay_grow(), t, HybridState((0.5,), alternating_signal()))
+
     def test_signal_part_is_plain_shift(self, rng):
         sys = sys_decay_grow()
         g = sys.graph
@@ -480,6 +585,12 @@ class TestProductMetric:
         f = alternating_signal()
         a, b = HybridState((0.0,), f), HybridState((0.5,), f)
         assert product_metric(a, b, 1e-10) == pytest.approx(0.5, abs=1e-12)
+
+    def test_states_of_different_dimension_rejected(self):
+        # numpy would broadcast (0.5,) against (0.1, 0.2) and return 0.5
+        f = alternating_signal()
+        with pytest.raises(ValidationError, match="differ in dimension"):
+            product_metric(HybridState((0.5,), f), HybridState((0.1, 0.2), f))
 
     def test_sum_of_parts(self):
         g = DirectedGraph.complete(2)
