@@ -76,44 +76,58 @@ def _constant_value(node: ast.expr):
     return value(node)
 
 
-class _ArrayPowers(ast.NodeTransformer):
-    """Rewrites ``a ** b`` with a variable operand as ``square(a)`` when b
-    is the constant 2, else as ``power(a, b)``: Python and numpy scalars
-    compute ``**`` with libm ``pow``, which can differ in the last bit from
-    ndarray ``**``, while ``np.power`` agrees with it and computes the
-    exponent 2 as ``a * a``.  Each maximal variable-free subexpression is
-    evaluated once and kept as written; one whose value is complex or not
-    finite raises ValidationError."""
+def _array_powers(body: ast.expr, expr: str) -> ast.expr:
+    """``body``, the validated tree of ``expr``, with each ``a ** b`` that has
+    a variable operand rewritten as ``square(a)`` when b is the constant 2,
+    else as ``power(a, b)``: Python and numpy scalars compute ``**`` with
+    libm ``pow``, which can differ in the last bit from ndarray ``**``, while
+    ``np.power`` agrees with it and computes the exponent 2 as ``a * a``.
+    Each maximal variable-free subexpression is evaluated once and kept as
+    written; the first, in reading order, whose value is complex or not
+    finite raises ValidationError.  One bottom-up pass learns which subtrees
+    hold a variable: after ``_validate_expr``, every name outside a call's
+    function is one."""
+    constants: list[ast.expr] = []  # the maximal variable-free ones, in reading order
 
-    def __init__(self, names: set[str], expr: str) -> None:
-        self.names = names
-        self.expr = expr
-
-    def visit(self, node: ast.AST) -> ast.AST:
-        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant)) and not any(
-                isinstance(n, ast.Name) and n.id in self.names for n in ast.walk(node)):
-            self._check_constant(node)
-            return node
-        return super().visit(node)
-
-    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
-        self.generic_visit(node)
+    def rewrite(node: ast.expr) -> tuple[ast.expr, bool]:
+        """``node`` rewritten, and whether it holds no variable."""
+        if isinstance(node, (ast.Name, ast.Constant)):
+            return node, isinstance(node, ast.Constant)
+        if isinstance(node, ast.UnaryOp):
+            node.operand, free = rewrite(node.operand)
+            return node, free
+        if isinstance(node, ast.Call):
+            node.args[0], free = rewrite(node.args[0])
+            return node, free
+        node.left, left_free = rewrite(node.left)
+        mark = len(constants)
+        node.right, right_free = rewrite(node.right)
+        if left_free and right_free:
+            return node, True
+        if left_free:
+            constants.insert(mark, node.left)
+        if right_free:
+            constants.append(node.right)
         if not isinstance(node.op, ast.Pow):
-            return node
+            return node, False
         if isinstance(node.right, ast.Constant) and node.right.value == 2:
-            return ast.Call(ast.Name("square", ast.Load()), [node.left], [])
-        return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+            return ast.Call(ast.Name("square", ast.Load()), [node.left], []), False
+        return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], []), False
 
-    def _check_constant(self, node: ast.expr) -> None:
-        try:
-            with np.errstate(all="ignore"):
+    body, free = rewrite(body)
+    if free:
+        constants.append(body)
+    with np.errstate(all="ignore"):
+        for node in constants:
+            try:
                 value = _constant_value(node)
-            finite = not isinstance(value, complex) and math.isfinite(value)
-        except ArithmeticError:  # 1/0, 0.0 ** -1, 10.0 ** 400, or an int beyond floats
-            finite = False
-        if not finite:
-            raise ValidationError(f"constant {ast.unparse(node)} in field "
-                                  f"expression {self.expr!r} is not a finite real number")
+                finite = not isinstance(value, complex) and math.isfinite(value)
+            except ArithmeticError:  # 1/0, 0.0 ** -1, 10.0 ** 400, or an int beyond floats
+                finite = False
+            if not finite:
+                raise ValidationError(f"constant {ast.unparse(node)} in field "
+                                      f"expression {expr!r} is not a finite real number")
+    return body
 
 
 def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
@@ -235,7 +249,7 @@ class ExpressionField(VectorField):
     """Vector field given by one expression per state component.
 
     Each expression is validated against the whitelist, and every ``**``
-    with a variable operand is rewritten by ``_ArrayPowers``; the results
+    with a variable operand is rewritten by ``_array_powers``; the results
     are the field's bodies.
     """
 
@@ -250,7 +264,7 @@ class ExpressionField(VectorField):
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
             _validate_expr(tree, names)
-            bodies.append(_ArrayPowers(names, expr).visit(tree.body))
+            bodies.append(_array_powers(tree.body, expr))
         self._compile(bodies)
 
     @property

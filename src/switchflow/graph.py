@@ -53,6 +53,9 @@ class DirectedGraph:
     Self-loops are allowed; duplicate edges are rejected (the edge set has
     adjacency-matrix semantics).  Optional labels name vertices in text
     formats; internally everything runs on integer indices.
+    ``vertex_by_token`` maps each label and each decimal index to its
+    vertex, a label winning over an index it spells, and ``validation`` is
+    the graph's ``validate_n_graph`` report; both are made once, here.
     """
 
     vertex_count: int
@@ -60,6 +63,8 @@ class DirectedGraph:
     labels: tuple[str, ...] | None = None
     _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    vertex_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
+    validation: ValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.vertex_count
@@ -78,6 +83,10 @@ class DirectedGraph:
             pred[v].append(u)
         object.__setattr__(self, "_succ", tuple(tuple(sorted(s)) for s in succ))
         object.__setattr__(self, "_pred", tuple(tuple(sorted(p)) for p in pred))
+        tokens = {str(u): u for u in range(n)}
+        tokens.update(zip(self.labels or (), range(n)))
+        object.__setattr__(self, "vertex_by_token", tokens)
+        object.__setattr__(self, "validation", validate_n_graph(self))
 
     # -- construction ------------------------------------------------------
 
@@ -136,10 +145,12 @@ class DirectedGraph:
         return self.labels[u] if self.labels is not None else str(u)
 
     def index_of(self, token: str) -> int:
-        """Resolve a vertex given as a label or an integer index."""
-        if self.labels is not None and token in self.labels:
-            return self.labels.index(token)
-        try:
+        """Resolve a vertex given as a label or an integer index; a label
+        wins over an index it spells."""
+        u = self.vertex_by_token.get(token)
+        if u is not None:
+            return u
+        try:  # an index in another spelling, such as "01" or "+1"
             u = int(token)
         except ValueError:
             raise ValidationError(f"unknown vertex {token!r}") from None
@@ -159,7 +170,7 @@ def validate_n_graph(g: DirectedGraph) -> ValidationReport:
 
 
 def require_valid(g: DirectedGraph) -> DirectedGraph:
-    report = validate_n_graph(g)
+    report = g.validation
     if not report.ok:
         raise ValidationError(f"invalid switching graph: {report.message()}")
     return g

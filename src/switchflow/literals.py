@@ -28,18 +28,19 @@ def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, tuple[str, int]
     out: dict[str, tuple[str, int]] = {}
     pos = 0
     for match in _TOKEN.finditer(text):
-        between = text[pos:match.start()].strip()
+        start, end = match.span()
+        between = text[pos:start].strip()
         if between:
             raise LiteralError(f"unexpected text {between!r}", pos)
-        key = match.group(1)
+        key, value, paren, bracket = match.groups()
         if key not in keys:
             raise LiteralError(f"unknown key {key!r}; expected one of {', '.join(keys)}",
-                               match.start())
+                               start)
         if key in out:
-            raise LiteralError(f"duplicate key {key!r}", match.start())
-        inner = match.group(3) if match.group(3) is not None else match.group(4)
-        out[key] = (inner if inner is not None else match.group(2), match.start())
-        pos = match.end()
+            raise LiteralError(f"duplicate key {key!r}", start)
+        inner = paren if paren is not None else bracket
+        out[key] = (inner if inner is not None else value, start)
+        pos = end
     tail = text[pos:].strip()
     if tail:
         raise LiteralError(f"unexpected trailing text {tail!r}", pos)
@@ -48,7 +49,10 @@ def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, tuple[str, int]
 
 def _word(g: DirectedGraph, text: str, position: int) -> tuple[int, ...]:
     toks = text.split()
-    try:
+    word = tuple(map(g.vertex_by_token.get, toks))
+    if None not in word:
+        return word
+    try:  # an index in another spelling, or a token that names no vertex
         return tuple(g.index_of(t) for t in toks)
     except ValidationError as exc:
         raise LiteralError(str(exc), position) from exc

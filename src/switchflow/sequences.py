@@ -8,6 +8,7 @@ certified accuracy.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,32 +33,29 @@ class SymbolicSequence:
     index_shift: int = 0
 
     def __post_init__(self) -> None:
-        require_valid(self.graph)
-        if not self.left_period or not self.right_period:
+        g = require_valid(self.graph)
+        left, core, right = self.left_period, self.core, self.right_period
+        if not left or not right:
             raise ValidationError("period words must be nonempty")
-        for word in (self.left_period, self.core, self.right_period):
-            for s in word:
-                if not 0 <= s < self.graph.n:
-                    raise ValidationError(f"symbol {s} out of range")
-        self._check_pairs()
-
-    def _check_pairs(self) -> None:
-        g = self.graph
-        def need(a: int, b: int, where: str) -> None:
-            if not g.has_edge(a, b):
-                raise ValidationError(
-                    f"inadmissible transition {g.label_of(a)}->{g.label_of(b)} ({where})")
-        for word, name in ((self.left_period, "left period"),
-                           (self.core, "core"),
-                           (self.right_period, "right period")):
-            for i in range(len(word) - 1):
-                need(word[i], word[i + 1], name)
-        need(self.left_period[-1], self.left_period[0], "left period wrap")
-        need(self.right_period[-1], self.right_period[0], "right period wrap")
-        first_after_left = self.core[0] if self.core else self.right_period[0]
-        need(self.left_period[-1], first_after_left, "left junction")
-        if self.core:
-            need(self.core[-1], self.right_period[0], "right junction")
+        for word in (left, core, right):
+            if word and not (0 <= min(word) and max(word) < g.n):
+                s = next(s for s in word if not 0 <= s < g.n)
+                raise ValidationError(f"symbol {s} out of range")
+        # each word's pairs, then the period wraps and the layout's junctions
+        # (with an empty core, the right junction repeats the left one)
+        words = ((left, "left period"), (core, "core"), (right, "right period"))
+        joins = [(left[-1], left[0], "left period wrap"),
+                 (right[-1], right[0], "right period wrap"),
+                 (left[-1], (core or right)[0], "left junction"),
+                 ((core or left)[-1], right[0], "right junction")]
+        edges = g.edges
+        if (all(edges.issuperset(zip(word, word[1:])) for word, _ in words)
+                and all((a, b) in edges for a, b, _ in joins)):
+            return
+        pairs = [(a, b, name) for word, name in words for a, b in zip(word, word[1:])]
+        a, b, where = next(p for p in pairs + joins if p[:2] not in edges)
+        raise ValidationError(
+            f"inadmissible transition {g.label_of(a)}->{g.label_of(b)} ({where})")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -145,6 +143,7 @@ def cycle_word(g: DirectedGraph, allowed: frozenset[int] | set[int], v: int) -> 
 
 # -- metric ----------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def truncation_order(tol: float) -> int:
     """Smallest N with the two-sided tail bound 2*4^(-N)/3 <= tol."""
     if not 0 < tol < math.inf:
@@ -155,22 +154,29 @@ def truncation_order(tol: float) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=64)
+def metric_weights(n: int) -> tuple[float, ...]:
+    """The weights 4^(-|i|) of cells i = -n..n, item i + n."""
+    return tuple(4.0 ** (-abs(i)) for i in range(-n, n + 1))
+
+
 def metric_omega(x: SymbolicSequence, y: SymbolicSequence, tol: float = 1e-12) -> float:
     """Weighted mismatch distance sum_i [x_i != y_i] * 4^(-|i|), within tol.
 
     The sum is truncated at the smallest N whose geometric tail is below
-    tol, so the result is certified to that accuracy.
+    tol, so the result is certified to that accuracy.  Each sequence is
+    read once, as its window of indices -N..N.
     """
     if x.graph is not y.graph and x.graph != y.graph:
         raise ValidationError("sequences live over different graphs")
     n = truncation_order(tol)
-    total = 1.0 if x.at(0) != y.at(0) else 0.0
-    for i in range(1, n + 1):
-        w = 4.0 ** (-i)
-        if x.at(i) != y.at(i):
-            total += w
-        if x.at(-i) != y.at(-i):
-            total += w
+    a, b, w = x.window(-n, n), y.window(-n, n), metric_weights(n)
+    total = 1.0 if a[n] != b[n] else 0.0
+    for i in range(1, n + 1):  # cells i and -i are items n + i and n - i
+        if a[n + i] != b[n + i]:
+            total += w[n + i]
+        if a[n - i] != b[n - i]:
+            total += w[n + i]
     return total
 
 

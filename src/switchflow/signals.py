@@ -16,6 +16,7 @@ from .sequences import (
     SymbolicSequence,
     concat_past_future,
     cycle_word,
+    metric_weights,
     shift_discrete,
     truncation_order,
 )
@@ -66,9 +67,12 @@ def shift(f: SwitchingSignal, t: float) -> SwitchingSignal:
     Whole cells are absorbed into the base's origin shift; the remainder
     renormalizes the phase into [0, h).
     """
+    cells = (f.offset - t) / f.step
+    if not math.isfinite(cells):
+        raise ValidationError(f"shift time {t!r} is not a finite number of cells")
     if t == 0.0:
         return f
-    k = math.floor((f.offset - t) / f.step)
+    k = math.floor(cells)
     tau = f.offset - t - k * f.step
     if tau >= f.step:  # float dust at the boundary
         tau -= f.step
@@ -86,25 +90,29 @@ def metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float = 1e-12) -> 
     earlier-switching signal holds its cell i against the other's cell i-1,
     and on the last h - hi both hold cell i.  Each unit cell is integrated
     exactly from these pieces; only the geometric tail beyond the truncation
-    order is dropped, and it is bounded by tol.
+    order is dropped, and it is bounded by tol.  Each base is read once, as
+    one window, and equal windows at equal offsets are at distance 0.
     """
     if f.step != g.step:
         raise ValidationError("signals must share the same step h")
-    if f.graph != g.graph:
+    if f.graph is not g.graph and f.graph != g.graph:
         raise ValidationError("signals live over different graphs")
     n = truncation_order(tol)
     h = f.step
     # cell i of either base is item i + n + 1 of its window
     x, y = f.base.window(-n - 1, n), g.base.window(-n - 1, n)
-    early, late = (x, y) if f.offset <= g.offset else (y, x)
     lo, hi = sorted((f.offset, g.offset))
+    if lo == hi and x == y:
+        return 0.0
+    early, late = (x, y) if f.offset <= g.offset else (y, x)
+    mid, rest = hi - lo, h - hi
     total = 0.0
-    for j in range(1, 2 * n + 2):
-        mismatch = ((x[j - 1] != y[j - 1]) * lo
-                    + (early[j] != late[j - 1]) * (hi - lo)
-                    + (x[j] != y[j]) * (h - hi))
+    # cell i = -n..n: its items i + n and i + n + 1, and its weight
+    for w, x0, y0, e1, l0, x1, y1 in zip(metric_weights(n), x, y, early[1:], late,
+                                          x[1:], y[1:]):
+        mismatch = (x0 != y0) * lo + (e1 != l0) * mid + (x1 != y1) * rest
         if mismatch:
-            total += mismatch / h * 4.0 ** (-abs(j - n - 1))
+            total += mismatch / h * w
     return total
 
 
@@ -114,11 +122,15 @@ def continuity_gap(f: SwitchingSignal, g: SwitchingSignal, t: float,
 
     Returns ``(lhs, bound)`` with ``lhs = d(shift(f,t), shift(g,t))`` and
     ``bound = 4^ceil(|t|/h) * d(f, g)``; the shift can expand distances by
-    at most one weight ratio per crossed cell.
+    at most one weight ratio per crossed cell.  The bound is 0 when
+    ``d(f, g)`` is, and inf from 512 cells on, where the power overflows.
     """
     lhs = metric_delta(shift(f, t), shift(g, t), tol)
-    bound = 4.0 ** math.ceil(abs(t) / f.step) * metric_delta(f, g, tol)
-    return lhs, bound
+    d = metric_delta(f, g, tol)
+    cells = math.ceil(abs(t) / f.step)
+    if d == 0.0:
+        return lhs, 0.0
+    return lhs, 4.0 ** cells * d if cells < 512 else math.inf
 
 
 def lift_membership(f: SwitchingSignal, component: frozenset[int] | set[int]) -> bool:

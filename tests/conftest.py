@@ -1,15 +1,22 @@
 """Shared generators for randomized tests."""
 from __future__ import annotations
 
+import ast
 import math
 
 import numpy as np
 import pytest
 
-from switchflow.fields import stack_columns
+from switchflow.fields import _constant_value, stack_columns
 from switchflow.flow import IntegrationError
-from switchflow.graph import DirectedGraph, connector, expand_ranges, validate_n_graph
-from switchflow.sequences import SymbolicSequence
+from switchflow.graph import (
+    DirectedGraph,
+    ValidationError,
+    connector,
+    expand_ranges,
+    validate_n_graph,
+)
+from switchflow.sequences import SymbolicSequence, truncation_order
 from switchflow.signals import SwitchingSignal
 
 
@@ -69,6 +76,81 @@ def reference_polynomial_columns(coeffs, x1) -> tuple:
     for c in reversed(coeffs):
         out = out * x1 + c
     return (out,)
+
+
+def reference_metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float) -> float:
+    """``metric_delta`` as one indexed loop over the two windows, the form
+    its zipped loop replaced: six window reads and a fresh weight
+    ``4.0 ** -|i|`` per cell, every cell's sum written out."""
+    if f.step != g.step:
+        raise ValidationError("signals must share the same step h")
+    if f.graph != g.graph:
+        raise ValidationError("signals live over different graphs")
+    n = truncation_order(tol)
+    h = f.step
+    x, y = f.base.window(-n - 1, n), g.base.window(-n - 1, n)
+    early, late = (x, y) if f.offset <= g.offset else (y, x)
+    lo, hi = sorted((f.offset, g.offset))
+    total = 0.0
+    for j in range(1, 2 * n + 2):
+        mismatch = ((x[j - 1] != y[j - 1]) * lo
+                    + (early[j] != late[j - 1]) * (hi - lo)
+                    + (x[j] != y[j]) * (h - hi))
+        if mismatch:
+            total += mismatch / h * 4.0 ** (-abs(j - n - 1))
+    return total
+
+
+def reference_metric_omega(x: SymbolicSequence, y: SymbolicSequence, tol: float) -> float:
+    """``metric_omega`` as two ``at()`` lookups per index, the form its
+    window reads replaced."""
+    if x.graph != y.graph:
+        raise ValidationError("sequences live over different graphs")
+    n = truncation_order(tol)
+    total = 1.0 if x.at(0) != y.at(0) else 0.0
+    for i in range(1, n + 1):
+        w = 4.0 ** (-i)
+        if x.at(i) != y.at(i):
+            total += w
+        if x.at(-i) != y.at(-i):
+            total += w
+    return total
+
+
+class ReferenceArrayPowers(ast.NodeTransformer):
+    """``fields._array_powers`` as the transformer it replaced, which walks
+    each visited subtree again to learn whether it holds a variable:
+    ``ReferenceArrayPowers(names, expr).visit(body)``."""
+
+    def __init__(self, names: set[str], expr: str) -> None:
+        self.names = names
+        self.expr = expr
+
+    def visit(self, node: ast.AST) -> ast.AST:
+        if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant)) and not any(
+                isinstance(n, ast.Name) and n.id in self.names for n in ast.walk(node)):
+            self._check_constant(node)
+            return node
+        return super().visit(node)
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        if isinstance(node.right, ast.Constant) and node.right.value == 2:
+            return ast.Call(ast.Name("square", ast.Load()), [node.left], [])
+        return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
+
+    def _check_constant(self, node: ast.expr) -> None:
+        try:
+            with np.errstate(all="ignore"):
+                value = _constant_value(node)
+            finite = not isinstance(value, complex) and math.isfinite(value)
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"constant {ast.unparse(node)} in field "
+                                  f"expression {self.expr!r} is not a finite real number")
 
 
 def reference_rows_within(grid, points, dist) -> np.ndarray:

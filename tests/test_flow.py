@@ -12,6 +12,8 @@ from switchflow.fields import (
     ExpressionField,
     LinearField,
     PolynomialField1D,
+    _array_powers,
+    _validate_expr,
     field_from_config,
     stack_columns,
 )
@@ -29,6 +31,7 @@ from switchflow.sequences import constant_sequence, periodic_sequence
 from switchflow.signals import metric_delta, shift, sigma_embed
 
 from conftest import (
+    ReferenceArrayPowers,
     random_signal,
     reference_linear_columns,
     reference_polynomial_columns,
@@ -168,6 +171,17 @@ class TestFields:
         with pytest.raises(ValidationError, match="finite"):
             make(value)
 
+    def test_array_powers_equal_reference_on_corpus(self):
+        for expr in POWER_CORPUS:
+            assert array_powers_outcome(expr) == reference_array_powers_outcome(expr), expr
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_array_powers_equal_reference(self, data):
+        d = data.draw(st.integers(1, 3), label="d")
+        expr = data.draw(field_expressions(d), label="expression")
+        assert array_powers_outcome(expr) == reference_array_powers_outcome(expr)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_expression_matches_per_component_eval(self, data):
@@ -222,6 +236,40 @@ def field_expressions(d):
             inner.map(lambda e: f"-{e}"))
 
     return st.recursive(leaves, extend, max_leaves=8)
+
+
+# the configs' and tests' field expressions, and the rewrite's edge cases:
+# square and power, constants kept as written, non-finite constants (the
+# first in reading order is named) and nested powers
+POWER_CORPUS = (
+    "-x1*(x1-1)*(x1-2)", "-x1*(x1-2)", "x2", "-x1+(1-x1**2)*x2", "-x1+x2", "-x1-x2",
+    "-x1*(0.15915494309189535 - x1)", "x1*(0.15915494309189535 - x1)", "1.0-x1",
+    "x1-0.5*x2", "-2.0*x2", "0.3", "x1*x1-x2", "sin(x1) + exp(x2)", "3*exp(-(50*x2-0.3)**2)",
+    "x1**2", "x1**2.0", "(x1-1)**2", "x1**3", "x1**0.5", "x1**x2", "2.0**x1", "(2**2)**x1",
+    "x1**2**x2", "-(x1**2)**3", "exp(-1/x1**2)", "((x1)**x1 + -(x1)**x1)",
+    "x1 * 2**0.5 + (-2.0)**2 + 2**-1 + (-8)**3",
+    "sin(x2) / x3**2 - x1**2", "cos(x1) * x3**3 - exp(-x2)",
+    "1/1e309 * x1", "(-2.0)**2 - (2**2)**0.5 + x1", "sin(1.0) + x1",
+    "1/0", "9**9**9 + x1", "(-1.0)**0.5 * x1", "exp(1000) * x1",
+    "(1/0) + x1*(2/0)", "x1*(2/0) + 1/0", "x1**(1/0) + (3/0)**x2",
+)
+
+
+def array_powers_outcome(expr, rewrite=None):
+    """``ast.dump`` of the rewritten body of ``expr``, or the error message."""
+    names = {"x1", "x2", "x3"}
+    tree = ast.parse(expr, mode="eval")
+    _validate_expr(tree, names)
+    try:
+        if rewrite is None:
+            return "ok", ast.dump(_array_powers(tree.body, expr))
+        return "ok", ast.dump(rewrite(names, expr).visit(tree.body))
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+def reference_array_powers_outcome(expr):
+    return array_powers_outcome(expr, ReferenceArrayPowers)
 
 
 def finite_real_constant(text):

@@ -22,6 +22,8 @@ from switchflow.graph import (
     validate_n_graph,
 )
 
+from switchflow.literals import LiteralError, parse_sequence
+
 from conftest import mutual_classes, random_validated_graph, reachability
 
 
@@ -68,6 +70,27 @@ class TestParsing:
         assert g.index_of("0") == 0
         with pytest.raises(ValidationError):
             g.index_of("C")
+
+
+    def test_label_wins_over_the_index_it_spells(self):
+        g = DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], labels=["1", "2", "0"])
+        assert [g.index_of(t) for t in ("1", "2", "0")] == [0, 1, 2]
+        # other spellings of an index are still read as indices
+        assert g.index_of("01") == 1 and g.index_of("+2") == 2
+        with pytest.raises(ValidationError, match="^vertex index 3 out of range$"):
+            g.index_of("3")
+        with pytest.raises(ValidationError, match="^unknown vertex 'C'$"):
+            g.index_of("C")
+        # literals resolve tokens the same way
+        assert parse_sequence(g, "left=(1 2 0) right=(00 01 +2)").right_period == (0, 1, 2)
+        assert parse_sequence(g, "left=(1 2 0) right=(1 2 0)").left_period == (0, 1, 2)
+        with pytest.raises(LiteralError, match="^at position 0: unknown vertex 'C'$"):
+            parse_sequence(g, "left=(1 C) right=(1 2 0)")
+
+    def test_validation_report_made_once(self):
+        g = DirectedGraph.from_edges(2, [(0, 1), (0, 0)])
+        assert g.validation == validate_n_graph(g)
+        assert g.validation.missing_out == (1,) and g.validation.missing_in == ()
 
 
 class TestScc:

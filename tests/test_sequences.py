@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +49,24 @@ class TestRepresentation:
             SymbolicSequence(g, (0, 1), (0,), (0, 1))  # core 0 -> right 0 not an edge
         with pytest.raises(ValidationError, match="inadmissible"):
             parse_sequence(g, "left=(0 1) core=[0] right=(0 1) shift=3")
+
+    @pytest.mark.parametrize("left, core, right, message", [
+        ((0, 2, 0, 1, 2), (), (0, 1, 2), "inadmissible transition A->C (left period)"),
+        ((0, 1, 2), (0, 0), (0, 1, 2), "inadmissible transition A->A (core)"),
+        ((0, 1, 2), (), (0, 1, 1, 2), "inadmissible transition B->B (right period)"),
+        ((0, 1), (2,), (0, 1, 2), "inadmissible transition B->A (left period wrap)"),
+        ((0, 1, 2), (), (0, 1), "inadmissible transition B->A (right period wrap)"),
+        ((0, 1, 2), (1,), (2, 0, 1), "inadmissible transition C->B (left junction)"),
+        ((1, 2, 0), (), (2, 0, 1), "inadmissible transition A->C (left junction)"),
+        ((0, 1, 2), (0, 1), (0, 1, 2), "inadmissible transition B->A (right junction)"),
+        ((0, 2), (5,), (0, 1, 2), "symbol 5 out of range"),
+        ((0, 1, 2), (0,), (-1,), "symbol -1 out of range"),
+    ])
+    def test_rejection_names_the_first_bad_pair(self, left, core, right, message):
+        # each word's pairs first, then the wraps, then the junctions
+        g = DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            SymbolicSequence(g, left, core, right)
 
     def test_wraparound_checked(self):
         g = DirectedGraph.from_edges(2, [(0, 1), (1, 0), (1, 1)])

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchflow.graph import DirectedGraph, ValidationError, scc
+from switchflow.literals import format_signal, parse_signal
 from switchflow.sequences import (
     SymbolicSequence,
     constant_sequence,
@@ -25,7 +28,13 @@ from switchflow.signals import (
     witness_window,
 )
 
-from conftest import random_sequence, random_signal, random_strong_graph
+from conftest import (
+    random_sequence,
+    random_signal,
+    random_strong_graph,
+    reference_metric_delta,
+    reference_metric_omega,
+)
 
 H = 0.1
 
@@ -82,6 +91,15 @@ class TestShiftFlow:
         rhs = shift(f, a + b)
         for u in rng.uniform(-3.0, 3.0, 200):
             assert lhs.value_at(u) == rhs.value_at(u)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_nonfinite_cell_count_rejected(self, t):
+        # inf, nan, and a time whose count of cells h = 0.1 overflows
+        f = alternating()
+        with pytest.raises(ValidationError, match="not a finite number of cells"):
+            shift(f, t)
+        with pytest.raises(ValidationError, match="not a finite number of cells"):
+            continuity_gap(f, f, t)
 
     def test_shift_by_step_matches_discrete(self):
         g = DirectedGraph.complete(2)
@@ -247,6 +265,46 @@ class TestMetricDelta:
         assert metric_delta(s, f, tol).hex() == per_cell_metric_delta(s, f, tol).hex()
 
 
+class TestMetricReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_metrics_bit_equal_to_references(self, data):
+        # literals parsed over labelled or unlabelled graphs; offsets equal,
+        # zero, random or one ulp below h; both metrics must give the bits of
+        # their reference loops
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(1, 4), label="n")
+        g = random_strong_graph(rng, n)
+        labels = data.draw(st.one_of(st.none(), st.just(tuple("ABCD"[:n])),
+                                     st.permutations([str(v) for v in range(n)]).map(tuple)),
+                           label="labels")
+        g = DirectedGraph(g.n, g.edges, labels)
+        h = data.draw(st.sampled_from([0.1, 0.5, 1.0, 7.0]), label="h")
+
+        def offset(label):
+            kind = data.draw(st.sampled_from(["zero", "random", "below h"]), label=label)
+            return {"zero": 0.0, "below h": math.nextafter(h, 0.0),
+                    "random": float(rng.uniform(0.0, h))}[kind]
+
+        x = random_sequence(g, rng)
+        pairing = data.draw(st.sampled_from(["fresh", "same", "shifted"]), label="y")
+        y = {"fresh": random_sequence(g, rng), "same": x,
+             "shifted": shift_discrete(x, int(rng.integers(-3, 4)))}[pairing]
+        tau_x = offset("tau_x")
+        tau_y = tau_x if data.draw(st.booleans(), label="same offset") else offset("tau_y")
+        # y's literal is parsed over an equal copy of the graph, or the graph itself
+        g_y = DirectedGraph(g.n, g.edges, labels) if data.draw(st.booleans(),
+                                                               label="graph copy") else g
+        f = parse_signal(g, format_signal(SwitchingSignal(x, tau_x, h)))
+        s = parse_signal(g_y, format_signal(SwitchingSignal(y, tau_y, h)))
+        tol = data.draw(st.one_of(st.sampled_from([1e-12, 0.5]), st.floats(1e-12, 0.5)),
+                        label="tol")
+        for a, b in ((f, s), (s, f)):
+            assert metric_delta(a, b, tol).hex() == reference_metric_delta(a, b, tol).hex()
+            assert metric_omega(a.base, b.base, tol).hex() \
+                == reference_metric_omega(a.base, b.base, tol).hex()
+
+
 def per_cell_metric_delta(f, g, tol):
     """The loop metric_delta replaced: six at() lookups per unit cell, in
     the same float operations and order."""
@@ -319,6 +377,18 @@ class TestContinuity:
             t = float(rng.uniform(-5 * H, 5 * H))
             lhs, bound = continuity_gap(f, s, t, tol)
             assert lhs <= bound + 5 * tol
+
+    def test_bound_beyond_the_float_range(self):
+        # 4.0 ** 512 overflows: the bound is 0 at distance 0 and inf otherwise
+        h = 0.5
+        g = DirectedGraph.complete(2)
+        f = sigma_embed(constant_sequence(g, 0), h)
+        s = sigma_embed(SymbolicSequence(g, (0,), (1,), (0,)), h)
+        assert continuity_gap(f, f, 256.0) == (0.0, 0.0)
+        assert continuity_gap(f, f, -1e6) == (0.0, 0.0)
+        lhs, bound = continuity_gap(f, s, 256.0)
+        assert bound == math.inf and lhs == metric_delta(shift(f, 256.0), shift(s, 256.0))
+        assert continuity_gap(f, s, -255.5)[1] == 4.0 ** 511 * metric_delta(f, s)
 
 
 class TestLifts:
