@@ -53,7 +53,7 @@ class DirectedGraph:
     Self-loops are allowed; duplicate edges are rejected (the edge set has
     adjacency-matrix semantics).  Optional labels name vertices in text
     formats; internally everything runs on integer indices.
-    ``vertex_by_token`` maps each label and each decimal index to its
+    ``_vertex_by_token`` maps each label and each decimal index to its
     vertex, a label winning over an index it spells, and ``validation`` is
     the graph's ``validate_n_graph`` report; both are made once, here.
     """
@@ -63,7 +63,7 @@ class DirectedGraph:
     labels: tuple[str, ...] | None = None
     _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    vertex_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
+    _vertex_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
     validation: ValidationReport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -85,7 +85,7 @@ class DirectedGraph:
         object.__setattr__(self, "_pred", tuple(tuple(sorted(p)) for p in pred))
         tokens = {str(u): u for u in range(n)}
         tokens.update(zip(self.labels or (), range(n)))
-        object.__setattr__(self, "vertex_by_token", tokens)
+        object.__setattr__(self, "_vertex_by_token", tokens)
         object.__setattr__(self, "validation", validate_n_graph(self))
 
     # -- construction ------------------------------------------------------
@@ -147,7 +147,7 @@ class DirectedGraph:
     def index_of(self, token: str) -> int:
         """Resolve a vertex given as a label or an integer index; a label
         wins over an index it spells."""
-        u = self.vertex_by_token.get(token)
+        u = self._vertex_by_token.get(token)
         if u is not None:
             return u
         try:  # an index in another spelling, such as "01" or "+1"

@@ -49,10 +49,7 @@ def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, tuple[str, int]
 
 def _word(g: DirectedGraph, text: str, position: int) -> tuple[int, ...]:
     toks = text.split()
-    word = tuple(map(g.vertex_by_token.get, toks))
-    if None not in word:
-        return word
-    try:  # an index in another spelling, or a token that names no vertex
+    try:
         return tuple(g.index_of(t) for t in toks)
     except ValidationError as exc:
         raise LiteralError(str(exc), position) from exc
