@@ -12,10 +12,8 @@ from .chains import (
     build_chain_graph,
     build_grid,
     chain_components,
-    chain_equivalent,
     hausdorff_distance,
     lift_kernel,
-    step_image,
 )
 from .config import AnalysisConfig, ExperimentConfig, RunConfig
 from .fields import ExpressionField, LinearField, PolynomialField1D, field_from_config

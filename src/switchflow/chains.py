@@ -64,12 +64,6 @@ class Grid:
     def n_cells(self) -> int:
         return math.prod(self.counts)
 
-    def multi_index(self, cell: int) -> tuple[int, ...]:
-        return tuple(map(int, np.unravel_index(cell, self.counts)))
-
-    def flat_index(self, multi: Sequence[int]) -> int:
-        return int(np.ravel_multi_index(tuple(multi), self.counts))
-
     def _centers_at(self, multi: np.ndarray) -> np.ndarray:
         """Centres of the cells with per-axis indices ``multi`` (shape ``(N, d)``)."""
         return np.array([b[0] for b in self.box]) + (multi + 0.5) * np.array(self.widths)
@@ -79,18 +73,8 @@ class Grid:
         multi = np.unravel_index(np.asarray(cells, dtype=np.int64), self.counts)
         return self._centers_at(np.stack(multi, axis=-1))
 
-    def center(self, cell: int) -> np.ndarray:
-        return self.centers([cell])[0]
-
     def all_centers(self) -> np.ndarray:
         return self.centers(np.arange(self.n_cells))
-
-    def cell_of(self, point: Sequence[float]) -> int:
-        multi = []
-        for p, (lo, _), c, w in zip(point, self.box, self.counts, self.widths):
-            k = int(math.floor((p - lo) / w))
-            multi.append(min(max(k, 0), c - 1))
-        return self.flat_index(multi)
 
     def rows_within(self, points: np.ndarray, dist: float | np.ndarray) -> np.ndarray:
         """``(point index, first cell, last cell)`` rows for the cells whose
@@ -247,19 +231,6 @@ def _link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
     return level
 
 
-def step_image(sys: SwitchedSystem, g: DirectedGraph, grid: Grid, cell: int,
-               word: Sequence[int]) -> np.ndarray:
-    """Image of the cell center after flowing one h-cell per word symbol."""
-    if len(word) < 1:
-        raise ValidationError("word must have length >= 1")
-    if not g.word_is_admissible(word):
-        raise ValidationError(f"word {list(word)} is not admissible")
-    x = grid.center(cell)
-    for sym in word:
-        x = integrate_segment(sys, sym, x, sys.step)
-    return x
-
-
 @dataclass
 class ChainGraph:
     """Directed reachability relation between grid cells, for one
@@ -279,12 +250,6 @@ class ChainGraph:
     @property
     def link_time(self) -> float:
         return self.m * self.step
-
-    def successors(self, cell: int) -> set[int]:
-        return set(self.adjacency.row(cell).tolist())
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return self.adjacency.has_edge(a, b)
 
 
 def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
@@ -370,16 +335,6 @@ def chain_components(cg: ChainGraph) -> list[ChainComponent]:
     return kept
 
 
-def chain_equivalent(cg: ChainGraph, x: Sequence[float], y: Sequence[float],
-                     components: list[ChainComponent] | None = None) -> bool:
-    """Whether the cells of x and y lie in one chain component."""
-    if components is None:
-        components = chain_components(cg)
-    cx = cg.grid.cell_of(np.atleast_1d(np.asarray(x, dtype=float)))
-    cy = cg.grid.cell_of(np.atleast_1d(np.asarray(y, dtype=float)))
-    return any(cx in comp.cells and cy in comp.cells for comp in components)
-
-
 def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
                 cells: Iterable[int], slack: float | None = None) -> frozenset[tuple[int, int]]:
     """Largest node set over E x V in which every node has a one-step
@@ -426,37 +381,22 @@ def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     return frozenset(zip(cell_ids[ids // n].tolist(), (ids % n).tolist()))
 
 
-def _as_points(arr: Sequence) -> np.ndarray:
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.size == 0:
-        raise ValidationError("empty set has no Hausdorff distance")
-    return a
+def hausdorff_distance(points: Sequence, interval: tuple[float, float]) -> float:
+    """Hausdorff distance between a 1-D point set and an interval.
 
-
-def hausdorff_distance(points_a: Sequence, points_b: Sequence | None = None,
-                       interval: tuple[float, float] | None = None) -> float:
-    """Hausdorff distance between point sets, or a 1-D set and an interval.
-
-    The interval form is exact: the far side is attained at an interval
-    endpoint or a midpoint between consecutive set points.
+    Exact: the far side is attained at an interval endpoint or a midpoint
+    between consecutive set points.
     """
-    a = _as_points(points_a)
-    if interval is not None:
-        lo, hi = float(interval[0]), float(interval[1])
-        pts = np.sort(a.ravel())
-        d_set_to_interval = np.maximum(np.maximum(lo - pts, pts - hi), 0.0).max()
-        mids = 0.5 * (pts[:-1] + pts[1:])
-        candidates = np.concatenate(([lo, hi], mids[(lo <= mids) & (mids <= hi)]))
-        # the nearest set point to a candidate is one of its sorted neighbours
-        j = np.searchsorted(pts, candidates)
-        left = pts[np.maximum(j - 1, 0)]
-        right = pts[np.minimum(j, len(pts) - 1)]
-        d_interval_to_set = np.minimum(abs(candidates - left), abs(candidates - right)).max()
-        return float(max(d_set_to_interval, d_interval_to_set))
-    if points_b is None:
-        raise ValidationError("need a second set or an interval")
-    b = _as_points(points_b)
-    d = np.linalg.norm(a[:, None] - b[None], axis=-1)
-    return max(float(d.min(axis=1).max()), float(d.min(axis=0).max()))
+    pts = np.sort(np.asarray(points, dtype=float).ravel())
+    if pts.size == 0:
+        raise ValidationError("empty set has no Hausdorff distance")
+    lo, hi = float(interval[0]), float(interval[1])
+    d_set_to_interval = np.maximum(np.maximum(lo - pts, pts - hi), 0.0).max()
+    mids = 0.5 * (pts[:-1] + pts[1:])
+    candidates = np.concatenate(([lo, hi], mids[(lo <= mids) & (mids <= hi)]))
+    # the nearest set point to a candidate is one of its sorted neighbours
+    j = np.searchsorted(pts, candidates)
+    left = pts[np.maximum(j - 1, 0)]
+    right = pts[np.minimum(j, len(pts) - 1)]
+    d_interval_to_set = np.minimum(abs(candidates - left), abs(candidates - right)).max()
+    return float(max(d_set_to_interval, d_interval_to_set))

@@ -52,7 +52,8 @@ class DirectedGraph:
 
     Self-loops are allowed; duplicate edges are rejected (the edge set has
     adjacency-matrix semantics).  Optional labels name vertices in text
-    formats; internally everything runs on integer indices.
+    formats, so each must be one literal token: nonempty, with no whitespace
+    or bracket.  Internally everything runs on integer indices.
     ``_vertex_by_token`` maps each label and each decimal index to its
     vertex, a label winning over an index it spells, and ``validation`` is
     the graph's ``validate_n_graph`` report; both are made once, here.
@@ -72,6 +73,12 @@ class DirectedGraph:
             raise ValidationError("vertex_count must be positive")
         if self.labels is not None and len(self.labels) != n:
             raise ValidationError("labels must match vertex_count")
+        for label in self.labels or ():
+            # literals split words on whitespace and end them at brackets
+            if not (isinstance(label, str) and label) or any(
+                    c.isspace() or c in "()[]" for c in label):
+                raise ValidationError(f"label {label!r} must be a nonempty string "
+                                      "without whitespace or brackets")
         if self.labels is not None and len(set(self.labels)) != n:
             raise ValidationError("labels must be distinct")
         succ: list[list[int]] = [[] for _ in range(n)]
@@ -157,9 +164,6 @@ class DirectedGraph:
         if not 0 <= u < self.n:
             raise ValidationError(f"vertex index {u} out of range")
         return u
-
-    def word_is_admissible(self, word: Sequence[int]) -> bool:
-        return all(self.has_edge(word[i], word[i + 1]) for i in range(len(word) - 1))
 
 
 def validate_n_graph(g: DirectedGraph) -> ValidationReport:
@@ -276,19 +280,6 @@ class RangeRows:
     def nnz(self) -> int:
         """Number of edges, each range expanded."""
         return int(np.sum(self.last - self.first + 1))
-
-    def _ranges(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = slice(self.indptr[i], self.indptr[i + 1])
-        return self.first[rows], self.last[rows]
-
-    def row(self, i: int) -> np.ndarray:
-        """Successors of ``i``, ascending."""
-        return expand_ranges(*self._ranges(i))[1]
-
-    def has_edge(self, i: int, j: int) -> bool:
-        first, last = self._ranges(i)
-        k = int(np.searchsorted(first, j, side="right")) - 1
-        return k >= 0 and bool(j <= last[k])
 
 
 def self_reaching_components(rows: RangeRows) -> list[list[int]]:

@@ -174,6 +174,8 @@ def _with_top(key, value):
     pytest.param(_with("graph", "vertices", 2.5), id="vertices-fractional"),
     pytest.param(_with("run", "seed", 1.5), id="seed-fractional"),
     pytest.param(_with("graph", "labels", ["A", "A"]), id="duplicate-labels"),
+    pytest.param(_with("graph", "labels", ["A B", "C)"]), id="label-with-space"),
+    pytest.param(_with("graph", "labels", ["", "B"]), id="empty-label"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
