@@ -5,8 +5,6 @@ a directed graph, the shift flow on them, the switched flows they drive on
 a compact box, and numerical chain analysis of the resulting dynamics.
 """
 from .chains import (
-    ChainComponent,
-    ChainGraph,
     Grid,
     SizingError,
     build_chain_graph,

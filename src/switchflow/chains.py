@@ -9,7 +9,7 @@ self-reaching structure are the numerical chain components.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -166,14 +166,6 @@ class Grid:
         hit = first <= last
         return np.column_stack((point[hit], base[hit] + first[hit], base[hit] + last[hit]))
 
-    def cells_within(self, points: np.ndarray, dist: float) -> np.ndarray:
-        """``(point index, cell)`` rows, one per cell whose center lies within
-        Euclidean ``dist`` of a row of ``points`` (shape ``(N, d)``), sorted
-        by point, then by cell: the expansion of ``rows_within``."""
-        point, first, last = self.rows_within(points, dist).T
-        row, cell = expand_ranges(first, last)
-        return np.column_stack((point[row], cell))
-
 
 def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | int) -> Grid:
     counts = ((cells_per_axis,) * len(box) if isinstance(cells_per_axis, int)
@@ -231,27 +223,6 @@ def _link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
     return level
 
 
-@dataclass
-class ChainGraph:
-    """Directed reachability relation between grid cells, for one
-    (epsilon, link-time) resolution.
-
-    Nodes are flat cell indices.  ``adjacency`` holds the edges as merged
-    ranges of target cells, never expanded.
-    """
-
-    grid: Grid
-    eps: float
-    m: int
-    step: float
-    adjacency: RangeRows
-    word_expansion: dict[tuple, float] = field(default_factory=dict)
-
-    @property
-    def link_time(self) -> float:
-        return self.m * self.step
-
-
 def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
     """Max growth of each word's flow map, from adjacent-center differences:
     images of shape ``(words, n_cells, d)`` give one factor per word."""
@@ -268,13 +239,14 @@ def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
-                      eps: float, m: int, max_work: int = 2_000_000) -> ChainGraph:
-    """Construct the (epsilon, m*h) reachability graph over the grid.
+                      eps: float, m: int, max_work: int = 2_000_000) -> RangeRows:
+    """The (epsilon, m*h) reachability graph over the grid, as merged ranges
+    of target cells, never expanded.
 
-    Nodes are cells; an edge a -> b exists when some admissible word of
-    length m of ``g`` maps a's center within the inflated epsilon ball of
-    b's center.  Links start in phase: each symbol of a word holds for one
-    step h.
+    Nodes are flat cell indices; an edge a -> b exists when some admissible
+    word of length m of ``g`` maps a's center within the inflated epsilon
+    ball of b's center.  Links start in phase: each symbol of a word holds
+    for one step h.
 
     Cells x words, counted before any word is listed, must not exceed
     ``max_work``.  The eps-free images (one array) and expansions kappa come
@@ -311,28 +283,15 @@ def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
                 images[a:a + per_sweep], np.repeat(radius[a:a + per_sweep], n)).T
             yield np.stack((point % n, first, last))
 
-    return ChainGraph(grid, eps, m, sys.step, RangeRows.from_rows(n, sweep_rows()),
-                      dict(zip(words, kappa.tolist())))
+    return RangeRows.from_rows(n, sweep_rows())
 
 
-@dataclass(frozen=True)
-class ChainComponent:
-    """A maximal strongly connected, self-reaching piece of the chain graph."""
-
-    cells: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
-
-def chain_components(cg: ChainGraph) -> list[ChainComponent]:
-    """Strongly connected components of the chain graph, keeping only those
-    that can reach themselves (non-trivial, or trivial with a self-edge),
-    sorted by size then by smallest cell."""
-    kept = [ChainComponent(frozenset(comp)) for comp in self_reaching_components(cg.adjacency)]
-    kept.sort(key=lambda c: (-c.size, min(c.cells)))
-    return kept
+def chain_components(rows: RangeRows) -> list[list[int]]:
+    """Strongly connected components of the chain graph ``rows``, keeping
+    only those that can reach themselves (non-trivial, or trivial with a
+    self-edge), each as its ascending cells, sorted by size then by
+    smallest cell."""
+    return sorted(map(sorted, self_reaching_components(rows)), key=lambda c: (-len(c), c[0]))
 
 
 def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
@@ -359,8 +318,9 @@ def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     src, dst = [], []
     for u in range(n):
         images = integrate_segment(sys, u, centers, sys.step)
-        i, b = grid.cells_within(images, slack).T
-        j = pos[b]
+        point, first, last = grid.rows_within(images, slack).T
+        row, b = expand_ranges(first, last)
+        i, j = point[row], pos[b]
         i, j = i[j >= 0], j[j >= 0]
         nexts = np.array(g.successors(u))
         src.append(np.repeat(i * n + u, len(nexts)))

@@ -36,6 +36,11 @@ EXIT_RESOURCE = 4
 
 # most trajectory samples `simulate` takes before it refuses the run
 MAX_SAMPLES = 1_000_000
+# most symbols the `stitch-demo` outputs may hold before it refuses the run;
+# (links + 3)**2 * (window + 3) bounds them: each of the links + 3 outputs
+# copies its predecessor's past, which grows by one link of at most
+# window + 3 cells per output
+MAX_STITCH_SYMBOLS = 10_000_000
 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
@@ -111,7 +116,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
     t = 0.0
     rows.append([0.0, *[float(v) for v in x], cfg.graph.label_of(f.value_at(0.0))])
     try:
-        while t < t_end - 1e-12:
+        while t < t_end * (1 - 1e-12):
             dt = min(sample_dt, t_end - t)
             x = switched_flow(sys_, dt, x, shift(f, t))
             t += dt
@@ -194,12 +199,11 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise ValidationError("config has no 'analysis' block")
     a = cfg.analysis
     grid = build_grid(cfg.system.box, a.cells)
-    cg = build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m, max_work=a.max_work)
-    comps = chain_components(cg)
+    comps = chain_components(
+        build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m, max_work=a.max_work))
     rows: list[list] = []
     summaries = []
-    for cid, comp in enumerate(comps):
-        cells = sorted(comp.cells)
+    for cid, cells in enumerate(comps):
         centers = grid.centers(cells)
         rows.extend([cid, cell, *center] for cell, center in zip(cells, centers.tolist()))
         summaries.append(_component_summary(cells, centers, a.references))
@@ -208,7 +212,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "components.csv", header, rows, cfg)
     summary = {
         "parameters": {"eps": a.eps, "m": a.m,
-                       "link_time": cg.link_time, "cells": list(a.cells),
+                       "link_time": a.m * cfg.system.step, "cells": list(a.cells),
                        "cell_radius": grid.radius},
         "component_count": len(comps),
         "components": summaries,
@@ -223,6 +227,13 @@ def cmd_stitch_demo(cfg: ExperimentConfig, out_dir: Path, links: int,
     g = cfg.graph
     if not g.is_complete():
         raise ValidationError("stitch-demo needs a complete switching graph")
+    if links < 1 or window < 1:
+        raise ValidationError("stitch-demo needs --links and --window of at least 1")
+    symbols = (links + 3) ** 2 * (window + 3)
+    if symbols > MAX_STITCH_SYMBOLS:
+        raise SizingError(f"{links} links of window {window} may hold {symbols} symbols, "
+                          f"over the bound {MAX_STITCH_SYMBOLS}; use fewer links or a "
+                          "smaller window")
     h = cfg.system.step
     tol = cfg.run.tol
     rng = np.random.default_rng(cfg.run.seed)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .fields import VectorField, field_from_config
 from .flow import SwitchedSystem
-from .graph import DirectedGraph, ValidationError, require_int, require_valid
+from .graph import DirectedGraph, ValidationError, require_int, require_real, require_valid
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,8 @@ class ExperimentConfig:
             _block(doc, "graph", "vertices edges labels")))
 
         sysdoc = _block(doc, "system", "box h substeps fields")
-        box = tuple((float(lo), float(hi)) for lo, hi in sysdoc["box"])
+        box = tuple((require_real(lo, "system.box"), require_real(hi, "system.box"))
+                    for lo, hi in sysdoc["box"])
         dim = len(box)
         raw_fields = sysdoc["fields"]
         if len(raw_fields) != graph.n:
@@ -97,7 +98,7 @@ class ExperimentConfig:
         fields: tuple[VectorField, ...] = tuple(
             field_from_config(sp, dim) for sp in raw_fields)
         system = SwitchedSystem(
-            graph=graph, box=box, step=float(sysdoc["h"]), fields=fields,
+            graph=graph, box=box, step=require_real(sysdoc["h"], "system.h"), fields=fields,
             substeps=require_int(sysdoc.get("substeps", 20), "system.substeps"))
 
         analysis = None
@@ -106,10 +107,13 @@ class ExperimentConfig:
             cells = a["cells"]
             if not isinstance(cells, (list, tuple)):
                 cells = [cells] * dim
-            refs = tuple((float(lo), float(hi)) for lo, hi in a.get("references", []))
+            refs = tuple((require_real(lo, "analysis.references"),
+                          require_real(hi, "analysis.references"))
+                         for lo, hi in a.get("references", []))
             analysis = AnalysisConfig(
                 cells=tuple(require_int(c, "analysis.cells") for c in cells),
-                eps=float(a["eps"]), m=require_int(a.get("m", 1), "analysis.m"),
+                eps=require_real(a["eps"], "analysis.eps"),
+                m=require_int(a.get("m", 1), "analysis.m"),
                 max_work=require_int(a.get("max_work", 2_000_000), "analysis.max_work"),
                 references=refs)
             if len(analysis.cells) != dim:
@@ -118,7 +122,7 @@ class ExperimentConfig:
         r = _block(doc, "run", "seed out tol")
         run = RunConfig(seed=require_int(r.get("seed", 0), "run.seed"),
                         out=str(r.get("out", "out")),
-                        tol=float(r.get("tol", 1e-10)))
+                        tol=require_real(r.get("tol", 1e-10), "run.tol"))
         return cls(graph, system, analysis, run, raw=doc)
 
     @classmethod

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import ValidationError
+from .graph import ValidationError, require_real
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -325,9 +325,11 @@ def field_from_config(entry, dimension: int) -> VectorField:
         if kind == "poly1d":
             if dimension != 1:
                 raise ValidationError("poly1d fields require dimension 1")
-            return PolynomialField1D(tuple(float(c) for c in entry["coeffs"]))
+            return PolynomialField1D(tuple(require_real(c, "poly1d coeffs")
+                                           for c in entry["coeffs"]))
         if kind == "linear":
-            m = tuple(tuple(float(v) for v in row) for row in entry["matrix"])
+            m = tuple(tuple(require_real(v, "linear matrix") for v in row)
+                      for row in entry["matrix"])
             if len(m) != dimension:
                 raise ValidationError("linear field matrix must be d x d")
             return LinearField(m)

@@ -29,6 +29,14 @@ def require_int(value, key: str) -> int:
     return int(value)
 
 
+def require_real(value, key: str) -> float:
+    """``value`` as a float if it is an int or a float (not a bool or a
+    string); otherwise a ``ValidationError`` naming ``key``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool

@@ -75,8 +75,7 @@ def example2_system(graph: DirectedGraph, h: float = H, substeps: int = 20) -> S
 
 
 def top_hausdorff(comps, grid, index, interval):
-    cells = sorted(comps[index].cells)
-    return hausdorff_distance(grid.centers(cells)[:, 0], interval=interval)
+    return hausdorff_distance(grid.centers(comps[index])[:, 0], interval=interval)
 
 
 def test_criterion_01_metric_correctness():
@@ -349,16 +348,16 @@ def test_criterion_08_example2_cycle_graph():
 
     comps_m2 = chain_components(
         build_chain_graph(sys_, g, grid, 0.005, 2))
-    if any(unit_cells <= c.cells for c in comps_m2):
+    if any(unit_cells <= set(c) for c in comps_m2):
         failures.append("m=2 still yields a single component over [0,1]")
 
     comps_m1 = chain_components(
         build_chain_graph(sys_, g, grid, 0.005, 1))
-    covering = [c for c in comps_m1 if unit_cells <= c.cells]
+    covering = [c for c in comps_m1 if unit_cells <= set(c)]
     if not covering:
         failures.append("m=1 does not recover a single component over [0,1]")
     else:
-        centers = grid.centers(sorted(covering[0].cells))[:, 0]
+        centers = grid.centers(covering[0])[:, 0]
         h_unit = hausdorff_distance(centers, interval=(0.0, 1.0))
         if h_unit > 0.05:
             failures.append(f"m=1 Hausdorff {h_unit:.4f} > 0.05")
@@ -427,8 +426,8 @@ def lifted_nodes(sys_, g, grid, eps, cells):
     images = _link_images(sys_, words, grid.all_centers())
     for word, image, kappa in zip(words, images, _sampled_expansion(images, grid)):
         reach = eps + r * kappa + r
-        nodes.update((a, word[0]) for a, b in grid.cells_within(image, reach).tolist()
-                     if a in cells and b in cells)
+        nodes.update((a, word[0]) for a, first, last in grid.rows_within(image, reach).tolist()
+                     for b in range(first, last + 1) if a in cells and b in cells)
     return nodes
 
 
@@ -447,13 +446,13 @@ def test_criterion_11_lift_checks():
 
     # components, lifted to the (cell, first symbol) pairs of their links,
     # sit inside the kernels of their cells
+    words = enumerate_admissible_words(g, frozenset(range(g.n)), 1)
+    kappa = float(_sampled_expansion(_link_images(sys_, words, grid.all_centers()), grid).max())
     for eps in (0.02, 0.005):
-        cg = build_chain_graph(sys_, g, grid, eps, 1)
-        kappa = max(cg.word_expansion.values())
         slack = eps + grid.radius * kappa + grid.radius
-        for comp in chain_components(cg)[:2]:
-            k = lift_kernel(sys_, g, grid, comp.cells, slack=slack)
-            if not lifted_nodes(sys_, g, grid, eps, comp.cells) <= k:
+        for comp in chain_components(build_chain_graph(sys_, g, grid, eps, 1))[:2]:
+            k = lift_kernel(sys_, g, grid, comp, slack=slack)
+            if not lifted_nodes(sys_, g, grid, eps, set(comp)) <= k:
                 failures.append(f"eps={eps}: component escapes its kernel")
     elapsed = time.time() - t0
     ok = not failures and elapsed < 60.0

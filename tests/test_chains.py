@@ -11,6 +11,7 @@ from switchflow import chains
 from switchflow.chains import (
     SizingError,
     _link_images,
+    _sampled_expansion,
     build_chain_graph,
     build_grid,
     chain_components,
@@ -45,6 +46,14 @@ def example2_system(graph, h=H, substeps=20):
     fields = (ExpressionField(("-x1*(x1-1)*(x1-2)",)),
               ExpressionField(("-x1*(x1-2)",)))
     return SwitchedSystem(graph, ((0.0, 2.0),), h, fields, substeps=substeps)
+
+
+def cells_within(grid, points, dist):
+    """``(point index, cell)`` rows, one per cell whose center lies within
+    ``dist`` of a point: the expansion of ``grid.rows_within``."""
+    point, first, last = grid.rows_within(points, dist).T
+    row, cell = expand_ranges(first, last)
+    return np.column_stack((point[row], cell))
 
 
 class TestGrid:
@@ -118,7 +127,7 @@ class TestGrid:
         centers = grid.all_centers().tolist()
         expected = [(i, c) for i, p in enumerate(points.tolist())
                     for c, center in enumerate(centers) if math.dist(center, p) <= dist]
-        got = grid.cells_within(points, dist)
+        got = cells_within(grid, points, dist)
         assert got.shape == (len(expected), 2)
         assert [tuple(row) for row in got.tolist()] == expected
 
@@ -128,16 +137,16 @@ class TestGrid:
             return int(np.ravel_multi_index(multi, grid.counts))
 
         center = grid.centers([f((1, 1))])[0]
-        got = grid.cells_within(center, 1.0)[:, 1].tolist()
+        got = cells_within(grid, center, 1.0)[:, 1].tolist()
         assert got == sorted(f(m) for m in [(0, 1), (1, 0), (1, 1), (1, 2), (2, 1)])
-        assert grid.cells_within(center, 0.0)[:, 1].tolist() == [f((1, 1))]
+        assert cells_within(grid, center, 0.0)[:, 1].tolist() == [f((1, 1))]
         # sqrt of the summed squares rounds this distance one ulp above math.dist
         point = [0.432, 2.846]
         dist = math.dist(center, point)
-        assert f((1, 1)) in grid.cells_within(point, dist)[:, 1]
+        assert f((1, 1)) in cells_within(grid, point, dist)[:, 1]
         # the squared distance underflows to 0, the distance does not
         tiny = build_grid([(-0.5, 0.5)], 1)
-        assert tiny.cells_within([1e-170], 1e-175).shape == (0, 2)
+        assert cells_within(tiny, [1e-170], 1e-175).shape == (0, 2)
         # the same cases as range rows
         assert grid.rows_within(center, 1.0).tolist() == [
             [0, f((0, 1)), f((0, 1))], [0, f((1, 0)), f((1, 2))], [0, f((2, 1)), f((2, 1))]]
@@ -295,8 +304,7 @@ class TestBuildChainGraph:
     def test_every_cell_reaches_its_image_cell(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 40)
-        cg = build_chain_graph(sys, sys.graph, grid, 0.01, 1)
-        pairs = set(edge_pairs(cg.adjacency))
+        pairs = set(edge_pairs(build_chain_graph(sys, sys.graph, grid, 0.01, 1)))
         images = _link_images(sys, [(0,)], grid.all_centers())[0, :, 0]
         # the cell holding each image, the right edge in the last cell
         image_cells = np.clip(np.floor((images + 1.0) / 0.05), 0, 39).astype(int)
@@ -307,15 +315,15 @@ class TestBuildChainGraph:
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 50)
-        cg = build_chain_graph(sys, g, grid, 0.02, 1)
-        pairs = edge_pairs(cg.adjacency)
+        pairs = edge_pairs(build_chain_graph(sys, g, grid, 0.02, 1))
+        kappas = word_expansions(sys, grid, 1)
         r = grid.radius
         for a in (0, 10, 25, 49):
             expected = set()
             for word in ((0,), (1,)):
                 image = word_image(sys, grid, a, word)
-                kappa = cg.word_expansion[word]
-                expected |= set(grid.cells_within(image, 0.02 + r * kappa + r)[:, 1].tolist())
+                kappa = kappas[word]
+                expected |= set(cells_within(grid, image, 0.02 + r * kappa + r)[:, 1].tolist())
             assert {b for s, b in pairs if s == a} == expected
 
     def test_constrained_cycle_words(self):
@@ -323,22 +331,23 @@ class TestBuildChainGraph:
         g = DirectedGraph.cycle(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 50)
-        cg = build_chain_graph(sys, g, grid, 0.02, 2)
-        assert sorted(cg.word_expansion) == [(0, 1), (1, 0)]
+        rows = build_chain_graph(sys, g, grid, 0.02, 2)
+        kappas = word_expansions(sys, grid, 2)
+        assert sorted(kappas) == [(0, 1), (1, 0)]
         a = 25
         expected = set()
         for word in ((0, 1), (1, 0)):
             image = word_image(sys, grid, a, word)
-            reach = 0.02 + grid.radius * cg.word_expansion[word] + grid.radius
-            expected |= set(grid.cells_within(image, reach)[:, 1].tolist())
-        assert {b for s, b in edge_pairs(cg.adjacency) if s == a} == expected
+            reach = 0.02 + grid.radius * kappas[word] + grid.radius
+            expected |= set(cells_within(grid, image, reach)[:, 1].tolist())
+        assert {b for s, b in edge_pairs(rows) if s == a} == expected
 
     def test_monotone_in_eps(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 30)
-        cg1 = build_chain_graph(sys, sys.graph, grid, 0.01, 1)
-        cg2 = build_chain_graph(sys, sys.graph, grid, 0.05, 1)
-        assert set(edge_pairs(cg1.adjacency)) <= set(edge_pairs(cg2.adjacency))
+        rows1 = build_chain_graph(sys, sys.graph, grid, 0.01, 1)
+        rows2 = build_chain_graph(sys, sys.graph, grid, 0.05, 1)
+        assert set(edge_pairs(rows1)) <= set(edge_pairs(rows2))
 
     def test_sizing_guard(self):
         g = DirectedGraph.complete(2)
@@ -395,7 +404,8 @@ class TestBuildChainGraph:
     def test_plane2d_build_makes_14_segment_calls(self, monkeypatch):
         # van der Pol against a focus, 20x20, m = 6: one segment call per
         # trie level and symbol, and two per symbol at level 6, whose 32
-        # nodes per symbol hold more than SWEEP_ROWS points
+        # nodes per symbol hold more than SWEEP_ROWS points; the calls flow
+        # the trie's 2 + 4 + ... + 64 nodes, 64 of them words
         calls = []
 
         def counting_segment(*args):
@@ -405,8 +415,8 @@ class TestBuildChainGraph:
         monkeypatch.setattr(chains, "integrate_segment", counting_segment)
         sys = SwitchedSystem(DirectedGraph.complete(2), ((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 6.0,
                              tuple(map(ExpressionField, VDP_FOCUS)), substeps=20)
-        cg = build_chain_graph(sys, sys.graph, build_grid(sys.box, [20, 20]), 0.05, 6)
-        assert len(calls) == 14 and len(cg.word_expansion) == 64
+        build_chain_graph(sys, sys.graph, build_grid(sys.box, [20, 20]), 0.05, 6)
+        assert len(calls) == 14 and sum(shape[0] for shape in calls) == 126
 
 
 # Edge count and sha256 of repr(sorted (source, target) cell pairs), and
@@ -449,11 +459,12 @@ def _sha(obj) -> str:
 def test_config_edge_sets_frozen(name):
     cfg = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
     a = cfg.analysis
-    cg = build_chain_graph(cfg.system, cfg.graph, build_grid(cfg.system.box, a.cells),
-                           a.eps, a.m, max_work=a.max_work)
-    pairs = edge_pairs(cg.adjacency)
+    rows = build_chain_graph(cfg.system, cfg.graph, build_grid(cfg.system.box, a.cells),
+                             a.eps, a.m, max_work=a.max_work)
+    pairs = edge_pairs(rows)
     assert (len(pairs), _sha(pairs)) == FROZEN_EDGES[name]
-    comps = [(sorted(c.cells), sorted(c.cells)) for c in chain_components(cg)]
+    # components come as ascending cell lists, so each hashes as recorded
+    comps = [(c, c) for c in chain_components(rows)]
     assert (len(comps), _sha(comps)) == FROZEN_COMPONENTS[name]
 
 
@@ -465,7 +476,7 @@ def expanded_edge_pairs(sys, g, grid, eps, m):
     pairs = set()
     for images in _link_images(sys, words, grid.all_centers()):
         kappa = per_word_expansion(images, grid)
-        pairs.update(map(tuple, grid.cells_within(images, eps + r * kappa + r).tolist()))
+        pairs.update(map(tuple, cells_within(grid, images, eps + r * kappa + r).tolist()))
     return sorted(pairs)
 
 
@@ -481,6 +492,14 @@ def per_word_expansion(images, grid):
         norms = np.sqrt(np.sum(diffs * diffs, axis=-1))
         best = max(best, float(norms.max()) / w)
     return best if best > 0.0 else 1.0
+
+
+def word_expansions(sys, grid, m):
+    """Each admissible word of length m, with the expansion factor the chain
+    build samples for it."""
+    words = enumerate_admissible_words(sys.graph, frozenset(range(sys.graph.n)), m)
+    images = _link_images(sys, words, grid.all_centers())
+    return dict(zip(words, _sampled_expansion(images, grid).tolist()))
 
 
 def per_word_chain_graph(sys, g, grid, eps, m):
@@ -523,10 +542,10 @@ CHAIN_CASES = {  # system, cells, eps, m
 def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
     sys, cells, eps, m = CHAIN_CASES[case]()
     grid = build_grid(sys.box, cells)
-    cg = build_chain_graph(sys, sys.graph, grid, eps, m)
+    rows = build_chain_graph(sys, sys.graph, grid, eps, m)
     expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m)
-    assert edge_pairs(cg.adjacency) == expected
-    assert cg.adjacency.nnz == len(expected)
+    assert edge_pairs(rows) == expected
+    assert rows.nnz == len(expected)
 
 
 SWEEP_CASES = {  # CHAIN_CASES entry or (system, cells, eps, m), points per sweep
@@ -555,12 +574,13 @@ def test_swept_build_equals_per_word_build(case, monkeypatch):
     per_sweep = max(1, chains.SWEEP_POINTS // grid.n_cells)
     if points is not None:
         assert 1 < per_sweep < len(words) and len(words) % per_sweep
-    cg = build_chain_graph(sys, sys.graph, grid, eps, m)
+    built = build_chain_graph(sys, sys.graph, grid, eps, m)
     rows, expansions = per_word_chain_graph(sys, sys.graph, grid, eps, m)
     for name in ("indptr", "first", "last"):
-        assert np.array_equal(getattr(cg.adjacency, name), getattr(rows, name))
-    assert list(cg.word_expansion.items()) == list(expansions.items())
-    assert all(type(kappa) is float for kappa in cg.word_expansion.values())
+        assert np.array_equal(getattr(built, name), getattr(rows, name))
+    # the vectorised expansion factors are bit-equal to the per-word ones
+    kappa = _sampled_expansion(_link_images(sys, words, grid.all_centers()), grid)
+    assert list(zip(words, kappa.tolist())) == list(expansions.items())
 
 
 def test_large_grid_components():
@@ -568,11 +588,11 @@ def test_large_grid_components():
     # edges, stored as at most one range row per node and word
     g = DirectedGraph.complete(2)
     grid = build_grid([(0.0, 2.0)], 20_000)
-    cg = build_chain_graph(example2_system(g), g, grid, 0.02, 1)
-    assert len(cg.adjacency.first) <= grid.n_cells * 2
-    comps = chain_components(cg)
+    rows = build_chain_graph(example2_system(g), g, grid, 0.02, 1)
+    assert len(rows.first) <= grid.n_cells * 2
+    comps = chain_components(rows)
     assert len(comps) == 21
-    assert [c.size for c in comps[:3]] == [11_994, 1_315, 1]
+    assert [len(c) for c in comps[:3]] == [11_994, 1_315, 1]
 
 
 class TestSelfReachingComponents:
@@ -650,24 +670,20 @@ class TestChainComponents:
     def test_decay_single_component_at_origin(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 40)
-        cg = build_chain_graph(sys, sys.graph, grid, 0.1, 1)
-        comps = chain_components(cg)
+        comps = chain_components(build_chain_graph(sys, sys.graph, grid, 0.1, 1))
         assert len(comps) == 1
-        assert {19, 20} <= comps[0].cells  # the cells either side of 0
+        assert {19, 20} <= set(comps[0])  # the cells either side of 0
 
     def test_two_well_components_near_attractors(self):
         sys = single_vertex_system("-x1*(x1-1)*(x1+1)", (-1.5, 1.5))
         grid = build_grid([(-1.5, 1.5)], 60)
-        cg = build_chain_graph(sys, sys.graph, grid, 0.05, 1)
-        comps = chain_components(cg)
-        tops = sorted(comps[:2], key=lambda c: min(c.cells))
-        lo_cells = sorted(tops[0].cells)
-        hi_cells = sorted(tops[1].cells)
+        comps = chain_components(build_chain_graph(sys, sys.graph, grid, 0.05, 1))
+        lo_cells, hi_cells = sorted(comps[:2])
         mid_lo, mid_hi = grid.centers([lo_cells[len(lo_cells) // 2],
                                        hi_cells[len(hi_cells) // 2]])[:, 0]
         assert abs(mid_lo + 1.0) < 0.2
         assert abs(mid_hi - 1.0) < 0.2
-        assert tops[0].cells.isdisjoint(tops[1].cells)
+        assert set(lo_cells).isdisjoint(hi_cells)
 
     def test_components_pairwise_disjoint_nodes(self):
         g = DirectedGraph.complete(2)
@@ -676,15 +692,14 @@ class TestChainComponents:
         comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
-                assert a.cells.isdisjoint(b.cells)
+                assert set(a).isdisjoint(b)
 
     def test_1d_components_contiguous(self):
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 100)
         comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
-        for comp in comps[:2]:
-            cells = sorted(comp.cells)
+        for cells in comps[:2]:
             assert cells[-1] - cells[0] + 1 == len(cells)
 
     def test_two_well_complete_components_cover_targets(self):
@@ -694,13 +709,12 @@ class TestChainComponents:
         grid = build_grid([(0.0, 2.0)], 400)
         comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
         unit_cells = set(range(200))
-        assert any(unit_cells <= c.cells for c in comps)
-        assert any(grid.n_cells - 1 in c.cells and unit_cells.isdisjoint(c.cells)
-                   for c in comps)
+        assert any(unit_cells <= set(c) for c in comps)
+        assert any(grid.n_cells - 1 in c and unit_cells.isdisjoint(c) for c in comps)
 
 
 def shared_component(comps, a, b):
-    return any(a in c.cells and b in c.cells for c in comps)
+    return any(a in c and b in c for c in comps)
 
 
 class TestChainEquivalence:
@@ -806,7 +820,7 @@ def worklist_lift_kernel(sys, g, grid, cells, slack=None):
     pred = {nd: set() for nd in nodes}
     for u in range(g.n):
         images = integrate_segment(sys, u, centers, sys.step)
-        for i, b in grid.cells_within(images, slack).tolist():
+        for i, b in cells_within(grid, images, slack).tolist():
             if b not in cell_set:
                 continue
             for v in g.successors(u):

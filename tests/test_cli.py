@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import switchflow
-from switchflow import chains
+from switchflow import chains, cli
 from switchflow.cli import main
 from switchflow.config import ExperimentConfig
 from switchflow.graph import ValidationError
@@ -176,6 +176,17 @@ def _with_top(key, value):
     pytest.param(_with("graph", "labels", ["A", "A"]), id="duplicate-labels"),
     pytest.param(_with("graph", "labels", ["A B", "C)"]), id="label-with-space"),
     pytest.param(_with("graph", "labels", ["", "B"]), id="empty-label"),
+    # a bool or a string is no real: eps true ran as eps 1.0, h "0.1" as 0.1
+    pytest.param(_with("analysis", "eps", True), id="eps-bool"),
+    pytest.param(_with("system", "h", "0.1"), id="h-string"),
+    pytest.param(_with("system", "box", [[False, 2.0]]), id="box-bool"),
+    pytest.param(_with("system", "box", [[0.0, "2"]]), id="box-string"),
+    pytest.param(_with("analysis", "references", [[0.0, True]]), id="reference-bool"),
+    pytest.param(_with("run", "tol", "1e-10"), id="tol-string"),
+    pytest.param(_with("system", "fields", [{"type": "poly1d", "coeffs": [0, "1"]}, "x1"]),
+                 id="poly1d-coeff-string"),
+    pytest.param(_with("system", "fields", [{"type": "linear", "matrix": [[True]]}, "x1"]),
+                 id="linear-entry-bool"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
@@ -196,6 +207,16 @@ def test_non_integral_count_is_named(block, key, value):
     doc = json.loads(json.dumps(COMPLETE2))
     doc.setdefault(block, {})[key] = value
     with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("analysis", "eps", True), ("system", "h", "0.1"), ("run", "tol", "1e-10"),
+])
+def test_non_real_is_named(block, key, value):
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc[block][key] = value
+    with pytest.raises(ValidationError, match=f"{block}.{key} must be a number"):
         ExperimentConfig.from_dict(doc)
 
 
@@ -280,6 +301,37 @@ def test_simulate_too_many_samples_exits_4_at_once(tmp_path):
         timeout=60)
     assert done.returncode == 4
     assert "resource guard" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_simulate_reaches_a_small_t_end(config_path, tmp_path):
+    # an absolute 1e-12 stop margin swallowed the whole of t_end = 1e-13
+    out = tmp_path / "o"
+    assert main(["--config", str(config_path), "--out", str(out), *SIMULATE, "--x0", "0.5",
+                 "--t-end", "1e-13", "--sample-dt", "1e-14"]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()[2:]
+    assert len(rows) == 11
+    assert float(rows[-1].split(",")[0]) == pytest.approx(1e-13)
+
+
+@pytest.mark.parametrize("links, window, code, message", [
+    # 10**6 links would hold about 10**13 symbols
+    (1_000_000, 5, 4, "resource guard"),
+    # a window below 1 must not turn the symbol bound negative
+    (1_000_000, -5, 2, "validation error"),
+    (0, 5, 2, "validation error"),
+])
+def test_stitch_demo_refused_before_any_signal_is_built(links, window, code, message,
+                                                        monkeypatch, config_path,
+                                                        tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("signal built before the input checks")
+
+    monkeypatch.setattr(cli, "sigma_embed", refuse)
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "o"), "stitch-demo",
+                 "--links", str(links), "--window", str(window)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_chain_sets_too_many_words_exits_4_before_listing_them(monkeypatch, tmp_path, capsys):
