@@ -31,7 +31,6 @@ from .graph import (
     admissible_path,
     morse_order,
     scc,
-    validate_n_graph,
 )
 from .sequences import (
     ChaosCertificate,

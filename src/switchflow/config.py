@@ -41,6 +41,10 @@ class RunConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"run.seed must be non-negative, got {self.seed}")
+        if not isinstance(self.out, str):
+            raise ValidationError(f"run.out must be a string, got {self.out!r}")
         if not 0 < self.tol < math.inf:
             raise ValidationError("run.tol must be positive and finite")
 
@@ -121,7 +125,7 @@ class ExperimentConfig:
 
         r = _block(doc, "run", "seed out tol")
         run = RunConfig(seed=require_int(r.get("seed", 0), "run.seed"),
-                        out=str(r.get("out", "out")),
+                        out=r.get("out", "out"),
                         tol=require_real(r.get("tol", 1e-10), "run.tol"))
         return cls(graph, system, analysis, run, raw=doc)
 

@@ -38,23 +38,6 @@ def require_real(value, key: str) -> float:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    missing_out: tuple[int, ...] = ()
-    missing_in: tuple[int, ...] = ()
-
-    def message(self) -> str:
-        if self.ok:
-            return "ok"
-        parts = []
-        if self.missing_out:
-            parts.append(f"vertices with out-degree 0: {list(self.missing_out)}")
-        if self.missing_in:
-            parts.append(f"vertices with in-degree 0: {list(self.missing_in)}")
-        return "; ".join(parts)
-
-
-@dataclass(frozen=True)
 class DirectedGraph:
     """Immutable directed graph on vertices 0..n-1 given by an edge set.
 
@@ -63,17 +46,17 @@ class DirectedGraph:
     formats, so each must be one literal token: nonempty, with no whitespace
     or bracket.  Internally everything runs on integer indices.
     ``_vertex_by_token`` maps each label and each decimal index to its
-    vertex, a label winning over an index it spells, and ``validation`` is
-    the graph's ``validate_n_graph`` report; both are made once, here.
+    vertex, a label winning over an index it spells, and ``_defect`` names
+    the vertices of out- or in-degree 0 (empty if there are none); both are
+    made once, here.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
     labels: tuple[str, ...] | None = None
     _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _pred: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _vertex_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
-    validation: ValidationReport = field(init=False, repr=False, compare=False)
+    _defect: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.vertex_count
@@ -90,18 +73,19 @@ class DirectedGraph:
         if self.labels is not None and len(set(self.labels)) != n:
             raise ValidationError("labels must be distinct")
         succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValidationError(f"edge ({u},{v}) out of range for n={n}")
             succ[u].append(v)
-            pred[v].append(u)
         object.__setattr__(self, "_succ", tuple(tuple(sorted(s)) for s in succ))
-        object.__setattr__(self, "_pred", tuple(tuple(sorted(p)) for p in pred))
         tokens = {str(u): u for u in range(n)}
         tokens.update(zip(self.labels or (), range(n)))
         object.__setattr__(self, "_vertex_by_token", tokens)
-        object.__setattr__(self, "validation", validate_n_graph(self))
+        heads = {v for _, v in self.edges}
+        defects = [f"vertices with {kind}-degree 0: {missing}" for kind, missing in (
+            ("out", [u for u in range(n) if not succ[u]]),
+            ("in", [v for v in range(n) if v not in heads])) if missing]
+        object.__setattr__(self, "_defect", "; ".join(defects))
 
     # -- construction ------------------------------------------------------
 
@@ -124,6 +108,8 @@ class DirectedGraph:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed graph document: {exc}") from exc
         labels = doc.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValidationError(f"graph.labels must be a list, got {labels!r}")
         return cls.from_edges(n, edges, labels)
 
     @classmethod
@@ -147,12 +133,6 @@ class DirectedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self.edges
 
-    def out_degree(self, u: int) -> int:
-        return len(self._succ[u])
-
-    def in_degree(self, u: int) -> int:
-        return len(self._pred[u])
-
     def is_complete(self) -> bool:
         return len(self.edges) == self.n * self.n
 
@@ -174,17 +154,10 @@ class DirectedGraph:
         return u
 
 
-def validate_n_graph(g: DirectedGraph) -> ValidationReport:
-    """Check that every vertex has in-degree >= 1 and out-degree >= 1."""
-    missing_out = tuple(u for u in range(g.n) if g.out_degree(u) == 0)
-    missing_in = tuple(u for u in range(g.n) if g.in_degree(u) == 0)
-    return ValidationReport(not missing_out and not missing_in, missing_out, missing_in)
-
-
 def require_valid(g: DirectedGraph) -> DirectedGraph:
-    report = g.validation
-    if not report.ok:
-        raise ValidationError(f"invalid switching graph: {report.message()}")
+    """``g`` if every vertex has in-degree >= 1 and out-degree >= 1."""
+    if g._defect:
+        raise ValidationError(f"invalid switching graph: {g._defect}")
     return g
 
 
@@ -200,23 +173,11 @@ class SccDecomposition:
     condensation_edges: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class Csr:
-    """Directed edges over node ids 0..n-1 in compressed sparse rows: the
-    successors of ``i`` are ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @classmethod
-    def from_keys(cls, keys: np.ndarray, n: int) -> "Csr":
-        """From ascending unique edge keys ``source * n + target``."""
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        return cls(indptr, keys % n)
-
-    @property
-    def n(self) -> int:
-        return len(self.indptr) - 1
+def successor_rows(keys: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """``(ptr, adj)`` over node ids 0..n-1 from ascending unique edge keys
+    ``source * n + target``: the successors of ``v`` are
+    ``adj[ptr[v]:ptr[v + 1]]``, ascending."""
+    return np.searchsorted(keys, np.arange(n + 1) * n).tolist(), (keys % n).tolist()
 
 
 def expand_ranges(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -345,16 +306,16 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     keys = np.sort(np.concatenate(tails) * (2 * g) + np.concatenate(heads))
     self_loop = self_loop.tolist()
     return [[i for v in comp if v >= g for i in range(bounds[v - g], bounds[v - g + 1])]
-            for comp in tarjan(Csr.from_keys(keys, 2 * g))
+            for comp in tarjan(*successor_rows(keys, 2 * g))
             if len(comp) > 1 or self_loop[comp[0]]]
 
 
-def tarjan(csr: Csr) -> list[list[int]]:
-    """Strongly connected components, in Tarjan's emission order (reverse
+def tarjan(ptr: list[int], adj: list[int]) -> list[list[int]]:
+    """Strongly connected components of the graph whose node ``v`` has the
+    successors ``adj[ptr[v]:ptr[v + 1]]``, in Tarjan's emission order (reverse
     topological), taking roots by ascending id and successors in row order.
     Iterative to avoid recursion limits."""
-    ptr, adj = csr.indptr.tolist(), csr.indices.tolist()
-    n = csr.n
+    n = len(ptr) - 1
     # index[v] is -1 before v is visited, its visit number while v is on the
     # stack, and n once its component is emitted, so that one compare with
     # the current lowlink both skips emitted nodes and lowers it
@@ -406,7 +367,7 @@ def scc(g: DirectedGraph) -> SccDecomposition:
     """Tarjan's components of the switching graph, with the condensation."""
     n = g.n
     keys = np.array(sorted(u * n + v for u, v in g.edges), dtype=np.int64)
-    ordered = sorted(tarjan(Csr.from_keys(keys, n)), key=min)
+    ordered = sorted(tarjan(*successor_rows(keys, n)), key=min)
     component_of = [0] * n
     for cid, comp in enumerate(ordered):
         for v in comp:
@@ -435,10 +396,9 @@ def morse_order(decomp: SccDecomposition) -> frozenset[tuple[int, int]]:
     """
     k = len(decomp.components)
     keys = np.array(sorted(a * k + b for a, b in decomp.condensation_edges), dtype=np.int64)
-    csr = Csr.from_keys(keys, k)
-    ptr, succ = csr.indptr.tolist(), csr.indices.tolist()
+    ptr, succ = successor_rows(keys, k)
     below: list[set[int]] = [set() for _ in range(k)]
-    for (a,) in tarjan(csr):
+    for (a,) in tarjan(ptr, succ):
         below[a].add(a)
         for b in succ[ptr[a]:ptr[a + 1]]:
             below[a] |= below[b]

@@ -168,7 +168,7 @@ def sensitivity_witness(f: SwitchingSignal, eps: float,
     decomp = scc(g)
     if len(decomp.components) != 1:
         raise ValidationError("graph must be a single strongly connected component")
-    branching = [v for v in range(g.n) if g.out_degree(v) >= 2]
+    branching = [v for v in range(g.n) if len(g.successors(v)) >= 2]
     if not branching:
         raise ValidationError("every vertex has out-degree 1; the flow is a single "
                               "periodic orbit and has no sensitive dependence")

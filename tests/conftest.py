@@ -14,7 +14,7 @@ from switchflow.graph import (
     ValidationError,
     connector,
     expand_ranges,
-    validate_n_graph,
+    require_valid,
 )
 from switchflow.sequences import SymbolicSequence, truncation_order
 from switchflow.signals import SwitchingSignal
@@ -236,8 +236,7 @@ def random_validated_graph(rng: np.random.Generator, n_max: int = 8) -> Directed
         if not any(e[1] == v for e in edges):
             edges.add((int(rng.integers(n)), v))
     g = DirectedGraph.from_edges(n, sorted(edges))
-    assert validate_n_graph(g).ok
-    return g
+    return require_valid(g)
 
 
 def random_strong_graph(rng: np.random.Generator, n: int = 3) -> DirectedGraph:

@@ -22,12 +22,12 @@ from switchflow.config import ExperimentConfig
 from switchflow.fields import ExpressionField
 from switchflow.flow import SwitchedSystem, integrate_segment
 from switchflow.graph import (
-    Csr,
     DirectedGraph,
     RangeRows,
     ValidationError,
     expand_ranges,
     self_reaching_components,
+    successor_rows,
     tarjan,
 )
 from switchflow.sequences import enumerate_admissible_words
@@ -617,7 +617,7 @@ class TestSelfReachingComponents:
                    for a, b in zip([0, *cuts], [*cuts, len(rows)])]
         relation = RangeRows.from_rows(n, batches)
         pairs = sorted({(u, v) for u, first, last in rows for v in range(first, last + 1)})
-        csr = expanded_csr(pairs, n)
+        ptr, adj = expanded_rows(pairs, n)
         assert relation.nnz == len(pairs)
         assert edge_pairs(relation) == pairs
         for u in range(n):
@@ -625,7 +625,7 @@ class TestSelfReachingComponents:
             first, last = relation.first[ranges], relation.last[ranges]
             assert (first <= last).all() and (first[1:] > last[:-1] + 1).all()
         assert sorted(map(sorted, self_reaching_components(relation))) == \
-            sorted(map(sorted, expanded_self_reaching(csr)))
+            sorted(map(sorted, expanded_self_reaching(ptr, adj)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -650,20 +650,17 @@ class TestSelfReachingComponents:
             mutual_classes(reachability(n, pairs))
 
 
-def expanded_csr(pairs, n):
-    """The expanded-edge ``Csr`` that range rows replaced as the stored relation."""
-    return Csr.from_keys(np.array([u * n + v for u, v in pairs], dtype=np.int64), n)
+def expanded_rows(pairs, n):
+    """The expanded edges as ``(ptr, adj)`` successor rows, the stored
+    relation that range rows replaced."""
+    return successor_rows(np.array([u * n + v for u, v in pairs], dtype=np.int64), n)
 
 
-def csr_row(csr, u):
-    return csr.indices[csr.indptr[u]:csr.indptr[u + 1]]
-
-
-def expanded_self_reaching(csr):
+def expanded_self_reaching(ptr, adj):
     """Components as found before the gadget: ``tarjan`` on the expanded
     edges, dropping single nodes without a self-edge."""
-    return [comp for comp in tarjan(csr)
-            if len(comp) > 1 or comp[0] in csr_row(csr, comp[0])]
+    return [comp for comp in tarjan(ptr, adj)
+            if len(comp) > 1 or comp[0] in adj[ptr[comp[0]]:ptr[comp[0] + 1]]]
 
 
 class TestChainComponents:

@@ -187,6 +187,12 @@ def _with_top(key, value):
                  id="poly1d-coeff-string"),
     pytest.param(_with("system", "fields", [{"type": "linear", "matrix": [[True]]}, "x1"]),
                  id="linear-entry-bool"),
+    # numpy refused a negative seed with a traceback; labels "AB" and
+    # {"A": 0, "B": 1} ran as labels A, B; out 5 wrote to a directory "5"
+    pytest.param(_with("run", "seed", -1), id="seed-negative"),
+    pytest.param(_with("graph", "labels", "AB"), id="labels-string"),
+    pytest.param(_with("graph", "labels", {"A": 0, "B": 1}), id="labels-object"),
+    pytest.param(_with("run", "out", 5), id="out-number"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
@@ -196,6 +202,17 @@ def test_malformed_config_exits_2(edit, tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and "Traceback" not in err
+
+
+def test_vertex_without_in_edge_is_named(tmp_path, capsys):
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["graph"]["edges"] = [[0, 0], [1, 0]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "analyze-graph"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid switching graph: vertices with in-degree 0: [1]" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("block, key, value", [

@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 
 import switchflow
 from switchflow.graph import (
-    Csr,
     DirectedGraph,
     SccDecomposition,
     ValidationError,
     admissible_path,
     connector,
     morse_order,
+    require_valid,
     scc,
+    successor_rows,
     tarjan,
-    validate_n_graph,
 )
 
 from switchflow.literals import LiteralError, format_sequence, parse_sequence
@@ -39,17 +39,23 @@ def labels2():
 
 class TestValidation:
     def test_complete_two_graph_ok(self):
-        assert validate_n_graph(DirectedGraph.complete(2)).ok
+        g = DirectedGraph.complete(2)
+        assert require_valid(g) is g
 
     def test_two_cycle_ok(self):
-        assert validate_n_graph(DirectedGraph.cycle(2)).ok
+        g = DirectedGraph.cycle(2)
+        assert require_valid(g) is g
 
-    def test_missing_out_degree_reported(self):
-        g = DirectedGraph.from_edges(2, [(0, 0), (0, 1)])
-        report = validate_n_graph(g)
-        assert not report.ok
-        assert report.missing_out == (1,)
-        assert report.missing_in == ()
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 0), (0, 1)], "vertices with out-degree 0: [1]"),
+        ([(0, 0), (1, 0)], "vertices with in-degree 0: [1]"),
+        ([(0, 1)], "vertices with out-degree 0: [1]; vertices with in-degree 0: [0]"),
+    ], ids=["out-only", "in-only", "out-and-in"])
+    def test_missing_degree_reported(self, edges, message):
+        g = DirectedGraph.from_edges(2, edges)
+        with pytest.raises(ValidationError) as err:
+            require_valid(g)
+        assert str(err.value) == f"invalid switching graph: {message}"
 
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValidationError):
@@ -122,10 +128,13 @@ class TestParsing:
         with pytest.raises(LiteralError, match="^at position 0: unknown vertex 'C'$"):
             parse_sequence(g, "left=(1 C) right=(1 2 0)")
 
-    def test_validation_report_made_once(self):
+    def test_degree_defect_made_once(self):
+        # the message is stored at construction; require_valid only reads it
         g = DirectedGraph.from_edges(2, [(0, 1), (0, 0)])
-        assert g.validation == validate_n_graph(g)
-        assert g.validation.missing_out == (1,) and g.validation.missing_in == ()
+        assert g._defect == "vertices with out-degree 0: [1]"
+        with pytest.raises(ValidationError) as err:
+            require_valid(g)
+        assert str(err.value) == f"invalid switching graph: {g._defect}"
 
 
 class TestScc:
@@ -182,7 +191,7 @@ class TestTarjan:
         ids = st.integers(0, n - 1)
         pairs = data.draw(st.sets(st.tuples(ids, ids), max_size=3 * n), label="edges")
         keys = np.array(sorted(u * n + v for u, v in pairs), dtype=np.int64)
-        components = tarjan(Csr.from_keys(keys, n))
+        components = tarjan(*successor_rows(keys, n))
         emitted = {v: k for k, comp in enumerate(components) for v in comp}
         # an edge never leads to a component emitted later: every
         # condensation edge points back in the emission order
