@@ -14,7 +14,7 @@ from .chains import (
     lift_kernel,
 )
 from .config import AnalysisConfig, ExperimentConfig, RunConfig
-from .fields import ExpressionField, LinearField, PolynomialField1D, field_from_config
+from .fields import ExpressionField, field_from_config
 from .flow import (
     HybridState,
     IntegrationError,

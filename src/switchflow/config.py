@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .fields import VectorField, field_from_config
+from .fields import ExpressionField, field_from_config
 from .flow import SwitchedSystem
 from .graph import DirectedGraph, ValidationError, require_int, require_real, require_valid
 
@@ -95,11 +95,13 @@ class ExperimentConfig:
                     for lo, hi in sysdoc["box"])
         dim = len(box)
         raw_fields = sysdoc["fields"]
+        if not isinstance(raw_fields, list):
+            raise ValidationError(f"system.fields must be a list, got {raw_fields!r}")
         if len(raw_fields) != graph.n:
             raise ValidationError(
                 f"system.fields has {len(raw_fields)} entries but the graph "
                 f"has {graph.n} vertices")
-        fields: tuple[VectorField, ...] = tuple(
+        fields: tuple[ExpressionField, ...] = tuple(
             field_from_config(sp, dim) for sp in raw_fields)
         system = SwitchedSystem(
             graph=graph, box=box, step=require_real(sysdoc["h"], "system.h"), fields=fields,
@@ -114,6 +116,9 @@ class ExperimentConfig:
             refs = tuple((require_real(lo, "analysis.references"),
                           require_real(hi, "analysis.references"))
                          for lo, hi in a.get("references", []))
+            if refs and dim != 1:
+                raise ValidationError("analysis.references are compared by Hausdorff "
+                                      f"distance only in 1-D; the box has {dim} axes")
             analysis = AnalysisConfig(
                 cells=tuple(require_int(c, "analysis.cells") for c in cells),
                 eps=require_real(a["eps"], "analysis.eps"),

@@ -9,9 +9,9 @@ shape.  ``field.rk4(n_steps, half, hstep, sixth, x1, ..., xd)`` is the
 fixed-step RK4 loop with the bodies inlined; it returns the d columns after
 ``n_steps`` steps.  Every operation acts elementwise, so a lone point equals
 its row of a batch bit for bit.  ``field(x)`` is the array form: shape
-(..., d) in, (..., d) out.  There are three config-friendly families: 1-D
-polynomials, linear maps, and expression trees over x1..xd with +, -, *, /,
-** and sin/cos/exp.
+(..., d) in, (..., d) out.  ``ExpressionField`` is the one field class: its
+expressions are over x1..xd with +, -, *, /, ** and sin/cos/exp.  The
+config forms ``poly1d`` and ``linear`` are shorthand for expression text.
 """
 from __future__ import annotations
 
@@ -217,18 +217,32 @@ def _rk4_source(bodies: Sequence[ast.expr], xs: list[str]) -> str:
 """
 
 
-class VectorField:
-    """Base of the field classes.  Each class's ``__post_init__`` passes one
-    expression tree per component, over x1..xd, to ``_compile``, which keeps
-    them as ``bodies`` and compiles ``columns`` and ``rk4`` from them under
-    ``__builtins__: {}``.  ``field(x)`` evaluates ``columns`` on the
-    coordinate columns of a ``(..., d)`` array.  A lone point runs as a batch
-    of one, since numpy scalars may give a NaN another sign than the array
-    loop does."""
+@dataclass(frozen=True)
+class ExpressionField:
+    """Vector field given by one expression per state component, over x1..xd.
 
-    def _compile(self, bodies: Sequence[ast.expr]) -> None:
+    Each expression is validated against the whitelist, and every ``**``
+    with a variable operand is rewritten by ``_array_powers``; the results
+    are the field's ``bodies``, from which ``columns`` and ``rk4`` are
+    compiled under ``__builtins__: {}``.  ``field(x)`` evaluates ``columns``
+    on the coordinate columns of a ``(..., d)`` array.  A lone point runs as
+    a batch of one, since numpy scalars may give a NaN another sign than the
+    array loop does.
+    """
+
+    expressions: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        xs = [f"x{i}" for i in range(1, len(self.expressions) + 1)]
+        bodies = []
+        for expr in self.expressions:
+            try:
+                tree = ast.parse(expr, mode="eval")
+            except SyntaxError as exc:
+                raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
+            _validate_expr(tree, set(xs))
+            bodies.append(_array_powers(tree.body, expr))
         # one compile of text, which costs less than building AST objects
-        xs = [f"x{i}" for i in range(1, len(bodies) + 1)]
         columns = "".join(_source(body, {}, False)[0] + ", " for body in bodies)
         namespace = dict(_GLOBALS)
         exec(compile(f"columns = lambda {', '.join(xs)}: ({columns})\n"
@@ -244,72 +258,15 @@ class VectorField:
         return stack_columns(self.columns(*np.moveaxis(x, -1, 0)), x.shape[:-1])
 
 
-@dataclass(frozen=True)
-class ExpressionField(VectorField):
-    """Vector field given by one expression per state component.
-
-    Each expression is validated against the whitelist, and every ``**``
-    with a variable operand is rewritten by ``_array_powers``; the results
-    are the field's bodies.
-    """
-
-    expressions: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        names = {f"x{i + 1}" for i in range(self.dimension)}
-        bodies = []
-        for expr in self.expressions:
-            try:
-                tree = ast.parse(expr, mode="eval")
-            except SyntaxError as exc:
-                raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-            _validate_expr(tree, names)
-            bodies.append(_array_powers(tree.body, expr))
-        self._compile(bodies)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.expressions)
-
-
-@dataclass(frozen=True)
-class PolynomialField1D(VectorField):
-    """1-D field xdot = sum_k coeffs[k] * x^k, by Horner's rule from 0.0:
-    ``(0.0 * x1 + c_n) * x1 + ... + c_0``."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValidationError("polynomial coefficients must be finite")
-        horner = "0.0"
-        for c in reversed(self.coeffs):
-            horner = f"({horner}) * x1 + ({float(c)!r})"
-        self._compile([ast.parse(horner, mode="eval").body])
-
-
-@dataclass(frozen=True)
-class LinearField(VectorField):
-    """d-D field xdot = A @ x, each row summed left to right:
-    ``a0 * x1 + a1 * x2 + ...``."""
-
-    matrix: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self) -> None:
-        if any(len(row) != len(self.matrix) for row in self.matrix):
-            raise ValidationError("linear field matrix must be d x d")
-        if not all(math.isfinite(a) for row in self.matrix for a in row):
-            raise ValidationError("linear field matrix entries must be finite")
-        rows = [" + ".join(f"({float(a)!r}) * x{i}" for i, a in enumerate(row, 1))
-                for row in self.matrix]
-        self._compile([ast.parse(row, mode="eval").body for row in rows])
-
-
-def field_from_config(entry, dimension: int) -> VectorField:
+def field_from_config(entry, dimension: int) -> ExpressionField:
     """Build a field from a config entry.
 
     Accepts a single expression string (1-D systems), a list of d expression
-    strings, or an object ``{"type": "poly1d"|"linear"|"expr", ...}``.
+    strings, or a named form written out as expression text:
+    ``{"type": "poly1d", "coeffs": [c_0, ..., c_n]}`` as Horner's rule from
+    0.0, ``(...(0.0) * x1 + (c_n)) * x1 + ... + (c_0)``, and ``{"type":
+    "linear", "matrix": A}`` as each row summed left to right, ``(a0) * x1 +
+    (a1) * x2 + ...``.
     """
     if isinstance(entry, str):
         if dimension == 1:
@@ -325,18 +282,20 @@ def field_from_config(entry, dimension: int) -> VectorField:
         if kind == "poly1d":
             if dimension != 1:
                 raise ValidationError("poly1d fields require dimension 1")
-            return PolynomialField1D(tuple(require_real(c, "poly1d coeffs")
-                                           for c in entry["coeffs"]))
+            coeffs = [require_real(c, "poly1d coeffs") for c in entry["coeffs"]]
+            if not all(math.isfinite(c) for c in coeffs):
+                raise ValidationError("polynomial coefficients must be finite")
+            horner = "0.0"
+            for c in reversed(coeffs):
+                horner = f"({horner}) * x1 + ({c!r})"
+            return ExpressionField((horner,))
         if kind == "linear":
-            m = tuple(tuple(require_real(v, "linear matrix") for v in row)
-                      for row in entry["matrix"])
-            if len(m) != dimension:
+            m = [[require_real(v, "linear matrix") for v in row] for row in entry["matrix"]]
+            if len(m) != dimension or any(len(row) != dimension for row in m):
                 raise ValidationError("linear field matrix must be d x d")
-            return LinearField(m)
-        if kind == "expr":
-            comps = entry["components"]
-            if len(comps) != dimension:
-                raise ValidationError(f"field needs {dimension} component expressions")
-            return ExpressionField(tuple(str(c) for c in comps))
+            if not all(math.isfinite(a) for row in m for a in row):
+                raise ValidationError("linear field matrix entries must be finite")
+            return ExpressionField(tuple(
+                " + ".join(f"({a!r}) * x{i}" for i, a in enumerate(row, 1)) for row in m))
         raise ValidationError(f"unknown field type {kind!r}")
     raise ValidationError(f"cannot interpret field entry {entry!r}")

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import VectorField, stack_columns
+from .fields import ExpressionField, stack_columns
 from .graph import DirectedGraph, ValidationError, require_valid
 from .signals import SwitchingSignal, metric_delta, shift
 
@@ -29,7 +29,7 @@ class SwitchedSystem:
     graph: DirectedGraph
     box: tuple[tuple[float, float], ...]
     step: float
-    fields: tuple[VectorField, ...]
+    fields: tuple[ExpressionField, ...]
     substeps: int = 20
 
     def __post_init__(self) -> None:
@@ -40,7 +40,7 @@ class SwitchedSystem:
             raise ValidationError("step h must be positive and finite")
         if self.substeps < 1:
             raise ValidationError("substeps must be >= 1")
-        if not all(isinstance(getattr(f, "bodies", None), tuple) for f in self.fields):
+        if not all(isinstance(f, ExpressionField) for f in self.fields):
             raise ValidationError("every field needs component expressions, from which its "
                                   "columns(x1, ..., xd) evaluation and RK4 loop are compiled")
         if not self.box:

@@ -56,9 +56,9 @@ def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
 
 
 def reference_linear_columns(matrix, *xs) -> tuple:
-    """``LinearField.columns`` as a method over the matrix, the form its
-    compiled component expressions replaced: each row summed left to
-    right."""
+    """The ``linear`` config form's columns as a method over the matrix,
+    the form its written-out component expressions replaced: each row
+    summed left to right."""
     out = []
     for row in matrix:
         column = row[0] * xs[0]
@@ -69,9 +69,9 @@ def reference_linear_columns(matrix, *xs) -> tuple:
 
 
 def reference_polynomial_columns(coeffs, x1) -> tuple:
-    """``PolynomialField1D.columns`` as a method over the coefficients, the
-    form its compiled component expression replaced: Horner's rule from
-    0.0."""
+    """The ``poly1d`` config form's column as a method over the
+    coefficients, the form its written-out expression replaced: Horner's
+    rule from 0.0."""
     out = 0.0
     for c in reversed(coeffs):
         out = out * x1 + c

@@ -140,6 +140,12 @@ def _with_top(key, value):
     return edit
 
 
+def _plane(doc, references):
+    """``doc`` on the 2-D box [0, 2]^2, with the given ``analysis.references``."""
+    doc["system"].update(box=[[0.0, 2.0], [0.0, 2.0]], fields=[["x2", "-x1"], ["-x1", "-x2"]])
+    doc["analysis"].update(cells=[10, 10], references=references)
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(_without("system", "box"), id="missing-box"),
     pytest.param(_with("system", "h", "abc"), id="h-not-a-number"),
@@ -193,6 +199,14 @@ def _with_top(key, value):
     pytest.param(_with("graph", "labels", "AB"), id="labels-string"),
     pytest.param(_with("graph", "labels", {"A": 0, "B": 1}), id="labels-object"),
     pytest.param(_with("run", "out", 5), id="out-number"),
+    # the object form {"type": "expr"} repeated the list of strings and ran
+    # str() on each component; an object of fields ran on its keys; and
+    # references on a 2-D box were ignored, as Hausdorff distances are 1-D
+    pytest.param(_with("system", "fields", [{"type": "expr", "components": [1]}, "x1"]),
+                 id="expr-form"),
+    pytest.param(_with("system", "fields", {"-x1*(x1-1)*(x1-2)": "ignored", "-x1*(x1-2)": None}),
+                 id="fields-object"),
+    pytest.param(lambda doc: _plane(doc, [[0.0, 1.0]]), id="references-in-2d"),
 ])
 def test_malformed_config_exits_2(edit, tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
@@ -202,6 +216,41 @@ def test_malformed_config_exits_2(edit, tmp_path, capsys):
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_with("system", "fields", {"-x1": 0, "x1": 1}), "system.fields must be a list"),
+    (lambda doc: _plane(doc, [[0.0, 1.0]]), "analysis.references"),
+], ids=["fields-object", "references-in-2d"])
+def test_refused_config_names_the_key(edit, message):
+    doc = json.loads(json.dumps(COMPLETE2))
+    edit(doc)
+    with pytest.raises(ValidationError, match=message):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("named, written", [
+    ({"type": "poly1d", "coeffs": [0, -2, 3, -1]},
+     "((((0.0) * x1 + (-1.0)) * x1 + (3.0)) * x1 + (-2.0)) * x1 + (0.0)"),
+    ({"type": "linear", "matrix": [[-0.7]]}, "(-0.7) * x1"),
+], ids=["poly1d", "linear"])
+def test_named_field_simulates_as_its_expression_text(named, written, tmp_path):
+    # a named form is shorthand for its expression text: the same samples,
+    # bit for bit; only the embedded config differs
+    rows = []
+    for field in (named, written):
+        doc = json.loads(json.dumps(COMPLETE2))
+        doc["system"]["fields"][0] = field
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "simulate", "--x0", "0.5",
+                     "--signal", "left=(A) core=[A B B] right=(B A) tau=0.05",
+                     "--t-end", "3.0", "--sample-dt", "0.1"]) == 0
+        lines = (out / "trajectory.csv").read_bytes().split(b"\n")
+        assert lines[0].startswith(b"# config=")
+        rows.append(lines[1:])
+    assert len(rows[0]) == 33 and rows[0] == rows[1]
 
 
 def test_vertex_without_in_edge_is_named(tmp_path, capsys):

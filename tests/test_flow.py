@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from switchflow.fields import (
     ExpressionField,
-    LinearField,
-    PolynomialField1D,
     _array_powers,
     _validate_expr,
     field_from_config,
@@ -39,6 +37,17 @@ from conftest import (
 )
 
 H = 0.1
+
+
+def poly1d(coeffs):
+    """The config's ``poly1d`` form: Horner's rule over ``coeffs``."""
+    return field_from_config({"type": "poly1d", "coeffs": list(coeffs)}, 1)
+
+
+def linear(matrix):
+    """The config's ``linear`` form: each row of ``matrix`` summed left to right."""
+    return field_from_config({"type": "linear", "matrix": [list(row) for row in matrix]},
+                             len(matrix))
 
 
 def sys_decay_grow(substeps=40):
@@ -74,22 +83,33 @@ class TestFields:
             ExpressionField(("x3", "x1"))
 
     def test_polynomial(self):
-        f = PolynomialField1D((0.0, -1.0))  # -x
+        f = poly1d((0.0, -1.0))  # -x
         assert f(np.array([2.0]))[0] == pytest.approx(-2.0)
 
     def test_linear(self):
-        f = LinearField(((0.0, 1.0), (-1.0, 0.0)))
+        f = linear(((0.0, 1.0), (-1.0, 0.0)))
         out = f(np.array([1.0, 0.0]))
         assert out == pytest.approx(np.array([0.0, -1.0]))
 
     def test_from_config_forms(self):
-        assert isinstance(field_from_config("-x1", 1), ExpressionField)
-        assert isinstance(field_from_config({"type": "poly1d", "coeffs": [0, -1]}, 1),
-                          PolynomialField1D)
-        assert isinstance(field_from_config({"type": "linear", "matrix": [[0.0]]}, 1),
-                          LinearField)
-        with pytest.raises(ValidationError):
+        # the named forms are shorthand for expression text
+        assert field_from_config("-x1", 1) == ExpressionField(("-x1",))
+        poly = field_from_config({"type": "poly1d", "coeffs": [0, -1, 2.5]}, 1)
+        assert type(poly) is ExpressionField
+        assert poly.expressions == ("(((0.0) * x1 + (2.5)) * x1 + (-1.0)) * x1 + (0.0)",)
+        assert field_from_config({"type": "poly1d", "coeffs": []}, 1).expressions == ("0.0",)
+        lin = field_from_config({"type": "linear", "matrix": [[0, 1.0], [-1.0, -0.0]]}, 2)
+        assert type(lin) is ExpressionField
+        assert lin.expressions == ("(0.0) * x1 + (1.0) * x2", "(-1.0) * x1 + (-0.0) * x2")
+        with pytest.raises(ValidationError, match="unknown field type 'nope'"):
             field_from_config({"type": "nope"}, 1)
+        with pytest.raises(ValidationError, match="unknown field type 'expr'"):
+            field_from_config({"type": "expr", "components": ["-x1"]}, 1)
+        with pytest.raises(ValidationError, match="poly1d fields require dimension 1"):
+            field_from_config({"type": "poly1d", "coeffs": [1.0]}, 2)
+        for matrix in ([[1.0, 0.0]], [[1.0], [0.0]], [[1.0, 0.0], [0.0]]):
+            with pytest.raises(ValidationError, match="must be d x d"):
+                field_from_config({"type": "linear", "matrix": matrix}, 2)
 
     @pytest.mark.parametrize("expr, base", [
         ("x1**2", lambda x: x), ("x1**2.0", lambda x: x), ("(x1-1)**2", lambda x: x - 1)])
@@ -136,14 +156,14 @@ class TestFields:
             d = data.draw(st.integers(1, 3), label="d")
             matrix = data.draw(st.lists(st.lists(coeffs, min_size=d, max_size=d).map(tuple),
                                         min_size=d, max_size=d).map(tuple), label="matrix")
-            field = LinearField(matrix)
+            field = linear(matrix)
 
             def reference(*xs):
                 return reference_linear_columns(matrix, *xs)
         else:
             d = 1
             poly = data.draw(st.lists(coeffs, max_size=5).map(tuple), label="coeffs")
-            field = PolynomialField1D(poly)
+            field = poly1d(poly)
 
             def reference(x1):
                 return reference_polynomial_columns(poly, x1)
@@ -161,8 +181,8 @@ class TestFields:
         assert (np.isnan(got) == nan).all()
         assert got[~nan].tobytes() == want[~nan].tobytes()
 
-    @pytest.mark.parametrize("make", [lambda v: LinearField(((1.0, 0.0), (v, -1.0))),
-                                      lambda v: PolynomialField1D((0.5, v))],
+    @pytest.mark.parametrize("make", [lambda v: linear(((1.0, 0.0), (v, -1.0))),
+                                      lambda v: poly1d((0.5, v))],
                              ids=["linear", "poly1d"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_nonfinite_coefficient_rejected(self, make, value):
@@ -316,9 +336,9 @@ def any_field(d):
     kinds = [st.lists(field_expressions(d), min_size=d, max_size=d).map(
                  expression_field_or_none).filter(lambda f: f is not None),
              st.lists(st.lists(coeffs, min_size=d, max_size=d), min_size=d, max_size=d).map(
-                 lambda m: LinearField(tuple(map(tuple, m))))]
+                 linear)]
     if d == 1:
-        kinds.append(st.lists(coeffs, max_size=5).map(lambda c: PolynomialField1D(tuple(c))))
+        kinds.append(st.lists(coeffs, max_size=5).map(poly1d))
     return st.one_of(kinds)
 
 
@@ -364,7 +384,7 @@ class TestIntegrateSegment:
         with pytest.raises(ValidationError, match="columns"):
             SwitchedSystem(g, ((-1.0, 1.0),), H, (lambda x: -x,))
 
-    @pytest.mark.parametrize("field", [ExpressionField(("x2", "-x1")), LinearField(((1.0,),))],
+    @pytest.mark.parametrize("field", [ExpressionField(("x2", "-x1")), linear(((1.0,),))],
                              ids=["two-components", "one-component"])
     def test_field_of_other_dimension_rejected(self, field):
         # a field's compiled loop takes exactly its own number of columns
@@ -409,7 +429,7 @@ class TestIntegrateSegment:
         with pytest.raises(ValidationError, match="at least one interval"):
             SwitchedSystem(g, (), H, (ExpressionField(()),))
 
-    @pytest.mark.parametrize("field", [LinearField(((0.1, 1.3), (-1.1, -0.4))),
+    @pytest.mark.parametrize("field", [linear(((0.1, 1.3), (-1.1, -0.4))),
                                        ExpressionField(("x2", "-x1"))], ids=["linear", "expr"])
     @pytest.mark.parametrize("x0", [[0.5], [0.5, 0.1, 0.2], [[0.5, 0.1, 0.2]], np.zeros((2, 5))],
                              ids=["one-column", "three-columns", "batch-of-three", "transposed"])
@@ -481,10 +501,10 @@ class TestIntegrateSegment:
                      id="expr-3d"),
         # a constant column is a float, and an identity column is its argument
         pytest.param(ExpressionField(("x2", "1.0")), 2, id="expr-identity-constant"),
-        pytest.param(PolynomialField1D((0.3, -1.0, 0.5, -2.0)), 1, id="poly1d"),
-        pytest.param(LinearField(((-0.7,),)), 1, id="linear-1d"),
-        pytest.param(LinearField(((0.1, 1.3), (-1.1, -0.4))), 2, id="linear-2d"),
-        pytest.param(LinearField(((0.2, 1.0, -0.3), (-1.0, 0.1, 0.5), (0.4, -0.6, -0.9))), 3,
+        pytest.param(poly1d((0.3, -1.0, 0.5, -2.0)), 1, id="poly1d"),
+        pytest.param(linear(((-0.7,),)), 1, id="linear-1d"),
+        pytest.param(linear(((0.1, 1.3), (-1.1, -0.4))), 2, id="linear-2d"),
+        pytest.param(linear(((0.2, 1.0, -0.3), (-1.0, 0.1, 0.5), (0.4, -0.6, -0.9))), 3,
                      id="linear-3d"),
     ])
     def test_stacked_equals_per_slice(self, field, d, backward, rng):
