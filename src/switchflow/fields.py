@@ -266,7 +266,8 @@ def field_from_config(entry, dimension: int) -> ExpressionField:
     ``{"type": "poly1d", "coeffs": [c_0, ..., c_n]}`` as Horner's rule from
     0.0, ``(...(0.0) * x1 + (c_n)) * x1 + ... + (c_0)``, and ``{"type":
     "linear", "matrix": A}`` as each row summed left to right, ``(a0) * x1 +
-    (a1) * x2 + ...``.
+    (a1) * x2 + ...``.  A named form holds no key but ``type`` and its data
+    key.
     """
     if isinstance(entry, str):
         if dimension == 1:
@@ -279,6 +280,13 @@ def field_from_config(entry, dimension: int) -> ExpressionField:
         return ExpressionField(tuple(entry))
     if isinstance(entry, dict):
         kind = entry.get("type")
+        # each named form's one data key
+        data = isinstance(kind, str) and {"poly1d": "coeffs", "linear": "matrix"}.get(kind)
+        if not data:
+            raise ValidationError(f"unknown field type {kind!r}")
+        unknown = sorted(map(str, set(entry) - {"type", data}))
+        if unknown:
+            raise ValidationError(f"unknown {kind} field key " + ", ".join(unknown))
         if kind == "poly1d":
             if dimension != 1:
                 raise ValidationError("poly1d fields require dimension 1")
@@ -289,13 +297,11 @@ def field_from_config(entry, dimension: int) -> ExpressionField:
             for c in reversed(coeffs):
                 horner = f"({horner}) * x1 + ({c!r})"
             return ExpressionField((horner,))
-        if kind == "linear":
-            m = [[require_real(v, "linear matrix") for v in row] for row in entry["matrix"]]
-            if len(m) != dimension or any(len(row) != dimension for row in m):
-                raise ValidationError("linear field matrix must be d x d")
-            if not all(math.isfinite(a) for row in m for a in row):
-                raise ValidationError("linear field matrix entries must be finite")
-            return ExpressionField(tuple(
-                " + ".join(f"({a!r}) * x{i}" for i, a in enumerate(row, 1)) for row in m))
-        raise ValidationError(f"unknown field type {kind!r}")
+        m = [[require_real(v, "linear matrix") for v in row] for row in entry["matrix"]]
+        if len(m) != dimension or any(len(row) != dimension for row in m):
+            raise ValidationError("linear field matrix must be d x d")
+        if not all(math.isfinite(a) for row in m for a in row):
+            raise ValidationError("linear field matrix entries must be finite")
+        return ExpressionField(tuple(
+            " + ".join(f"({a!r}) * x{i}" for i, a in enumerate(row, 1)) for row in m))
     raise ValidationError(f"cannot interpret field entry {entry!r}")

@@ -256,10 +256,24 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     themselves (more than one id, or one id with an edge to itself), without
     expanding any range.
 
+    Cut ``c`` in ``0..n`` separates ids ``< c`` from ids ``>= c``.  A cycle
+    that crosses a cut crosses it both ways, so none crosses a free cut: one
+    that no edge crosses backward (every source ``>= c`` has its first target
+    ``>= c``) or none forward (every source ``< c`` has its last target
+    ``< c``).  A source without ranges has first target ``n`` and last
+    target ``-1``, so cuts ``0`` and ``n`` are free.  An id ``i`` whose cuts
+    ``i`` and ``i + 1`` are both free is lone: it lies on no cycle but its
+    own self-loop, so it is a component exactly when one of its ranges
+    contains it, and it takes no further part.
+
     Ids ``i`` and ``i + 1`` that each have a range containing the other share
-    a component, so runs of such ids are contracted first.  A run is a group
-    of consecutive ids, so a range of ids maps to a range of groups, and the
-    mapped rows are joined again.  A group of two or more ids reaches itself.
+    a component, so runs of such ids are contracted into groups.  A lone id
+    is never in a run with a neighbour, since the two edges would cross one
+    of its cuts both ways, and it gets no group.  A group is a run of
+    consecutive ids, so each range maps to the range of groups it meets, and
+    the mapped rows are joined again; the ranges of lone sources, and ranges
+    that meet only lone ids, are dropped.  A group of two or more ids
+    reaches itself.
 
     ``tarjan`` then runs on a bottom-up segment-tree gadget over the ``g``
     groups: node 0 is unused, internal node ``j`` in ``1..g-1`` points at its
@@ -269,23 +283,48 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     paths, and every cycle passes through a leaf, so the components with more
     than one gadget node are the non-trivial ones.  A range of one group is
     covered by its own leaf, a gadget self-loop, so a single-leaf component
-    is kept when one of its ranges contains it.  Components come in Tarjan's
-    emission order over the groups, which is reverse topological, each
-    expanded back to its ids.
+    is kept when one of its ranges contains it.  The gadget's components,
+    each expanded back to its ids, come first in Tarjan's emission order;
+    the lone ids with a self-loop follow, ascending.
     """
     n = rows.n
     src = np.repeat(np.arange(n), np.diff(rows.indptr))
     first, last = rows.first, rows.last
+    # lowest[i] and highest[i + 1]: the first and last target of source i,
+    # n and -1 where there is none
+    some = np.flatnonzero(rows.indptr[1:] > rows.indptr[:-1])
+    lowest, highest = np.full(n + 1, n), np.full(n + 1, -1)
+    lowest[some], highest[some + 1] = first[rows.indptr[some]], last[rows.indptr[some + 1] - 1]
+    # free[c]: no edge crosses cut c backward, or none crosses it forward
+    cut = np.arange(n + 1)
+    free = (np.minimum.accumulate(lowest[::-1])[::-1] >= cut) \
+        | (np.maximum.accumulate(highest) < cut)
+    lone = free[:-1] & free[1:]
+    # own[i]: one of i's ranges contains i
+    own = np.zeros(n, dtype=bool)
+    own[src[(first <= src) & (src <= last)]] = True
+    loops = [[i] for i in np.flatnonzero(lone & own).tolist()]
     # up[i]: i points at i + 1; down[i]: i points at i - 1
     up, down = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     up[src[(first <= src + 1) & (src + 1 <= last)]] = True
     down[src[(first < src) & (src <= last + 1)]] = True
-    # apart[i]: ids i and i + 1 lie in different groups
-    apart = ~(up[:-1] & down[1:])
-    group = np.cumsum(np.concatenate(([0], apart)))
-    bounds = np.flatnonzero(np.concatenate(([True], apart, [True]))).tolist()
-    g = len(bounds) - 1
-    src, first, last = _join_ranges(g, np.stack((group[src], group[first], group[last])))
+    # opens[i]: id i starts a run; a lone id is a run of one, and the other
+    # runs are the groups
+    opens = np.concatenate(([True], ~(up[:-1] & down[1:])))[:n]
+    starts = np.flatnonzero(opens)
+    stops = np.append(starts[1:], n)
+    kept = ~lone[starts]
+    starts, stops = starts[kept].tolist(), stops[kept].tolist()
+    g = len(starts)
+    if not g:
+        return loops
+    # group[i]: the group of id i, or the last group before i if i is lone;
+    # a range meets the groups from that of its first id (the next one if
+    # that id is lone) to that of its last id
+    group = np.cumsum(opens & ~lone) - 1
+    lo, hi = (group + lone)[first], group[last]
+    meets = (lo <= hi) & ~lone[src]
+    src, first, last = _join_ranges(g, np.stack((group[src], lo, hi)).compress(meets, axis=1))
     src = src + g
     lo, hi = first + g, last + g + 1
     self_loop = np.zeros(2 * g, dtype=bool)
@@ -305,9 +344,9 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
         src, lo, hi = src[more], lo[more], hi[more]
     keys = np.sort(np.concatenate(tails) * (2 * g) + np.concatenate(heads))
     self_loop = self_loop.tolist()
-    return [[i for v in comp if v >= g for i in range(bounds[v - g], bounds[v - g + 1])]
+    return [[i for v in comp if v >= g for i in range(starts[v - g], stops[v - g])]
             for comp in tarjan(*successor_rows(keys, 2 * g))
-            if len(comp) > 1 or self_loop[comp[0]]]
+            if len(comp) > 1 or self_loop[comp[0]]] + loops
 
 
 def tarjan(ptr: list[int], adj: list[int]) -> list[list[int]]:

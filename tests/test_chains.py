@@ -1,6 +1,7 @@
 import hashlib
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -629,6 +630,44 @@ class TestSelfReachingComponents:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
+    def test_pruned_lone_ids_match_tarjan_on_expanded_edges(self, data):
+        # rows that drift upward leave many ids on no cycle: lone ids, which
+        # are pruned before the gadget; with no row pointing down, every id
+        # is lone and no gadget is built
+        shape = data.draw(st.sampled_from(["drift", "all lone", "none lone"]), label="shape")
+        n = data.draw(st.integers(2 if shape == "none lone" else 1, 60), label="n")
+        ids = st.integers(0, n - 1)
+        step = st.tuples(ids, st.integers(0 if shape == "all lone" else -3, 4), st.integers(0, 6))
+        rows = [(u, min(max(u + d, 0), n - 1), min(max(u + d, 0) + k, n - 1))
+                for u, d, k in data.draw(st.lists(step, max_size=2 * n), label="steps")]
+        # sources with no ranges
+        silent = data.draw(st.sets(ids, max_size=n // 2), label="silent")
+        rows = [r for r in rows if r[0] not in silent]
+        if shape == "none lone":
+            # an edge each way across every inner cut
+            rows += [(n - 1, 0, 0), (0, n - 1, n - 1)]
+        relation = RangeRows.from_rows(n, [np.array(rows, dtype=np.int64).reshape(-1, 3).T])
+        pairs = sorted({(u, v) for u, first, last in rows for v in range(first, last + 1)})
+        lone = lone_ids(pairs, n)
+        if shape == "all lone":
+            assert lone == list(range(n))
+        if shape == "none lone":
+            assert lone == []
+        with mock.patch("switchflow.graph.tarjan", wraps=tarjan) as gadget:
+            found = self_reaching_components(relation)
+        assert gadget.call_count == (len(lone) < n)
+        assert sorted(map(sorted, found)) == \
+            sorted(map(sorted, expanded_self_reaching(*expanded_rows(pairs, n))))
+
+    def test_range_meets_groups_after_its_lone_first_id(self):
+        # 2 lies on no cycle (0 -> 2 -> 1 ends at 1), but the edges cross
+        # its cut 2 both ways, so it is kept; its range 3..3 meets only the
+        # lone id 3, so it maps to no group, not to 2's own
+        relation = RangeRows.from_rows(4, [np.array([[0, 2, 2], [2, 1, 1], [2, 3, 3]]).T])
+        assert self_reaching_components(relation) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
     def test_match_closure_of_expanded_pairs(self, data):
         n = data.draw(st.integers(1, 60), label="n")
         ids = st.integers(0, n - 1)
@@ -654,6 +693,14 @@ def expanded_rows(pairs, n):
     """The expanded edges as ``(ptr, adj)`` successor rows, the stored
     relation that range rows replaced."""
     return successor_rows(np.array([u * n + v for u, v in pairs], dtype=np.int64), n)
+
+
+def lone_ids(pairs, n):
+    """Ids ``i`` whose cuts ``i`` and ``i + 1`` are both free: no pair
+    crosses the cut downward, or none crosses it upward."""
+    free = [not any(v < c <= u for u, v in pairs) or not any(u < c <= v for u, v in pairs)
+            for c in range(n + 1)]
+    return [i for i in range(n) if free[i] and free[i + 1]]
 
 
 def expanded_self_reaching(ptr, adj):

@@ -326,6 +326,20 @@ def test_bad_cli_input_exits_2(config, command, config_path, tmp_path, capsys):
     assert "validation error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, key", [
+    ({"type": "poly1d", "coeffs": [0.0, -1.0], "matrix": [[2]]}, "poly1d field key matrix"),
+    ({"type": "linear", "matrix": [[-1.0]], "coeffs": [1.0]}, "linear field key coeffs"),
+])
+def test_named_field_with_extra_key_exits_2(field, key, tmp_path, capsys):
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["system"]["fields"][0] = field
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("constant", ["(-1.0)**0.5", "0.0**-1", "10.0**400", "10**400",
                                       "cos(2)**0.5", "exp(1000)**1", "9**9**9", "1/0",
                                       "1e308*10", "exp(1000)"])

@@ -111,6 +111,18 @@ class TestFields:
             with pytest.raises(ValidationError, match="must be d x d"):
                 field_from_config({"type": "linear", "matrix": matrix}, 2)
 
+    @pytest.mark.parametrize("entry, dim, key", [
+        ({"type": "poly1d", "coeffs": [1.0], "matrix": [[2]]}, 1, "matrix"),
+        ({"type": "poly1d", "coeffs": [1.0], "components": ["x1"]}, 1, "components"),
+        ({"type": "linear", "matrix": [[0, 1], [-1, 0]], "coeffs": [1.0]}, 2, "coeffs"),
+        ({"type": "linear", "matrix": [[0, 1], [-1, 0]], "scale": 2, "bias": 0}, 2, "bias, scale"),
+    ])
+    def test_from_config_refuses_extra_keys(self, entry, dim, key):
+        # a named form holds its type and its one data key, as config blocks
+        # hold their own keys only
+        with pytest.raises(ValidationError, match=f"unknown {entry['type']} field key {key}$"):
+            field_from_config(entry, dim)
+
     @pytest.mark.parametrize("expr, base", [
         ("x1**2", lambda x: x), ("x1**2.0", lambda x: x), ("(x1-1)**2", lambda x: x - 1)])
     def test_square_equals_np_power(self, expr, base):
