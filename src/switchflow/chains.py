@@ -16,11 +16,9 @@ import numpy as np
 
 from .flow import SwitchedSystem, integrate_segment
 from .graph import (
-    DirectedGraph,
     RangeRows,
     ValidationError,
     expand_ranges,
-    require_valid,
     self_reaching_components,
 )
 from .sequences import enumerate_admissible_words
@@ -181,11 +179,13 @@ def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | i
 # from 2.8 to 3.4 s.
 SWEEP_ROWS = 8192
 
-# Points (words x cells) in one expansion estimate and one Grid.rows_within
-# call of build_chain_graph; a sweep holds consecutive words.  Building the
-# plane2d benchmark's chain graph (20x20 cells, m = 6, 64 words) on a 2-vCPU
-# Xeon VM, one process per value, median of 25 builds scaled by the
-# benchmark's host-speed calibration, then the median of three rounds:
+# Points (words x cells) in one Grid.rows_within call of build_chain_graph; a
+# sweep holds consecutive words, and so bounds only the row query: the
+# expansion estimate runs once on all the images.  Measured when each sweep
+# also ran its own expansion estimate, building the plane2d benchmark's chain
+# graph (20x20 cells, m = 6, 64 words) on a 2-vCPU Xeon VM, one process per
+# value, median of 25 builds scaled by the benchmark's host-speed
+# calibration, then the median of three rounds:
 #
 #   points per sweep   400 (one word)   1 024   2 048   4 096   8 192
 #   build (ms)                   57.4    50.6    45.1    45.2    42.6
@@ -238,23 +238,21 @@ def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
     return np.where(best > 0.0, best, 1.0)
 
 
-def build_chain_graph(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
-                      eps: float, m: int, max_work: int = 2_000_000) -> RangeRows:
+def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
+                      max_work: int = 2_000_000) -> RangeRows:
     """The (epsilon, m*h) reachability graph over the grid, as merged ranges
     of target cells, never expanded.
 
     Nodes are flat cell indices; an edge a -> b exists when some admissible
-    word of length m of ``g`` maps a's center within the inflated epsilon
-    ball of b's center.  Links start in phase: each symbol of a word holds
+    word of length m of ``sys.graph`` maps a's center within the inflated
+    epsilon ball of b's center.  Links start in phase: each symbol of a word holds
     for one step h.
 
     Cells x words, counted before any word is listed, must not exceed
     ``max_work``.  The eps-free images (one array) and expansions kappa come
     first; the ball query with radius ``eps + r*kappa + r`` runs on slices.
     """
-    require_valid(g)
-    if g.n != len(sys.fields):
-        raise ValidationError("analysis graph must index the system's fields")
+    g = sys.graph
     if not 0 < eps < math.inf:
         raise ValidationError("eps must be positive and finite")
     if m < 1:
@@ -294,8 +292,8 @@ def chain_components(rows: RangeRows) -> list[list[int]]:
     return sorted(map(sorted, self_reaching_components(rows)), key=lambda c: (-len(c), c[0]))
 
 
-def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
-                cells: Iterable[int], slack: float | None = None) -> frozenset[tuple[int, int]]:
+def lift_kernel(sys: SwitchedSystem, grid: Grid, cells: Iterable[int],
+                slack: float | None = None) -> frozenset[tuple[int, int]]:
     """Largest node set over E x V in which every node has a one-step
     successor and predecessor.
 
@@ -304,7 +302,7 @@ def lift_kernel(sys: SwitchedSystem, g: DirectedGraph, grid: Grid,
     and u -> v an edge.  This combinatorial viability kernel approximates
     the set of pairs whose full two-sided trajectory stays over E.
     """
-    require_valid(g)
+    g = sys.graph
     cell_ids = np.unique(np.fromiter(cells, dtype=np.int64))
     if not len(cell_ids):
         return frozenset()

@@ -26,7 +26,7 @@ from .config import ExperimentConfig
 from .flow import HybridState, IntegrationError, product_metric, switched_flow
 from .graph import ValidationError, morse_order, scc
 from .literals import format_signal, parse_sequence, parse_signal
-from .sequences import ChaosCertificate, chaos_certificate, metric_omega
+from .sequences import ChaosCertificate, SymbolicSequence, chaos_certificate, metric_omega
 from .signals import metric_delta, shift, sigma_embed, stitch_signals
 
 EXIT_OK = 0
@@ -112,6 +112,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
         raise SizingError(
             f"t_end / sample_dt = {t_end / sample_dt:.6g} samples exceeds the bound "
             f"{MAX_SAMPLES}; use a larger sample_dt or a shorter t_end")
+    header = ["t", *[f"x{i+1}" for i in range(sys_.dimension)], "active_vertex"]
     rows: list[list] = []
     t = 0.0
     rows.append([0.0, *[float(v) for v in x], cfg.graph.label_of(f.value_at(0.0))])
@@ -123,12 +124,9 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
             rows.append([t, *[float(v) for v in x],
                          cfg.graph.label_of(f.value_at(t))])
     except IntegrationError as exc:
-        _write_csv(out_dir / "trajectory_partial.csv",
-                   ["t", *[f"x{i+1}" for i in range(sys_.dimension)], "active_vertex"],
-                   rows, cfg)
+        _write_csv(out_dir / "trajectory_partial.csv", header, rows, cfg)
         print(f"integration failed: {exc} (partial output written)", file=sys.stderr)
         return EXIT_NUMERIC
-    header = ["t", *[f"x{i+1}" for i in range(sys_.dimension)], "active_vertex"]
     _write_csv(out_dir / "trajectory.csv", header, rows, cfg)
     print(f"wrote {out_dir / 'trajectory.csv'} ({len(rows)} rows)")
     return EXIT_OK
@@ -200,7 +198,7 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
     a = cfg.analysis
     grid = build_grid(cfg.system.box, a.cells)
     comps = chain_components(
-        build_chain_graph(cfg.system, cfg.graph, grid, a.eps, a.m, max_work=a.max_work))
+        build_chain_graph(cfg.system, grid, a.eps, a.m, max_work=a.max_work))
     rows: list[list] = []
     summaries = []
     for cid, cells in enumerate(comps):
@@ -238,13 +236,11 @@ def cmd_stitch_demo(cfg: ExperimentConfig, out_dir: Path, links: int,
     tol = cfg.run.tol
     rng = np.random.default_rng(cfg.run.seed)
 
+    def rand_word(k):
+        # a word drawn with length 0 still holds one symbol
+        return tuple(int(rng.integers(g.n)) for _ in range(max(k, 1)))
+
     def random_signal():
-        from .sequences import SymbolicSequence
-        def rand_word(k):
-            word = [int(rng.integers(g.n))]
-            for _ in range(k - 1):
-                word.append(int(rng.integers(g.n)))
-            return tuple(word)
         return sigma_embed(SymbolicSequence(
             g, rand_word(int(rng.integers(1, 4))),
             rand_word(int(rng.integers(0, 5))),

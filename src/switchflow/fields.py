@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,30 +28,6 @@ from .graph import ValidationError, require_real
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _ALLOWED_UNARY = (ast.UAdd, ast.USub)
-
-
-def _validate_expr(node: ast.AST, names: set[str]) -> None:
-    if isinstance(node, ast.Expression):
-        _validate_expr(node.body, names)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        _validate_expr(node.left, names)
-        _validate_expr(node.right, names)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
-        _validate_expr(node.operand, names)
-    elif isinstance(node, ast.Call):
-        if not (isinstance(node.func, ast.Name) and node.func.id in _ALLOWED_CALLS):
-            raise ValidationError(f"call to {ast.dump(node.func)} not allowed")
-        if len(node.args) != 1 or node.keywords:
-            raise ValidationError("field functions take exactly one argument")
-        _validate_expr(node.args[0], names)
-    elif isinstance(node, ast.Name):
-        if node.id not in names:
-            raise ValidationError(f"unknown variable {node.id!r}")
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ValidationError(f"constant {node.value!r} not allowed")
-    else:
-        raise ValidationError(f"expression node {type(node).__name__} not allowed")
 
 
 def _square(a):
@@ -76,29 +53,43 @@ def _constant_value(node: ast.expr):
     return value(node)
 
 
-def _array_powers(body: ast.expr, expr: str) -> ast.expr:
-    """``body``, the validated tree of ``expr``, with each ``a ** b`` that has
-    a variable operand rewritten as ``square(a)`` when b is the constant 2,
-    else as ``power(a, b)``: Python and numpy scalars compute ``**`` with
-    libm ``pow``, which can differ in the last bit from ndarray ``**``, while
-    ``np.power`` agrees with it and computes the exponent 2 as ``a * a``.
-    Each maximal variable-free subexpression is evaluated once and kept as
-    written; the first, in reading order, whose value is complex or not
-    finite raises ValidationError.  One bottom-up pass learns which subtrees
-    hold a variable: after ``_validate_expr``, every name outside a call's
+def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
+    """``body``, the tree of ``expr``, checked against the whitelist over the
+    variables ``names`` and with each ``a ** b`` that has a variable operand
+    rewritten as ``square(a)`` when b is the constant 2, else as ``power(a,
+    b)``: Python and numpy scalars compute ``**`` with libm ``pow``, which can
+    differ in the last bit from ndarray ``**``, while ``np.power`` agrees with
+    it and computes the exponent 2 as ``a * a``.  Each node is checked before
+    its children, so the first node the whitelist refuses, in reading order,
+    raises ValidationError.  Each maximal variable-free subexpression is
+    evaluated once and kept as written; the first, in reading order, whose
+    value is complex or not finite raises ValidationError.  One bottom-up
+    pass learns which subtrees hold a variable: every name outside a call's
     function is one."""
     constants: list[ast.expr] = []  # the maximal variable-free ones, in reading order
 
     def rewrite(node: ast.expr) -> tuple[ast.expr, bool]:
-        """``node`` rewritten, and whether it holds no variable."""
-        if isinstance(node, (ast.Name, ast.Constant)):
-            return node, isinstance(node, ast.Constant)
-        if isinstance(node, ast.UnaryOp):
+        """``node`` checked and rewritten, and whether it holds no variable."""
+        if isinstance(node, ast.Name):
+            if node.id not in names:
+                raise ValidationError(f"unknown variable {node.id!r}")
+            return node, False
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise ValidationError(f"constant {node.value!r} not allowed")
+            return node, True
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_UNARY):
             node.operand, free = rewrite(node.operand)
             return node, free
         if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in _ALLOWED_CALLS):
+                raise ValidationError(f"call to {ast.dump(node.func)} not allowed")
+            if len(node.args) != 1 or node.keywords:
+                raise ValidationError("field functions take exactly one argument")
             node.args[0], free = rewrite(node.args[0])
             return node, free
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS)):
+            raise ValidationError(f"expression node {type(node).__name__} not allowed")
         node.left, left_free = rewrite(node.left)
         mark = len(constants)
         node.right, right_free = rewrite(node.right)
@@ -142,59 +133,32 @@ def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
 # the only names compiled field code sees besides its arguments and locals
 _GLOBALS = {"__builtins__": {}, "range": range, **_ALLOWED_CALLS, "power": np.power,
             "square": _square}
-_SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
-            ast.UAdd: "+", ast.USub: "-"}
-# how tightly each binary operation binds; a unary one binds at 3, an atom at 5
-_BINDS = {ast.Add: 1, ast.Sub: 1, ast.Mult: 2, ast.Div: 2, ast.Pow: 4}
 
 
-def _source(node: ast.expr, names: dict[str, str], inline: bool) -> tuple[str, int]:
-    """A component body as source text, with its coordinates renamed by
-    ``names`` and, if ``inline``, ``square(a)`` of a name written ``a * a``,
-    the product ``square`` returns; and how tightly the text's outer
-    operation binds.  Only the parentheses the order of operations needs are
-    written, since each one costs the compiler time.  Constants are finite,
-    but for an overflowing literal inside a finite constant subexpression,
-    such as ``1e309`` in ``1/1e309``, which is written back as that
-    literal."""
-    if isinstance(node, ast.BinOp):
-        binds, power = _BINDS[type(node.op)], isinstance(node.op, ast.Pow)
-        (left, lb), (right, rb) = (_source(node.left, names, inline),
-                                    _source(node.right, names, inline))
-        # + - * / group left to right; ** groups right to left, binds tighter
-        # than a unary left operand and takes a unary right one
-        if lb <= binds if power else lb < binds:
-            left = f"({left})"
-        if rb < 3 if power else rb <= binds:
-            right = f"({right})"
-        return f"{left} {_SYMBOLS[type(node.op)]} {right}", binds
-    if isinstance(node, ast.UnaryOp):
-        operand, binds = _source(node.operand, names, inline)
-        if binds < 3:
-            operand = f"({operand})"
-        return f"{_SYMBOLS[type(node.op)]}{operand}", 3
-    if isinstance(node, ast.Call):
-        args = [_source(a, names, inline)[0] for a in node.args]
-        if inline and node.func.id == "square" and isinstance(node.args[0], ast.Name):
-            return f"{args[0]} * {args[0]}", 2
-        return f"{node.func.id}({', '.join(args)})", 5
-    if isinstance(node, ast.Name):
-        return names.get(node.id, node.id), 5
-    text = repr(node.value).replace("inf", "1e309")
-    return text, 3 if text.startswith("-") else 5
+class _InlineSquares(ast.NodeTransformer):
+    """Writes each ``square(a)`` of a name ``a`` as ``a * a``, the product
+    ``square`` returns.  The tree is changed in place, but a root call is
+    replaced, so the caller keeps what ``visit`` returns."""
+
+    def visit_Call(self, node: ast.Call) -> ast.expr:
+        self.generic_visit(node)
+        if node.func.id == "square" and isinstance(node.args[0], ast.Name):
+            return ast.BinOp(node.args[0], ast.Mult(), node.args[0])
+        return node
 
 
-def _rk4_source(bodies: Sequence[ast.expr], xs: list[str]) -> str:
-    """The fixed-step RK4 loop with the component bodies inlined:
-    ``loop(n_steps, half, hstep, sixth, x1, ..., xd)`` returns the d columns
-    after ``n_steps`` steps.  Where a step would call ``columns``, a stage
-    assigns the moved coordinates to ``y1..yd``, then its values ``k{s}_i``
-    to the bodies read at them: the operations and their order are those of
-    four ``columns`` calls."""
+def _rk4_source(at_x: Sequence[str], xs: list[str]) -> str:
+    """The fixed-step RK4 loop with the component bodies, printed over x1..xd
+    as ``at_x``, inlined: ``loop(n_steps, half, hstep, sixth, x1, ..., xd)``
+    returns the d columns after ``n_steps`` steps.  Where a step would call
+    ``columns``, a stage assigns the moved coordinates to ``y1..yd``, then
+    its values ``k{s}_i`` to the bodies read at them: the operations and
+    their order are those of four ``columns`` calls.  The only identifiers
+    in a body are x1..xd and function names, and a number prints without an
+    ``x``, so each ``x`` before a digit starts a coordinate."""
     ys = [f"y{i}" for i in range(1, len(xs) + 1)]
     ks = [[f"k{s}_{i}" for i in range(1, len(xs) + 1)] for s in range(1, 5)]
-    at_x = [_source(body, {}, True)[0] for body in bodies]
-    at_y = [_source(body, dict(zip(xs, ys)), True)[0] for body in bodies]
+    at_y = [re.sub(r"\bx(?=\d)", "y", text) for text in at_x]
 
     def stage(k: list[str], values: list[str]) -> str:
         return "".join(f"\n        {v} = {value}" for v, value in zip(k, values))
@@ -221,11 +185,12 @@ def _rk4_source(bodies: Sequence[ast.expr], xs: list[str]) -> str:
 class ExpressionField:
     """Vector field given by one expression per state component, over x1..xd.
 
-    Each expression is validated against the whitelist, and every ``**``
-    with a variable operand is rewritten by ``_array_powers``; the results
-    are the field's ``bodies``, from which ``columns`` and ``rk4`` are
-    compiled under ``__builtins__: {}``.  ``field(x)`` evaluates ``columns``
-    on the coordinate columns of a ``(..., d)`` array.  A lone point runs as
+    Each expression is checked against the whitelist, and every ``**`` with
+    a variable operand is rewritten, by ``_array_powers``; the results are
+    the field's ``bodies``, which ``ast.unparse`` prints as the source of
+    ``columns`` and ``rk4``, compiled under ``__builtins__: {}``.
+    ``field(x)`` evaluates ``columns`` on the coordinate columns of a
+    ``(..., d)`` array.  A lone point runs as
     a batch of one, since numpy scalars may give a NaN another sign than the
     array loop does.
     """
@@ -240,13 +205,17 @@ class ExpressionField:
                 tree = ast.parse(expr, mode="eval")
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-            _validate_expr(tree, set(xs))
-            bodies.append(_array_powers(tree.body, expr))
+            bodies.append(_array_powers(tree.body, expr, set(xs)))
+        # an overflowing literal, such as 1e309 in 1/1e309, prints back as 1e309
+        texts = [ast.unparse(body) for body in bodies]
+        # the loop inlines squares in fresh trees, so the bodies keep their calls
+        at_x = [ast.unparse(_InlineSquares().visit(ast.parse(text, mode="eval").body))
+                for text in texts]
         # one compile of text, which costs less than building AST objects
-        columns = "".join(_source(body, {}, False)[0] + ", " for body in bodies)
+        columns = "".join(text + ", " for text in texts)
         namespace = dict(_GLOBALS)
         exec(compile(f"columns = lambda {', '.join(xs)}: ({columns})\n"
-                     + _rk4_source(bodies, xs), "<field>", "exec"), namespace)
+                     + _rk4_source(at_x, xs), "<field>", "exec"), namespace)
         object.__setattr__(self, "bodies", tuple(bodies))
         object.__setattr__(self, "columns", namespace.pop("columns"))
         object.__setattr__(self, "rk4", namespace.pop("loop"))

@@ -153,8 +153,7 @@ def witness_window(eps: float) -> int:
     return n
 
 
-def sensitivity_witness(f: SwitchingSignal, eps: float,
-                        g: DirectedGraph) -> tuple[SwitchingSignal, int]:
+def sensitivity_witness(f: SwitchingSignal, eps: float) -> tuple[SwitchingSignal, int]:
     """A nearby signal that separates from f by at least 1 after m cells.
 
     Requires a strongly connected graph with some vertex of out-degree >= 2
@@ -165,6 +164,7 @@ def sensitivity_witness(f: SwitchingSignal, eps: float,
     """
     if f.offset != 0.0:
         raise ValidationError("witness construction needs a phase-aligned signal")
+    g = f.graph
     decomp = scc(g)
     if len(decomp.components) != 1:
         raise ValidationError("graph must be a single strongly connected component")

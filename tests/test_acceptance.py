@@ -228,7 +228,7 @@ def test_criterion_05_transitivity_and_chaos():
     if n < 4:
         failures.append(f"window {n} < 4")
     f = sigma_embed(periodic_sequence(g, (0, 1)), H)
-    y, m = sensitivity_witness(f, eps, g)
+    y, m = sensitivity_witness(f, eps)
     if not all(y.base.at(i) == f.base.at(i) for i in range(-n, n + 1)):
         failures.append("witness does not agree on the window")
     d_near = metric_delta(f, y, TOL)
@@ -304,7 +304,7 @@ def test_criterion_07_example2_complete_graph():
     g = DirectedGraph.complete(2)
     sys_ = example2_system(g, h=0.1)
     grid = build_grid([(0.0, 2.0)], 400)
-    comps = chain_components(build_chain_graph(sys_, g, grid, 0.02, 10))
+    comps = chain_components(build_chain_graph(sys_, grid, 0.02, 10))
     n_comps = len(comps)
     h_unit = top_hausdorff(comps, grid, 0, (0.0, 1.0))
     h_fixed = top_hausdorff(comps, grid, 1, (2.0, 2.0))
@@ -326,7 +326,7 @@ def test_example2_expected_structure_at_unit_link_time():
     g = DirectedGraph.complete(2)
     sys_ = example2_system(g, h=1.0, substeps=50)
     grid = build_grid([(0.0, 2.0)], 400)
-    comps = chain_components(build_chain_graph(sys_, g, grid, 0.02, 1))
+    comps = chain_components(build_chain_graph(sys_, grid, 0.02, 1))
     h_unit = top_hausdorff(comps, grid, 0, (0.0, 1.0))
     h_fixed = top_hausdorff(comps, grid, 1, (2.0, 2.0))
     elapsed = time.time() - t0
@@ -347,12 +347,12 @@ def test_criterion_08_example2_cycle_graph():
     failures = []
 
     comps_m2 = chain_components(
-        build_chain_graph(sys_, g, grid, 0.005, 2))
+        build_chain_graph(sys_, grid, 0.005, 2))
     if any(unit_cells <= set(c) for c in comps_m2):
         failures.append("m=2 still yields a single component over [0,1]")
 
     comps_m1 = chain_components(
-        build_chain_graph(sys_, g, grid, 0.005, 1))
+        build_chain_graph(sys_, grid, 0.005, 1))
     covering = [c for c in comps_m1 if unit_cells <= set(c)]
     if not covering:
         failures.append("m=1 does not recover a single component over [0,1]")
@@ -375,7 +375,7 @@ def test_criterion_09_sine_curve_reduced():
               ExpressionField((f"x1*({bound!r} - x1)",)))
     sys_ = SwitchedSystem(g, ((0.0, bound),), H, fields, substeps=20)
     grid = build_grid([(0.0, bound)], 400)
-    comps = chain_components(build_chain_graph(sys_, g, grid, 0.01, 1))
+    comps = chain_components(build_chain_graph(sys_, grid, 0.01, 1))
     failures = []
     if len(comps) != 1:
         failures.append(f"{len(comps)} viable components")
@@ -440,7 +440,7 @@ def test_criterion_11_lift_checks():
 
     # whole box is invariant (both fields fix the endpoints): kernel keeps all
     all_cells = range(grid.n_cells)
-    kernel = lift_kernel(sys_, g, grid, all_cells, slack=0.02 + 2 * grid.radius)
+    kernel = lift_kernel(sys_, grid, all_cells, slack=0.02 + 2 * grid.radius)
     if len(kernel) != grid.n_cells * g.n:
         failures.append(f"invariant kernel kept {len(kernel)}")
 
@@ -450,8 +450,8 @@ def test_criterion_11_lift_checks():
     kappa = float(_sampled_expansion(_link_images(sys_, words, grid.all_centers()), grid).max())
     for eps in (0.02, 0.005):
         slack = eps + grid.radius * kappa + grid.radius
-        for comp in chain_components(build_chain_graph(sys_, g, grid, eps, 1))[:2]:
-            k = lift_kernel(sys_, g, grid, comp, slack=slack)
+        for comp in chain_components(build_chain_graph(sys_, grid, eps, 1))[:2]:
+            k = lift_kernel(sys_, grid, comp, slack=slack)
             if not lifted_nodes(sys_, g, grid, eps, set(comp)) <= k:
                 failures.append(f"eps={eps}: component escapes its kernel")
     elapsed = time.time() - t0

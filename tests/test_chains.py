@@ -305,7 +305,7 @@ class TestBuildChainGraph:
     def test_every_cell_reaches_its_image_cell(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 40)
-        pairs = set(edge_pairs(build_chain_graph(sys, sys.graph, grid, 0.01, 1)))
+        pairs = set(edge_pairs(build_chain_graph(sys, grid, 0.01, 1)))
         images = _link_images(sys, [(0,)], grid.all_centers())[0, :, 0]
         # the cell holding each image, the right edge in the last cell
         image_cells = np.clip(np.floor((images + 1.0) / 0.05), 0, 39).astype(int)
@@ -316,7 +316,7 @@ class TestBuildChainGraph:
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 50)
-        pairs = edge_pairs(build_chain_graph(sys, g, grid, 0.02, 1))
+        pairs = edge_pairs(build_chain_graph(sys, grid, 0.02, 1))
         kappas = word_expansions(sys, grid, 1)
         r = grid.radius
         for a in (0, 10, 25, 49):
@@ -332,7 +332,7 @@ class TestBuildChainGraph:
         g = DirectedGraph.cycle(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 50)
-        rows = build_chain_graph(sys, g, grid, 0.02, 2)
+        rows = build_chain_graph(sys, grid, 0.02, 2)
         kappas = word_expansions(sys, grid, 2)
         assert sorted(kappas) == [(0, 1), (1, 0)]
         a = 25
@@ -346,8 +346,8 @@ class TestBuildChainGraph:
     def test_monotone_in_eps(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 30)
-        rows1 = build_chain_graph(sys, sys.graph, grid, 0.01, 1)
-        rows2 = build_chain_graph(sys, sys.graph, grid, 0.05, 1)
+        rows1 = build_chain_graph(sys, grid, 0.01, 1)
+        rows2 = build_chain_graph(sys, grid, 0.05, 1)
         assert set(edge_pairs(rows1)) <= set(edge_pairs(rows2))
 
     def test_sizing_guard(self):
@@ -355,7 +355,7 @@ class TestBuildChainGraph:
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 400)
         with pytest.raises(SizingError):
-            build_chain_graph(sys, g, grid, 0.02, 1, max_work=100)
+            build_chain_graph(sys, grid, 0.02, 1, max_work=100)
 
     def test_sizing_guard_lists_no_word(self, monkeypatch):
         # 2**40 words of length 40: the guard must refuse them from walk
@@ -367,7 +367,7 @@ class TestBuildChainGraph:
         g = DirectedGraph.complete(2)
         grid = build_grid([(0.0, 2.0)], 400)
         with pytest.raises(SizingError, match="at least"):
-            build_chain_graph(example2_system(g), g, grid, 0.02, 40)
+            build_chain_graph(example2_system(g), grid, 0.02, 40)
 
     def test_prefix_reuse_matches_per_word_integration(self, monkeypatch):
         segments = []
@@ -416,7 +416,7 @@ class TestBuildChainGraph:
         monkeypatch.setattr(chains, "integrate_segment", counting_segment)
         sys = SwitchedSystem(DirectedGraph.complete(2), ((-2.0, 2.0), (-2.0, 2.0)), 1.0 / 6.0,
                              tuple(map(ExpressionField, VDP_FOCUS)), substeps=20)
-        build_chain_graph(sys, sys.graph, build_grid(sys.box, [20, 20]), 0.05, 6)
+        build_chain_graph(sys, build_grid(sys.box, [20, 20]), 0.05, 6)
         assert len(calls) == 14 and sum(shape[0] for shape in calls) == 126
 
 
@@ -460,7 +460,7 @@ def _sha(obj) -> str:
 def test_config_edge_sets_frozen(name):
     cfg = ExperimentConfig.from_file(CONFIG_DIR / f"{name}.json")
     a = cfg.analysis
-    rows = build_chain_graph(cfg.system, cfg.graph, build_grid(cfg.system.box, a.cells),
+    rows = build_chain_graph(cfg.system, build_grid(cfg.system.box, a.cells),
                              a.eps, a.m, max_work=a.max_work)
     pairs = edge_pairs(rows)
     assert (len(pairs), _sha(pairs)) == FROZEN_EDGES[name]
@@ -543,7 +543,7 @@ CHAIN_CASES = {  # system, cells, eps, m
 def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
     sys, cells, eps, m = CHAIN_CASES[case]()
     grid = build_grid(sys.box, cells)
-    rows = build_chain_graph(sys, sys.graph, grid, eps, m)
+    rows = build_chain_graph(sys, grid, eps, m)
     expected = expanded_edge_pairs(sys, sys.graph, grid, eps, m)
     assert edge_pairs(rows) == expected
     assert rows.nnz == len(expected)
@@ -575,7 +575,7 @@ def test_swept_build_equals_per_word_build(case, monkeypatch):
     per_sweep = max(1, chains.SWEEP_POINTS // grid.n_cells)
     if points is not None:
         assert 1 < per_sweep < len(words) and len(words) % per_sweep
-    built = build_chain_graph(sys, sys.graph, grid, eps, m)
+    built = build_chain_graph(sys, grid, eps, m)
     rows, expansions = per_word_chain_graph(sys, sys.graph, grid, eps, m)
     for name in ("indptr", "first", "last"):
         assert np.array_equal(getattr(built, name), getattr(rows, name))
@@ -589,7 +589,7 @@ def test_large_grid_components():
     # edges, stored as at most one range row per node and word
     g = DirectedGraph.complete(2)
     grid = build_grid([(0.0, 2.0)], 20_000)
-    rows = build_chain_graph(example2_system(g), g, grid, 0.02, 1)
+    rows = build_chain_graph(example2_system(g), grid, 0.02, 1)
     assert len(rows.first) <= grid.n_cells * 2
     comps = chain_components(rows)
     assert len(comps) == 21
@@ -714,14 +714,14 @@ class TestChainComponents:
     def test_decay_single_component_at_origin(self):
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 40)
-        comps = chain_components(build_chain_graph(sys, sys.graph, grid, 0.1, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.1, 1))
         assert len(comps) == 1
         assert {19, 20} <= set(comps[0])  # the cells either side of 0
 
     def test_two_well_components_near_attractors(self):
         sys = single_vertex_system("-x1*(x1-1)*(x1+1)", (-1.5, 1.5))
         grid = build_grid([(-1.5, 1.5)], 60)
-        comps = chain_components(build_chain_graph(sys, sys.graph, grid, 0.05, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.05, 1))
         lo_cells, hi_cells = sorted(comps[:2])
         mid_lo, mid_hi = grid.centers([lo_cells[len(lo_cells) // 2],
                                        hi_cells[len(hi_cells) // 2]])[:, 0]
@@ -733,7 +733,7 @@ class TestChainComponents:
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 100)
-        comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.02, 1))
         for i, a in enumerate(comps):
             for b in comps[i + 1:]:
                 assert set(a).isdisjoint(b)
@@ -742,7 +742,7 @@ class TestChainComponents:
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 100)
-        comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.02, 1))
         for cells in comps[:2]:
             assert cells[-1] - cells[0] + 1 == len(cells)
 
@@ -751,7 +751,7 @@ class TestChainComponents:
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 400)
-        comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.02, 1))
         unit_cells = set(range(200))
         assert any(unit_cells <= set(c) for c in comps)
         assert any(grid.n_cells - 1 in c and unit_cells.isdisjoint(c) for c in comps)
@@ -767,14 +767,14 @@ class TestChainEquivalence:
         # 0 is the edge between cells 19 and 20 of [-1, 1] in 40 cells
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 40)
-        comps = chain_components(build_chain_graph(sys, sys.graph, grid, 0.1, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.1, 1))
         assert shared_component(comps, 19, 20)
 
     def test_example2_complete_inside_unit_interval(self):
         g = DirectedGraph.complete(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 200)
-        comps = chain_components(build_chain_graph(sys, g, grid, 0.02, 1))
+        comps = chain_components(build_chain_graph(sys, grid, 0.02, 1))
         assert shared_component(comps, 20, 90)  # 0.2 and 0.9
         assert not shared_component(comps, 20, 199)  # no return from the sink at 2.0
 
@@ -782,7 +782,7 @@ class TestChainEquivalence:
         g = DirectedGraph.cycle(2)
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 200)
-        comps = chain_components(build_chain_graph(sys, g, grid, 0.005, 2))
+        comps = chain_components(build_chain_graph(sys, grid, 0.005, 2))
         assert not shared_component(comps, 45, 90)  # 0.45 and 0.9
 
 
@@ -792,7 +792,7 @@ class TestLiftKernel:
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 100)
         cells = range(grid.n_cells)  # whole box is invariant (fixed endpoints)
-        kernel = lift_kernel(sys, g, grid, cells, slack=0.02)
+        kernel = lift_kernel(sys, grid, cells, slack=0.02)
         assert len(kernel) == grid.n_cells * 2
 
     def test_shared_fixed_point_cell(self):
@@ -801,7 +801,7 @@ class TestLiftKernel:
         sys = SwitchedSystem(g, ((-1.0, 1.0),), H, fields, substeps=20)
         grid = build_grid([(-1.0, 1.0)], 41)  # odd count: 0 is a cell center
         cell0 = 20
-        kernel = lift_kernel(sys, g, grid, [cell0])
+        kernel = lift_kernel(sys, grid, [cell0])
         assert kernel == {(cell0, 0), (cell0, 1)}
 
     def test_escaping_pairs_excluded(self):
@@ -809,7 +809,7 @@ class TestLiftKernel:
         sys = example2_system(g)
         grid = build_grid([(0.0, 2.0)], 400)
         unit_cells = list(range(200))  # cells of [0, 1]
-        kernel = lift_kernel(sys, g, grid, unit_cells)
+        kernel = lift_kernel(sys, grid, unit_cells)
         # drive field B pushes x=0.95 (cell 190) beyond 1 within one step
         assert (190, 1) not in kernel
         # field A contracts toward 0, so its pairs deep inside (0.5: cell 100) survive
@@ -845,7 +845,7 @@ class TestLiftKernelReference:
         cells = set(range(lo, hi + 1)) - holes
         slack = data.draw(st.one_of(st.none(), st.floats(0.0, 3 * grid.radius)),
                           label="slack")
-        assert lift_kernel(sys, g, grid, cells, slack) == \
+        assert lift_kernel(sys, grid, cells, slack) == \
             worklist_lift_kernel(sys, g, grid, cells, slack)
 
 

@@ -480,29 +480,67 @@ PLANE2D = {
 }
 
 # sha256 of simulate's trajectory.csv, which flows one lone point per
-# sample; recorded before fields were evaluated on coordinate columns.
+# sample; recorded before fields were evaluated on coordinate columns.  The
+# config is a file under scripts/configs or a document; plane2d.json runs
+# with the arguments of the CI smoke run, recorded before field code was
+# printed by ast.unparse.
 FROZEN_TRAJECTORIES = {
     "two_well_complete": (
-        None, ["--x0", "0.5", "--signal", "left=(B) core=[] right=(B)",
-               "--t-end", "3.0", "--sample-dt", "0.1"],
+        "two_well_complete", ["--x0", "0.5", "--signal", "left=(B) core=[] right=(B)",
+                              "--t-end", "3.0", "--sample-dt", "0.1"],
         "6407a62fa5aac62a746c06725cab1e02935429ae689fd48bf483aa0f24dafaf7"),
     "plane2d": (
         PLANE2D, ["--x0", "0.5,-0.3", "--signal", "left=(A B) core=[A A B] right=(B)",
                   "--t-end", "3.0", "--sample-dt", "0.1"],
         "2ea6b6cdb980fe1bcf394e5942ef3b6c53c1b1f40ceec1b56a4b05dc2184c330"),
+    "plane2d_config": (
+        "plane2d", ["--x0", "0.5,0.1", "--signal", "left=(A) core=[A B B] right=(B A) tau=0.05",
+                    "--t-end", "3.0", "--sample-dt", "0.1"],
+        "d2f7f825f53a67aec75566ecee57224b46bf431592a1c9519890aec61189afa4"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_TRAJECTORIES))
 def test_simulate_trajectory_frozen(name, tmp_path, capsys):
     doc, args, expected = FROZEN_TRAJECTORIES[name]
-    config = CONFIG_DIR / f"{name}.json"
-    if doc is not None:
+    if isinstance(doc, str):
+        config = CONFIG_DIR / f"{doc}.json"
+    else:
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(doc))
     out = tmp_path / "o"
     assert main(["--config", str(config), "--out", str(out), "simulate", *args]) == 0
     assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == expected
+
+
+# sha256 of stitch-demo's file and of metric's stdout on two_well_complete.json
+# with the arguments of the signal demos and the CI smoke run; recorded before
+# field code was printed by ast.unparse.
+FROZEN_COMMANDS = {
+    "stitch-demo": (["stitch-demo", "--links", "4", "--window", "5"], "stitch_demo.json",
+                    "8fd67a8506a9076e98d6c6f9adbe23a24939fe6cb8c033a054a7955ce298765d"),
+    "metric product": (
+        ["metric", "--kind", "product", "--x", "0.5", "--y", "0.52",
+         "--a", "left=(A) core=[B A] right=(A B) tau=0.03",
+         "--b", "left=(A) core=[A A] right=(A B) tau=0.03"], None,
+        "b1d6cc6e185f5bf8acc9760241cf7f34149e7fd4fcefbf5966314943efec4f1f"),
+    "metric omega": (
+        ["metric", "--kind", "omega", "--check-isometry",
+         "--a", "left=(A) core=[] right=(A)", "--b", "left=(B) core=[] right=(B)"], None,
+        "3ff939cf71e988177594c217c96c70df7f04a2ab12c7911a51809255a3b270bc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_COMMANDS))
+def test_command_output_frozen(name, tmp_path, capsys):
+    """The named file the command writes, or its stdout when none is named."""
+    args, written, expected = FROZEN_COMMANDS[name]
+    out = tmp_path / "o"
+    assert main(["--config", str(CONFIG_DIR / "two_well_complete.json"), "--out", str(out),
+                 *args]) == 0
+    stdout = capsys.readouterr().out.encode()
+    data = stdout if written is None else (out / written).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 class TestCommands:

@@ -457,7 +457,7 @@ class TestSensitivity:
     def test_constant_signal_witness(self):
         g = DirectedGraph.complete(2)
         f = sigma_embed(constant_sequence(g, 0), H)
-        y, m = sensitivity_witness(f, 0.1, g)
+        y, m = sensitivity_witness(f, 0.1)
         n = witness_window(0.1)
         assert m > n
         assert metric_delta(f, y, 1e-10) < 0.1
@@ -467,12 +467,12 @@ class TestSensitivity:
         g = DirectedGraph.cycle(2)
         f = sigma_embed(periodic_sequence(g, (0, 1)), H)
         with pytest.raises(ValidationError):
-            sensitivity_witness(f, 0.1, g)
+            sensitivity_witness(f, 0.1)
 
     def test_alternating_witness_small_eps(self):
         g = DirectedGraph.complete(2)
         f = alternating()
-        y, m = sensitivity_witness(f, 1 / 64, g)
+        y, m = sensitivity_witness(f, 1 / 64)
         n = witness_window(1 / 64)
         assert n >= 4
         assert all(y.base.at(i) == f.base.at(i) for i in range(-n, n + 1))
@@ -483,7 +483,7 @@ class TestSensitivity:
         # 0 branches; constant-1 signal never revisits 0 on its tail
         g = DirectedGraph.from_edges(2, [(0, 0), (0, 1), (1, 1), (1, 0)])
         f = sigma_embed(constant_sequence(g, 1), H)
-        y, m = sensitivity_witness(f, 0.05, g)
+        y, m = sensitivity_witness(f, 0.05)
         assert y.base.at(m) != f.base.at(m)
         assert metric_delta(f, y, 1e-10) < 0.05
 
