@@ -173,10 +173,20 @@ def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | i
 
 # Rows (prefixes x points) flowed by one integrate_segment call.  Long
 # sweeps amortise numpy's per-call overhead; bounded ones keep the RK4
-# temporaries (a few arrays of rows x d floats) in cache.  On a 2-vCPU Xeon
-# VM, 4 096 rows ran about 1.2x slower than 8 192 on 40x40 and 64x64 grids,
-# 16 384 was no faster, and unbounded sweeps took the 100x100, m = 6 build
-# from 2.8 to 3.4 s.
+# buffers (six arrays of rows x d floats and the field's temporaries) in
+# cache.  Link images of each grid, in ms scaled by the benchmark's
+# host-speed calibration, on a 2-vCPU Xeon VM, one process per value, the
+# median of three rounds of the median of 3 to 15 runs:
+#
+#   rows per sweep            2 048   4 096   8 192   16 384   32 768
+#   1-D 2 000 cells, m = 3      7.4     5.8     5.1      5.1      5.0
+#   20x20, m = 6               19.1    15.0    14.4     15.8     14.9
+#   40x40, m = 6               76.7    53.6    50.1     52.8     52.6
+#   100x100, m = 6              301     281     289      278      305
+#   peak RSS, 40x40 (MB)         33      33      33       34       37
+#
+# Past 8 192 rows no grid gains beyond the spread of its rounds (100x100
+# took 250-311 ms at 8 192), while peak RSS grows.
 SWEEP_ROWS = 8192
 
 # Points (words x cells) in one Grid.rows_within call of build_chain_graph; a

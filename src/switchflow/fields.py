@@ -1,17 +1,21 @@
 """Vector-field families for the per-vertex dynamics.
 
 Every field is one expression tree per component over x1..xd, its
-``bodies``, and two functions are compiled from them when the field is
+``bodies``, and three functions are compiled from them when the field is
 built.  ``field.columns(x1, ..., xd)`` returns the d velocity columns, where
-each ``xi`` is a float (a lone point; Python floats in integration) or an
-array (a batch), and each column is a number or an array of the inputs'
-shape.  ``field.rk4(n_steps, half, hstep, sixth, x1, ..., xd)`` is the
-fixed-step RK4 loop with the bodies inlined; it returns the d columns after
-``n_steps`` steps.  Every operation acts elementwise, so a lone point equals
-its row of a batch bit for bit.  ``field(x)`` is the array form: shape
-(..., d) in, (..., d) out.  ``ExpressionField`` is the one field class: its
-expressions are over x1..xd with +, -, *, /, ** and sin/cos/exp.  The
-config forms ``poly1d`` and ``linear`` are shorthand for expression text.
+each ``xi`` is a float or an array, and each column is a number or an array
+of the inputs' shape.  ``field.rk4(n_steps, half, hstep, sixth, x1, ...,
+xd)`` is the fixed-step RK4 loop with the bodies inlined, which integration
+runs on a lone point's Python floats; it returns the d coordinates after
+``n_steps`` steps.  ``field.into(k1, ..., kd, x1, ..., xd, t1, ..., tn)``
+writes the d velocity columns at the arrays x1..xd into the arrays k1..kd
+with ``out=``, using the ``field.temps`` arrays t1..tn as scratch; a batch
+runs it in ``flow``'s fixed RK4 loop.  Every operation acts elementwise, so
+a lone point equals its row of a batch bit for bit.  ``field(x)`` is the
+array form: shape (..., d) in, (..., d) out.  ``ExpressionField`` is the
+one field class: its expressions are over x1..xd with +, -, *, /, ** and
+sin/cos/exp.  The config forms ``poly1d`` and ``linear`` are shorthand for
+expression text.
 """
 from __future__ import annotations
 
@@ -130,9 +134,13 @@ def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+# the ufuncs that ndarray operators call, under the names ``into`` uses
+_UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide",
+           ast.USub: "negative", ast.UAdd: "positive"}
+
 # the only names compiled field code sees besides its arguments and locals
 _GLOBALS = {"__builtins__": {}, "range": range, **_ALLOWED_CALLS, "power": np.power,
-            "square": _square}
+            "square": _square, **{name: getattr(np, name) for name in _UFUNCS.values()}}
 
 
 class _InlineSquares(ast.NodeTransformer):
@@ -181,6 +189,56 @@ def _rk4_source(at_x: Sequence[str], xs: list[str]) -> str:
 """
 
 
+def _into_source(bodies: Sequence[ast.expr], xs: list[str]) -> tuple[str, int]:
+    """The source of ``into(k1, ..., kd, x1, ..., xd, t1, ..., tn)``, which
+    writes component i at the arrays x1..xd into the array ``ki``, and n, the
+    temporaries it takes.  Each operation is the ufunc its ndarray operator
+    calls (``square(a)`` is ``multiply(a, a)``) with ``out=`` the buffer of
+    its node: the body's ``ki``, or ``tj`` for a right operand computed while
+    the left one holds its node's buffer at depth j - 1.  Operands run left
+    to right; a coordinate or variable-free subexpression is read as
+    written.  So the values are those ``columns`` returns on arrays, bit for
+    bit, and a leaf body is copied into its ``ki``."""
+    names = set(xs)
+    ks = [f"k{i}" for i in range(1, len(xs) + 1)]
+    lines = ["pass"]  # keeps the function valid when d = 0
+    temps = 0
+
+    def leaf(node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) or not any(
+            isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+
+    def value(node: ast.expr, out: str, depth: int) -> str:
+        """The operand that holds ``node``: its text for a leaf, else ``out``
+        (``t{depth}``, or a ``ki`` at depth 0) after the lines that write it."""
+        nonlocal temps
+        if leaf(node):
+            return ast.unparse(node)
+        temps = max(temps, depth)
+        if isinstance(node, ast.Call):
+            func, args = node.func.id, node.args
+        elif isinstance(node, ast.UnaryOp):
+            func, args = _UFUNCS[type(node.op)], [node.operand]
+        else:
+            func, args = _UFUNCS[type(node.op)], [node.left, node.right]
+        operands = [value(args[0], out, depth)]
+        if len(args) == 2:
+            spare = depth + (not leaf(args[0]))
+            operands.append(value(args[1], f"t{spare}" if spare else out, spare))
+        if func == "square":
+            func, operands = "multiply", operands * 2
+        lines.append(f"{func}({', '.join(operands)}, out={out})")
+        return out
+
+    for k, body in zip(ks, bodies):
+        if leaf(body):
+            lines.append(f"{k}[...] = {ast.unparse(body)}")
+        else:
+            value(body, k, 0)
+    params = ks + xs + [f"t{j}" for j in range(1, temps + 1)]
+    return f"def into({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in lines), temps
+
+
 @dataclass(frozen=True)
 class ExpressionField:
     """Vector field given by one expression per state component, over x1..xd.
@@ -188,10 +246,11 @@ class ExpressionField:
     Each expression is checked against the whitelist, and every ``**`` with
     a variable operand is rewritten, by ``_array_powers``; the results are
     the field's ``bodies``, which ``ast.unparse`` prints as the source of
-    ``columns`` and ``rk4``, compiled under ``__builtins__: {}``.
-    ``field(x)`` evaluates ``columns`` on the coordinate columns of a
-    ``(..., d)`` array.  A lone point runs as
-    a batch of one, since numpy scalars may give a NaN another sign than the
+    ``columns``, of ``rk4`` (the lone-point loop) and of ``into`` (a batch's
+    stage, which needs ``temps`` scratch arrays), compiled under
+    ``__builtins__: {}``.  ``field(x)`` evaluates ``columns`` on the
+    coordinate columns of a ``(..., d)`` array.  A lone point runs as a
+    batch of one, since numpy scalars may give a NaN another sign than the
     array loop does.
     """
 
@@ -213,12 +272,15 @@ class ExpressionField:
                 for text in texts]
         # one compile of text, which costs less than building AST objects
         columns = "".join(text + ", " for text in texts)
+        into, temps = _into_source(bodies, xs)
         namespace = dict(_GLOBALS)
         exec(compile(f"columns = lambda {', '.join(xs)}: ({columns})\n"
-                     + _rk4_source(at_x, xs), "<field>", "exec"), namespace)
+                     + _rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
         object.__setattr__(self, "bodies", tuple(bodies))
         object.__setattr__(self, "columns", namespace.pop("columns"))
         object.__setattr__(self, "rk4", namespace.pop("loop"))
+        object.__setattr__(self, "into", namespace.pop("into"))
+        object.__setattr__(self, "temps", temps)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

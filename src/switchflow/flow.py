@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import ExpressionField, stack_columns
+from .fields import ExpressionField
 from .graph import DirectedGraph, ValidationError, require_valid
 from .signals import SwitchingSignal, metric_delta, shift
 
@@ -77,16 +77,51 @@ def _state(sys: SwitchedSystem, x0) -> np.ndarray:
     return x
 
 
+def _rk4_rows(field: ExpressionField, n_steps: int, half: float, hstep: float,
+              sixth: float, x: np.ndarray) -> None:
+    """``n_steps`` RK4 steps of the C-ordered ``(d, ...)`` array ``x`` of
+    coordinate rows, in place.  ``field.into`` writes each stage into its
+    preallocated ``(d, ...)`` buffer, and each move ``y = x + c * k`` and the
+    final ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` runs one ufunc
+    call per operation over all d rows, with ``out=``: the operations and
+    their order are those of ``field.rk4`` on arrays.  A move computes
+    ``c * k`` in ``y`` itself, which the stage before it has read."""
+    y, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
+    temps = tuple(np.empty((field.temps,) + x.shape[1:]))
+    into, add, multiply = field.into, np.add, np.multiply
+    # each stage's arguments: its buffer's rows, the rows it reads, the temporaries
+    s1, s2, s3, s4 = ((*k, *at, *temps) for k, at in ((k1, x), (k2, y), (k3, y), (k4, y)))
+    for _ in range(n_steps):
+        into(*s1)
+        multiply(half, k1, out=y)
+        add(x, y, out=y)
+        into(*s2)
+        multiply(half, k2, out=y)
+        add(x, y, out=y)
+        into(*s3)
+        multiply(hstep, k3, out=y)
+        add(x, y, out=y)
+        into(*s4)
+        multiply(2.0, k2, out=k2)
+        add(k1, k2, out=k1)
+        multiply(2.0, k3, out=k3)
+        add(k1, k3, out=k1)
+        add(k1, k4, out=k1)
+        multiply(sixth, k1, out=k1)
+        add(x, k1, out=x)
+
+
 def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
                       dt: float) -> np.ndarray:
     """Fixed-step RK4 under a single field for (possibly negative) time dt.
 
-    ``x0`` has shape (..., d).  The state is held as its d coordinate
-    columns and run through the field's compiled loop, ``field.rk4``:
-    Python floats for a lone point, arrays for a batch.  Every point comes
-    out bit for bit as if flowed alone, since ``+ - * /`` round the same on
-    Python floats as on float64.  Where Python raises instead (division by
-    zero), a lone point is rerun as a batch of one.
+    ``x0`` has shape (..., d).  A lone point runs the field's compiled
+    loop, ``field.rk4``, on its d coordinates as Python floats; a batch runs
+    ``_rk4_rows`` on a ``(d, ...)`` copy.  Both perform the operations of
+    ``columns`` in the same order, so every point comes out bit for bit as
+    if flowed alone, since ``+ - * /`` round the same on Python floats as on
+    float64.  Where Python raises instead (division by zero), a lone point
+    is rerun as a batch of one.
     """
     x = _state(sys, x0)
     if not math.isfinite(dt):
@@ -95,10 +130,10 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
         return x.copy()
     n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
     hstep = dt / n_steps
-    rk4 = sys.fields[field_index].rk4
+    field = sys.fields[field_index]
     if x.ndim == 1:
         try:
-            xs = rk4(n_steps, 0.5 * hstep, hstep, hstep / 6.0, *x.tolist())
+            xs = field.rk4(n_steps, 0.5 * hstep, hstep, hstep / 6.0, *x.tolist())
         except ZeroDivisionError:
             # Python floats raise where float64 gives inf or nan, which a later
             # operation may make finite again (exp(-1/0.0) is 0): rerun as a batch
@@ -106,9 +141,12 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
         finite = all(map(math.isfinite, xs))
         x = np.array(xs)
     else:
-        x = stack_columns(rk4(n_steps, 0.5 * hstep, hstep, hstep / 6.0,
-                              *np.moveaxis(x, -1, 0)), x.shape[:-1])
-        finite = np.all(np.isfinite(x))
+        # a C-ordered copy: the caller's array is never written, and each
+        # coordinate row is contiguous
+        rows = np.array(np.moveaxis(x, -1, 0), order="C")
+        _rk4_rows(field, n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
+        finite = np.all(np.isfinite(rows))
+        x = np.moveaxis(rows, 0, -1).copy()
     if not finite:
         raise IntegrationError(f"state became non-finite under field {field_index}")
     return x

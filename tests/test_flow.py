@@ -420,18 +420,24 @@ class TestIntegrateSegment:
             SwitchedSystem(g, ((-1.0, 1.0),) * (3 - len(field.bodies)), H, (field,))
 
     def test_compiled_loop_namespace(self):
-        # the loop runs under __builtins__: {} and sees only the whitelisted
-        # functions; a square of a name is inlined as a multiply, the literal
-        # 1e309 (inf) inside a finite constant is compiled as written, and
-        # constant powers keep their grouping ((-2.0)**2 - (2**2)**0.5 is 2)
+        # the loop and into run under __builtins__: {} and see only the
+        # whitelisted functions; a square of a name is inlined as a multiply
+        # in the loop and is multiply(a, a) in into, the literal 1e309 (inf)
+        # inside a finite constant is compiled as written, and constant
+        # powers keep their grouping ((-2.0)**2 - (2**2)**0.5 is 2)
         field = ExpressionField(("sin(x2) / x3**2 - x1**2", "cos(x1) * x3**3 - exp(-x2)",
                                  "x1 / (1.5 + x2**2) - x3 * (1 - 1/1e309)"
                                  " + ((-2.0)**2 - (2**2)**0.5 - 2)"))
-        namespace = field.rk4.__globals__
-        assert namespace["__builtins__"] == {}
-        assert set(namespace) == {"__builtins__", "range", "sin", "cos", "exp", "power",
-                                  "square"}
+        whitelist = {"range", "sin", "cos", "exp", "power", "square", "add", "subtract",
+                     "multiply", "divide", "negative", "positive"}
+        for compiled in (field.rk4, field.into):
+            assert compiled.__globals__["__builtins__"] == {}
+            assert set(compiled.__globals__) == {"__builtins__"} | whitelist
+            assert set(compiled.__code__.co_names) <= whitelist
         assert "square" not in field.rk4.__code__.co_names
+        assert set(field.into.__code__.co_names) == {"sin", "cos", "exp", "power", "add",
+                                                     "subtract", "multiply", "divide",
+                                                     "negative"}
         g = DirectedGraph.from_edges(1, [(0, 0)])
         sys = SwitchedSystem(g, ((-2.0, 2.0),) * 3, H, (field,), substeps=3)
         x = np.random.default_rng(3).uniform(0.5, 1.5, (50, 3))  # x3 stays away from 0
@@ -533,20 +539,55 @@ class TestIntegrateSegment:
         pytest.param(linear(((0.1, 1.3), (-1.1, -0.4))), 2, id="linear-2d"),
         pytest.param(linear(((0.2, 1.0, -0.3), (-1.0, 0.1, 0.5), (0.4, -0.6, -0.9))), 3,
                      id="linear-3d"),
+        # into's buffers: bare coordinates and constants are copied into
+        # their stage buffers, nested calls write one buffer in turn, and
+        # nested products hold three temporaries at once
+        pytest.param(ExpressionField(("x2", "x1")), 2, id="expr-swap"),
+        pytest.param(ExpressionField(("1.0", "2")), 2, id="expr-constants"),
+        pytest.param(ExpressionField(("sin(cos(x1))",)), 1, id="expr-nested-calls"),
+        pytest.param(ExpressionField(("x2**3", "(1.5 + x1*x1)**-0.5 - x2**2.0 * x1")), 2,
+                     id="expr-non-square-powers"),
+        pytest.param(ExpressionField(("x3", "-0.5",
+                                      "(x1*x2 + x2*x1) * (x1*x1 - sin(x2)*exp(x1))")), 3,
+                     id="expr-temporaries"),
     ])
     def test_stacked_equals_per_slice(self, field, d, backward, rng):
         # the chain builder flows many prefixes' images in one call: each
-        # slice of a stacked (P, N, d) input must come out bit for bit as if
-        # flowed alone, forward or backward in time
+        # slice of a stacked (P, N, d) input, and each lone point, must come
+        # out bit for bit as if flowed alone, forward or backward in time
         g = DirectedGraph.from_edges(1, [(0, 0)])
         sys = SwitchedSystem(g, ((-1.0, 1.0),) * d, H, (field,), substeps=7)
         dt = -0.1 if backward else 0.25  # poly1d's -2 x**3 blows up backward by 0.17
         stacked = rng.uniform(-1.2, 1.2, size=(5, 1001, d))
         out = integrate_segment(sys, 0, stacked, dt)
         alone = np.stack([integrate_segment(sys, 0, x, dt) for x in stacked])
+        lone = np.stack([integrate_segment(sys, 0, p, dt) for p in stacked[0, :64]])
         assert out.shape == stacked.shape
         assert out.tobytes() == alone.tobytes()
+        assert out[0, :64].tobytes() == lone.tobytes()
         assert out.tobytes() == reference_rk4(sys, 0, stacked, dt).tobytes()
+
+    @pytest.mark.parametrize("layout", ["points", "stacked", "strided", "sliced", "fortran"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_input_never_written(self, d, layout, rng):
+        # a batch runs in place on a copy of its coordinate rows; a (..., 1)
+        # C-ordered input, or a Fortran-ordered (N, d) one, already has that
+        # copy's layout, so a copy made only where the layout differs would
+        # write the caller's array
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        field = ExpressionField(tuple(f"x{i % d + 1} - 0.5 * x{i}" for i in range(1, d + 1)))
+        sys = SwitchedSystem(g, ((-1.0, 1.0),) * d, H, (field,), substeps=3)
+        base = rng.uniform(-1.0, 1.0, {"points": (30, d), "stacked": (4, 30, d),
+                                       "strided": (60, d + 2), "sliced": (4, 30, d),
+                                       "fortran": (30, d)}[layout])
+        if layout == "fortran":
+            base = np.asfortranarray(base)
+        x = {"strided": base[::2, 1:1 + d], "sliced": base[1:3, 5:25]}.get(layout, base)
+        before = base.copy()
+        out = integrate_segment(sys, 0, x, 0.25)
+        assert base.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, base)
+        assert out.tobytes() == reference_rk4(sys, 0, x, 0.25).tobytes()
 
     def test_rk4_fourth_order(self):
         errs = []
