@@ -189,19 +189,20 @@ def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | i
 # took 250-311 ms at 8 192), while peak RSS grows.
 SWEEP_ROWS = 8192
 
-# Points (words x cells) in one Grid.rows_within call of build_chain_graph; a
-# sweep holds consecutive words, and so bounds only the row query: the
-# expansion estimate runs once on all the images.  Measured when each sweep
-# also ran its own expansion estimate, building the plane2d benchmark's chain
-# graph (20x20 cells, m = 6, 64 words) on a 2-vCPU Xeon VM, one process per
-# value, median of 25 builds scaled by the benchmark's host-speed
-# calibration, then the median of three rounds:
+# Points (cells x words) in one Grid.rows_within call of build_chain_graph,
+# rounded down to whole multiples of n cells, and at least n.  A sweep is a
+# block of cells under every word, so it holds all the rows of its cells
+# and is joined once; the expansion estimate runs once on all the images.
+# Building the plane2d benchmark's chain graph (20x20 cells, m = 6, 64
+# words) on a 2-vCPU Xeon VM, one process per value, median of 25 builds
+# scaled by the benchmark's host-speed calibration, then the median of
+# three rounds:
 #
-#   points per sweep   400 (one word)   1 024   2 048   4 096   8 192
-#   build (ms)                   57.4    50.6    45.1    45.2    42.6
-#   peak RSS (MB)                32.8    32.7    33.8    35.7    40.0
+#   points per sweep   400 (6 cells)   1 024   2 048   4 096   8 192
+#   build (ms)                  35.2    30.7    27.3    27.5    29.0
+#   peak RSS (MB)               32.9    33.0    33.4    35.6    39.6
 #
-# Past 2 048 points the build gains little, while peak RSS grows with the
+# Past 2 048 points the build gains nothing, while peak RSS grows with the
 # sweep.
 SWEEP_POINTS = 2048
 
@@ -236,13 +237,23 @@ def _link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
 def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
     """Max growth of each word's flow map, from adjacent-center differences:
     images of shape ``(words, n_cells, d)`` give one factor per word."""
-    shaped = images.reshape((len(images),) + grid.counts + (grid.dimension,))
+    d = grid.dimension
+    shaped = images.reshape((len(images),) + grid.counts + (d,))
     best = np.zeros(len(images))
     for axis, w in enumerate(grid.widths):
         if grid.counts[axis] < 2:
             continue
-        diffs = np.diff(shaped, axis=1 + axis)
-        norms = np.sqrt(np.sum(diffs * diffs, axis=-1))
+        if d < 8:
+            # the squares added one coordinate at a time: the order in which
+            # np.sum adds fewer than 8 terms (it sums 8 or more pairwise)
+            diffs = [np.diff(shaped[..., k], axis=1 + axis) for k in range(d)]
+            norms = diffs[0] * diffs[0]
+            for diff in diffs[1:]:
+                norms += diff * diff
+        else:
+            diffs = np.diff(shaped, axis=1 + axis)
+            norms = np.sum(diffs * diffs, axis=-1)
+        np.sqrt(norms, out=norms)
         # fmax, as max() on floats, passes over a NaN growth
         best = np.fmax(best, norms.reshape(len(images), -1).max(axis=1) / w)
     return np.where(best > 0.0, best, 1.0)
@@ -259,8 +270,9 @@ def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
     for one step h.
 
     Cells x words, counted before any word is listed, must not exceed
-    ``max_work``.  The eps-free images (one array) and expansions kappa come
-    first; the ball query with radius ``eps + r*kappa + r`` runs on slices.
+    ``max_work``, and cells 2**21 - 1.  The eps-free images (one array) and
+    expansions kappa come first; the ball query with radius ``eps + r*kappa
+    + r`` runs on blocks of cells under all words.
     """
     g = sys.graph
     if not 0 < eps < math.inf:
@@ -269,6 +281,9 @@ def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
         raise ValidationError("m must be >= 1")
 
     n = grid.n_cells
+    if n >= 2**21:
+        # RangeRows packs (source, first, last) in one int64 key, 21 bits each
+        raise SizingError(f"{n} cells exceed the {2**21 - 1} that range rows can index")
     # words by first vertex, one length at a time; every vertex has
     # in-degree >= 1, so the total never falls with the length
     walks, length = [1] * g.n, 1
@@ -282,14 +297,17 @@ def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
     images = _link_images(sys, words, grid.all_centers())
     kappa = _sampled_expansion(images, grid)
     radius = eps + grid.radius * kappa + grid.radius
-    per_sweep = max(1, SWEEP_POINTS // n)
+    # cells per sweep: as many points as whole words of n cells would make
+    per_sweep = max(1, max(n, SWEEP_POINTS // n * n) // len(words))
+    by_cell = images.swapaxes(0, 1)
 
     def sweep_rows():
-        # point i of a sweep is cell i % n of its word
-        for a in range(0, len(words), per_sweep):
-            point, first, last = grid.rows_within(
-                images[a:a + per_sweep], np.repeat(radius[a:a + per_sweep], n)).T
-            yield np.stack((point % n, first, last))
+        # point i of a sweep is cell a + i // len(words) under word i % len(words)
+        for a in range(0, n, per_sweep):
+            block = by_cell[a:a + per_sweep]
+            rows = grid.rows_within(block, np.tile(radius, len(block)))
+            rows[:, 0] = a + rows[:, 0] // len(words)
+            yield rows.T
 
     return RangeRows.from_rows(n, sweep_rows())
 

@@ -144,7 +144,10 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
         # a C-ordered copy: the caller's array is never written, and each
         # coordinate row is contiguous
         rows = np.array(np.moveaxis(x, -1, 0), order="C")
-        _rk4_rows(field, n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
+        # an overflow or a division by zero is reported by the finiteness
+        # check alone, as IntegrationError; exp(-1/0.0) is 0 and stays finite
+        with np.errstate(all="ignore"):
+            _rk4_rows(field, n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
         finite = np.all(np.isfinite(rows))
         x = np.moveaxis(rows, 0, -1).copy()
     if not finite:

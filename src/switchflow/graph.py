@@ -190,25 +190,24 @@ def expand_ranges(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _join_ranges(n: int, rows: np.ndarray) -> np.ndarray:
-    """Rows ``(source, first, last)`` sorted once on the packed key
-    ``source * n + first``, with each source's overlapping or adjacent ranges
-    joined.  The rows come in ascending runs (the joined rows, then one run
-    per word) or nearly sorted (the contracted rows of
-    ``self_reaching_components``), where a stable sort, timsort, takes
-    about linear time."""
-    key = rows[0] * n + rows[1]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    src = key // n
-    # running maximum of the packed end src * n + last: sources ascend, so
-    # an end never carries over from an earlier source
-    end = np.maximum.accumulate(src * n + rows[2][order])
+    """Rows ``(source, first, last)`` sorted once on one int64 key that packs
+    the three ids in ``b`` bits each, ``2**b >= n``, with each source's
+    overlapping or adjacent ranges joined.  The key fits while ``3 * b <=
+    63``, that is for ``n <= 2**21``; bits, unlike ``(source * n + first) *
+    n + last``, unpack without an integer division."""
+    b = max(1, (n - 1).bit_length())
+    key = np.sort((rows[0] << b | rows[1]) << b | rows[2])
+    head = key >> b  # source << b | first
+    src = head >> b
+    low = (1 << b) - 1
+    # running maximum of the packed end source << b | last: sources ascend,
+    # so an end never carries over from an earlier source
+    end = np.maximum.accumulate(src << b | key & low)
     # start[i]: a joined range starts at sorted row i (i == len: sentinel)
     start = np.ones(len(key) + 1, dtype=bool)
-    start[1:-1] = (src[1:] != src[:-1]) | (key[1:] > end[:-1] + 1)
-    head, tail = np.flatnonzero(start[:-1]), np.flatnonzero(start[1:])
-    src = src[head]
-    return np.stack((src, key[head] - src * n, end[tail] - src * n))
+    start[1:-1] = (src[1:] != src[:-1]) | (head[1:] > end[:-1] + 1)
+    at, tail = np.flatnonzero(start[:-1]), np.flatnonzero(start[1:])
+    return np.stack((src[at], head[at] & low, end[tail] & low))
 
 
 @dataclass(frozen=True)
@@ -225,20 +224,16 @@ class RangeRows:
     @classmethod
     def from_rows(cls, n: int, batches: Iterable[np.ndarray]) -> "RangeRows":
         """Merge batches of rows, each a ``(3, R)`` array of ``(source, first,
-        last)`` in any order.  Rows are joined again only once the rows held
-        since the last join outnumber twice the joined rows plus ``n``, so
-        memory stays a small multiple of the result while each row is sorted
-        about 1.5 times on average."""
-        joined = np.empty((3, 0), dtype=np.int64)
-        held: list[np.ndarray] = []
-        count = 0
-        for rows in batches:
-            held.append(rows)
-            count += rows.shape[1]
-            if count > 2 * joined.shape[1] + n:
-                joined = _join_ranges(n, np.concatenate([joined, *held], axis=1))
-                held, count = [], 0
-        src, first, last = _join_ranges(n, np.concatenate([joined, *held], axis=1))
+        last)`` in any order.  Each batch is joined as it arrives, and the
+        joined batches once more where two of them share or cross a source.
+        Where each batch holds all the rows of its sources, in ascending
+        blocks, as ``build_chain_graph`` sweeps them, the joined batches are
+        the result in order, so every raw row is sorted once."""
+        joined = [j for j in (_join_ranges(n, rows) for rows in batches) if j.shape[1]]
+        rows = np.concatenate([np.empty((3, 0), dtype=np.int64), *joined], axis=1)
+        if any(a[0, -1] >= b[0, 0] for a, b in zip(joined, joined[1:])):
+            rows = _join_ranges(n, rows)
+        src, first, last = rows
         return cls(np.searchsorted(src, np.arange(n + 1)), first, last)
 
     @property
@@ -275,17 +270,24 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     that meet only lone ids, are dropped.  A group of two or more ids
     reaches itself.
 
+    Chain graphs mostly have one component that holds most cells, so one
+    forward-backward pass (``_component_of``) finds the component of the
+    group with the most ranges, and its groups are dropped the same way: a
+    cycle through one of them lies inside it, so the components of the
+    other groups are those of the relation without it.
+
     ``tarjan`` then runs on a bottom-up segment-tree gadget over the ``g``
-    groups: node 0 is unused, internal node ``j`` in ``1..g-1`` points at its
-    children ``2j`` and ``2j + 1``, leaf ``g + i`` stands for group ``i``,
-    and each leaf points at the O(log g) tree nodes whose leaves tile its
-    ranges.  Paths between leaves are exactly the contracted relation's
+    groups left: node 0 is unused, internal node ``j`` in ``1..g-1`` points
+    at its children ``2j`` and ``2j + 1``, leaf ``g + i`` stands for group
+    ``i``, and each leaf points at the O(log g) tree nodes whose leaves tile
+    its ranges.  Paths between leaves are exactly the contracted relation's
     paths, and every cycle passes through a leaf, so the components with more
     than one gadget node are the non-trivial ones.  A range of one group is
     covered by its own leaf, a gadget self-loop, so a single-leaf component
-    is kept when one of its ranges contains it.  The gadget's components,
-    each expanded back to its ids, come first in Tarjan's emission order;
-    the lone ids with a self-loop follow, ascending.
+    is kept when one of its ranges contains it.  The peeled component comes
+    first, if it reaches itself; the gadget's components follow, each
+    expanded back to its ids, in Tarjan's emission order; then the lone ids
+    with a self-loop, ascending.
     """
     n = rows.n
     src = np.repeat(np.arange(n), np.diff(rows.indptr))
@@ -313,18 +315,21 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     opens = np.concatenate(([True], ~(up[:-1] & down[1:])))[:n]
     starts = np.flatnonzero(opens)
     stops = np.append(starts[1:], n)
-    kept = ~lone[starts]
-    starts, stops = starts[kept].tolist(), stops[kept].tolist()
+    starts, stops = starts[~lone[starts]], stops[~lone[starts]]
     g = len(starts)
     if not g:
         return loops
-    # group[i]: the group of id i, or the last group before i if i is lone;
-    # a range meets the groups from that of its first id (the next one if
-    # that id is lone) to that of its last id
-    group = np.cumsum(opens & ~lone) - 1
-    lo, hi = (group + lone)[first], group[last]
-    meets = (lo <= hi) & ~lone[src]
-    src, first, last = _join_ranges(g, np.stack((group[src], lo, hi)).compress(meets, axis=1))
+    src, first, last = _join_ranges(g, _relabel(np.cumsum(opens & ~lone) - 1, lone,
+                                                src, first, last))
+    indptr = np.searchsorted(src, np.arange(g + 1))
+    peeled = _component_of(RangeRows(indptr, first, last), src, int(np.argmax(np.diff(indptr))))
+    ids = expand_ranges(starts[peeled], stops[peeled] - 1)[1]
+    comps = [ids.tolist()] if len(ids) > 1 or own[ids[0]] else []
+    starts, stops = starts[~peeled].tolist(), stops[~peeled].tolist()
+    g = len(starts)
+    # distinct groups keep distinct ids, so the relabelled ranges of a source
+    # still ascend and never overlap
+    src, first, last = _relabel(np.cumsum(~peeled) - 1, peeled, src, first, last)
     src = src + g
     lo, hi = first + g, last + g + 1
     self_loop = np.zeros(2 * g, dtype=bool)
@@ -344,9 +349,54 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
         src, lo, hi = src[more], lo[more], hi[more]
     keys = np.sort(np.concatenate(tails) * (2 * g) + np.concatenate(heads))
     self_loop = self_loop.tolist()
-    return [[i for v in comp if v >= g for i in range(starts[v - g], stops[v - g])]
-            for comp in tarjan(*successor_rows(keys, 2 * g))
-            if len(comp) > 1 or self_loop[comp[0]]] + loops
+    return comps + [[i for v in comp if v >= g for i in range(starts[v - g], stops[v - g])]
+                    for comp in tarjan(*successor_rows(keys, 2 * g))
+                    if len(comp) > 1 or self_loop[comp[0]]] + loops
+
+
+def _relabel(label: np.ndarray, skip: np.ndarray, src: np.ndarray,
+             first: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Rows ``(source, first, last)`` mapped onto new ids: ``label[i]`` is
+    the new id of ``i``, or the last one before ``i`` if ``i`` is skipped, so
+    a range maps to the new ids from that of its first id (the next one if
+    that id is skipped) to that of its last id.  The ranges of skipped
+    sources, and ranges that meet only skipped ids, are dropped."""
+    lo, hi = (label + skip)[first], label[last]
+    meets = (lo <= hi) & ~skip[src]
+    return np.stack((label[src], lo, hi)).compress(meets, axis=1)
+
+
+def _component_of(rows: RangeRows, src: np.ndarray, pivot: int) -> np.ndarray:
+    """Mask of ``pivot``'s strongly connected component; ``src[j]`` is the
+    source of range ``j``.  Forward reach goes one level at a time: the
+    frontier's ranges, as a difference array, mark the ids they cover.
+    Backward reach runs inside the forward set, whose ids alone can lie on a
+    path back to ``pivot``: a range meets the ids found so far where the
+    prefix counts at its ends differ, and a source drops its ranges once
+    found."""
+    n = rows.n
+    ahead = np.zeros(n, dtype=bool)
+    ahead[pivot] = True
+    frontier = np.array([pivot])
+    while len(frontier):
+        _, j = expand_ranges(rows.indptr[frontier], rows.indptr[frontier + 1] - 1)
+        cover = np.bincount(rows.first[j], minlength=n + 1) \
+            - np.bincount(rows.last[j] + 1, minlength=n + 1)
+        frontier = np.flatnonzero((np.cumsum(cover[:-1]) > 0) & ~ahead)
+        ahead[frontier] = True
+    behind = np.zeros(n, dtype=bool)
+    behind[pivot] = True
+    # the ranges of the other sources ahead, as source, first and last + 1
+    j = ahead[src] & (src != pivot)
+    src, lo, hi = src[j], rows.first[j], rows.last[j] + 1
+    while True:
+        count = np.concatenate(([0], np.cumsum(behind)))
+        meets = count[hi] > count[lo]
+        if not meets.any():
+            return ahead & behind
+        behind[src[meets]] = True
+        j = ~behind[src]
+        src, lo, hi = src[j], lo[j], hi[j]
 
 
 def tarjan(ptr: list[int], adj: list[int]) -> list[list[int]]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchflow import chains
+from switchflow import chains, graph
 from switchflow.chains import (
     SizingError,
     _link_images,
@@ -369,6 +369,21 @@ class TestBuildChainGraph:
         with pytest.raises(SizingError, match="at least"):
             build_chain_graph(example2_system(g), grid, 0.02, 40)
 
+    def test_cell_count_guard_at_packed_key_bound(self, monkeypatch):
+        # range rows pack three cell ids of 21 bits into one int64 key: 2**21
+        # cells are refused before any work, 2**21 - 1 reach the word listing,
+        # which fails here before it allocates anything
+        def refuse(*args):
+            raise AssertionError("words listed")
+
+        monkeypatch.setattr(chains, "enumerate_admissible_words", refuse)
+        sys = example2_system(DirectedGraph.complete(2))
+        with pytest.raises(SizingError, match="range rows can index"):
+            build_chain_graph(sys, build_grid([(0.0, 2.0)], 2**21), 0.02, 1, max_work=10**12)
+        with pytest.raises(AssertionError, match="words listed"):
+            build_chain_graph(sys, build_grid([(0.0, 2.0)], 2**21 - 1), 0.02, 1,
+                              max_work=10**12)
+
     def test_prefix_reuse_matches_per_word_integration(self, monkeypatch):
         segments = []
 
@@ -551,16 +566,19 @@ def test_chain_graph_answers_from_rows_match_expanded_pairs(case):
 
 SWEEP_CASES = {  # CHAIN_CASES entry or (system, cells, eps, m), points per sweep
     **{case: (case, None) for case in CHAIN_CASES},
-    # 4 words of 63 cells in sweeps of 3 words and 1
-    "2d-free-uneven": ("2d-free", 3 * 63),
-    # 4 words of 40 1-D cells in sweeps of 3 and 1, and 8 words of 30 2-D
-    # cells in sweeps of 3, 3 and 2
-    "1d-free-m2-uneven": ("1d-free-m2", 3 * 40 + 39),
+    # a sweep is a block of cells under all words, as many points as whole
+    # words of n cells: 63 cells under 4 words in blocks of 31, 31 and 1
+    "2d-free-uneven": ("2d-free", 2 * 63),
+    # 45 1-D cells under 4 words in blocks of 11, 11, 11, 11 and 1
+    "1d-free-m2-uneven": (lambda: (example2_system(DirectedGraph.complete(2)), [45], 0.01, 2),
+                          45),
+    # 30 2-D cells under 8 words in blocks of 11, 11 and 8
     "2d-m3-uneven": (lambda: (expression_system(((-2.0, 2.0), (-1.0, 2.0)), VDP_FOCUS),
                               [5, 6], 0.05, 3), 3 * 30),
-    # more 1-D cells than one sweep holds: one word per sweep
+    # more 1-D cells than one sweep holds, n = 2 055 points per sweep: 4
+    # words in blocks of 513 cells (four) and 3
     "1d-wide": (lambda: (example2_system(DirectedGraph.complete(2)),
-                         [chains.SWEEP_POINTS + 7], 0.02, 2), None),
+                         [chains.SWEEP_POINTS + 7], 0.02, 2), chains.SWEEP_POINTS),
 }
 
 
@@ -572,9 +590,10 @@ def test_swept_build_equals_per_word_build(case, monkeypatch):
         monkeypatch.setattr(chains, "SWEEP_POINTS", points)
     grid = build_grid(sys.box, cells)
     words = enumerate_admissible_words(sys.graph, frozenset(range(sys.graph.n)), m)
-    per_sweep = max(1, chains.SWEEP_POINTS // grid.n_cells)
+    n = grid.n_cells
+    per_sweep = max(1, max(n, chains.SWEEP_POINTS // n * n) // len(words))
     if points is not None:
-        assert 1 < per_sweep < len(words) and len(words) % per_sweep
+        assert 1 < per_sweep < n and n % per_sweep
     built = build_chain_graph(sys, grid, eps, m)
     rows, expansions = per_word_chain_graph(sys, sys.graph, grid, eps, m)
     for name in ("indptr", "first", "last"):
@@ -582,6 +601,17 @@ def test_swept_build_equals_per_word_build(case, monkeypatch):
     # the vectorised expansion factors are bit-equal to the per-word ones
     kappa = _sampled_expansion(_link_images(sys, words, grid.all_centers()), grid)
     assert list(zip(words, kappa.tolist())) == list(expansions.items())
+
+
+@pytest.mark.parametrize("d", [3, 7, 8, 9])
+def test_sampled_expansion_bit_equal_to_per_word_sum(d):
+    # np.sum adds up to 7 squares in sequence and 8 or more pairwise; over
+    # 200 words of coordinates of one scale the order shows in the last bits
+    rng = np.random.default_rng(d)
+    grid = build_grid([(0.0, 1.0)] * d, [3, 2] + [1] * (d - 2))
+    images = rng.normal(size=(200, grid.n_cells, d))
+    assert _sampled_expansion(images, grid).tolist() == \
+        [per_word_expansion(image, grid) for image in images]
 
 
 def test_large_grid_components():
@@ -687,6 +717,150 @@ class TestSelfReachingComponents:
         pairs = {(u, v) for u, first, last in rows for v in range(first, last + 1)}
         assert sorted(map(sorted, self_reaching_components(relation))) == \
             mutual_classes(reachability(n, pairs))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_packed_join_equals_union_per_source(self, data):
+        n = data.draw(st.integers(1, 40), label="n")
+        ids = st.integers(0, n - 1)
+        rows = []
+        # some ids are no source at all; a source's further rows nest in,
+        # adjoin or repeat its first one, or fall anywhere
+        for u in data.draw(st.lists(ids, max_size=n), label="sources"):
+            lo, hi = sorted(data.draw(st.tuples(ids, ids), label="range"))
+            rows.append((u, lo, hi))
+            for kind in data.draw(st.lists(st.sampled_from(
+                    ["nested", "adjacent", "duplicate", "any"]), max_size=3), label="more"):
+                if kind == "nested":
+                    a, b = sorted(data.draw(st.tuples(st.integers(lo, hi), st.integers(lo, hi))))
+                elif kind == "adjacent" and hi + 1 < n:
+                    a, b = hi + 1, data.draw(st.integers(hi + 1, n - 1))
+                elif kind == "adjacent" and lo > 0:
+                    a, b = data.draw(st.integers(0, lo - 1)), lo - 1
+                elif kind == "any":
+                    a, b = sorted(data.draw(st.tuples(ids, ids)))
+                else:
+                    a, b = lo, hi
+                rows.append((u, a, b))
+        # batches in any order, or by ascending source as chain sweeps are,
+        # cut anywhere, so a seam may split a source or fall between two
+        if data.draw(st.booleans(), label="by source"):
+            rows.sort(key=lambda r: r[0])
+        else:
+            rows = data.draw(st.permutations(rows), label="order")
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5), label="cuts"))
+        batches = [np.array(rows[a:b], dtype=np.int64).reshape(-1, 3).T
+                   for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+        relation = RangeRows.from_rows(n, batches)
+        # reference: each source's ids as a set, split into maximal runs
+        union = [set() for _ in range(n)]
+        for u, a, b in rows:
+            union[u].update(range(a, b + 1))
+        indptr, first, last = [0], [], []
+        for targets in union:
+            for v in sorted(targets):
+                if len(first) > indptr[-1] and last[-1] + 1 == v:
+                    last[-1] = v
+                else:
+                    first.append(v)
+                    last.append(v)
+            indptr.append(len(first))
+        assert relation.indptr.tolist() == indptr
+        assert relation.first.tolist() == first and relation.last.tolist() == last
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_peeled_component_matches_tarjan_on_expanded_edges(self, data):
+        # the forward-backward pass peels the component of the kept id with
+        # the most ranges; every shape must give Tarjan's components
+        shape = data.draw(st.sampled_from(["giant", "transient pivot", "many", "all lone"]),
+                          label="shape")
+        n = data.draw(st.integers(12, 60), label="n")
+        ids = st.integers(0, n - 1)
+        span = st.tuples(ids, ids).map(sorted)
+        rows, giant, pivot = [], [], None
+        if shape == "giant":
+            # the even ids on one cycle, each with two more single targets
+            # among them, so that each has more ranges than an odd id
+            giant = data.draw(st.permutations(range(0, n, 2)), label="cycle")
+            for u, v in zip(giant, giant[1:] + giant[:1]):
+                rows.append((u, v, v))
+                for w in data.draw(st.sets(st.sampled_from(giant), min_size=2, max_size=2)):
+                    rows.append((u, w, w))
+            # at most one row per odd id
+            for u in range(1, n, 2):
+                if data.draw(st.booleans()):
+                    rows.append((u, *data.draw(span)))
+        elif shape == "transient pivot":
+            # pivot points at scattered ids and nothing points back; 0 and
+            # n - 1 point at each other across every inner cut, so no id is
+            # lone, and every other row points at least two ids upward, so
+            # no two neighbours point at each other: each id is a group of
+            # its own, and pivot's ranges outnumber any other id's
+            pivot = data.draw(st.integers(1, n - 2), label="pivot")
+            # three or more ranges, since ids 3 apart never join
+            targets = data.draw(st.sets(st.sampled_from(range(0, n, 3)), min_size=4),
+                                label="targets") - {pivot}
+            rows += [(pivot, v, v) for v in targets] + [(0, n - 1, n - 1), (n - 1, 0, 0)]
+            for u in set(range(1, n - 3)) - {pivot}:
+                if data.draw(st.booleans()):
+                    lo, hi = sorted(data.draw(st.tuples(st.integers(u + 2, n - 1),
+                                                        st.integers(u + 2, n - 1))))
+                    if lo <= pivot <= hi:  # keep pivot unreached, split around it
+                        rows += [(u, lo, pivot - 1)] * (lo < pivot)
+                        lo = pivot + 1
+                    if lo <= hi:
+                        rows.append((u, lo, hi))
+        elif shape == "many":
+            # chunks of 1 to 3 shuffled ids, each a cycle, and links only from
+            # a chunk to a later one, so no two chunks share a cycle
+            order = data.draw(st.permutations(range(n)), label="order")
+            sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+            chunks, at = [], 0
+            for k in sizes:
+                if at < n:
+                    chunks.append(order[at:at + k])
+                    at += k
+            for chunk in chunks:
+                if len(chunk) > 1 or data.draw(st.booleans()):
+                    rows += [(u, v, v) for u, v in zip(chunk, chunk[1:] + chunk[:1])]
+            for _ in range(data.draw(st.integers(0, n), label="links")):
+                a, b = sorted(data.draw(st.tuples(st.integers(0, len(chunks) - 1),
+                                                  st.integers(0, len(chunks) - 1))))
+                if a < b:
+                    rows.append((chunks[a][0], chunks[b][-1], chunks[b][-1]))
+        else:
+            # every row points upward from its source: every id is lone
+            rows = [(u, u + d, min(u + d + k, n - 1))
+                    for u, d, k in data.draw(st.lists(st.tuples(ids, st.integers(0, 3),
+                                                                st.integers(0, 3)),
+                                                      max_size=2 * n)) if u + d < n]
+        relation = RangeRows.from_rows(n, [np.array(rows, dtype=np.int64).reshape(-1, 3).T])
+        pairs = sorted({(u, v) for u, first, last in rows for v in range(first, last + 1)})
+        expected = sorted(map(sorted, expanded_self_reaching(*expanded_rows(pairs, n))))
+        component_of, peels = graph._component_of, []
+
+        def recording(rows, src, pivot):
+            peeled = component_of(rows, src, pivot)
+            peels.append((pivot, np.flatnonzero(peeled).tolist()))
+            return peeled
+
+        with mock.patch("switchflow.graph._component_of", recording), \
+                mock.patch("switchflow.graph.tarjan", wraps=tarjan) as gadget:
+            found = self_reaching_components(relation)
+        assert sorted(map(sorted, found)) == expected
+        if shape == "all lone":
+            assert lone_ids(pairs, n) == list(range(n))
+            assert peels == [] and gadget.call_count == 0
+        if shape == "transient pivot":
+            # group ids are ids here: pivot alone is peeled, and not emitted
+            assert peels == [(pivot, [pivot])] and [pivot] not in found
+        if shape == "giant":
+            # the peeled component comes first; tarjan sees the odd ids alone,
+            # where without the peel each even id would be one more leaf
+            assert found[0] == sorted(giant)
+            assert len(gadget.call_args.args[0]) - 1 <= 2 * (n - len(giant))
 
 
 def expanded_rows(pairs, n):

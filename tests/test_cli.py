@@ -429,6 +429,19 @@ def test_chain_sets_too_many_words_exits_4_before_listing_them(monkeypatch, tmp_
     assert "resource guard" in err and "Traceback" not in err
 
 
+def test_chain_sets_batch_overflow_exits_3(tmp_path, capsys):
+    # the link images of a constant 1e308 overflow in the batch RK4; with
+    # warnings as errors, as pytest runs them, the finiteness check alone
+    # reports it
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["system"]["fields"] = ["1e308", "-x1"]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+
+
 # sha256 of the files each command writes for scripts/configs, recorded
 # before chain-sets computed its centres once per component, and re-recorded
 # when the keys analysis.q, system.clamp and parameters.q left the outputs

@@ -526,6 +526,24 @@ class TestIntegrateSegment:
         assert np.isfinite(alone).all()
         assert alone.tobytes() == batch[0].tobytes()
 
+    def test_batch_overflow_raises_integration_error_without_warning(self):
+        # a constant component near 1e308 overflows the final combination
+        # 2.0 * k2 + ...: under filterwarnings = error a RuntimeWarning
+        # would escape instead, so no errstate is set here
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        sys = SwitchedSystem(g, ((0.0, 2.0),), H, (ExpressionField(("1e308",)),))
+        for x0 in (np.array([0.5]), np.array([[0.5], [1.5]])):
+            with pytest.raises(IntegrationError):
+                integrate_segment(sys, 0, x0, 0.1)
+
+    def test_batch_division_by_zero_that_turns_finite_without_warning(self):
+        # exp(-1/x1**2) at 0: 1/0.0 is inf and exp(-inf) is 0, with no warning
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        sys = SwitchedSystem(g, ((-1.0, 1.0),), H, (ExpressionField(("exp(-1/x1**2)",)),))
+        out = integrate_segment(sys, 0, np.array([[0.0], [0.3]]), 0.1)
+        assert np.isfinite(out).all()
+        assert out[0, 0] == 0.0
+
     @pytest.mark.parametrize("backward", [False, True])
     @pytest.mark.parametrize("field, d", [
         pytest.param(ExpressionField(("sin(3*x1) - exp(-x1)",)), 1, id="expr-1d"),
