@@ -49,6 +49,10 @@ def _parse_fields(text: str, keys: tuple[str, ...]) -> dict[str, tuple[str, int]
 
 def _word(g: DirectedGraph, text: str, position: int) -> tuple[int, ...]:
     toks = text.split()
+    try:  # labels and plain indices; other spellings, such as "01", below
+        return tuple(map(g._vertex_by_token.__getitem__, toks))
+    except KeyError:
+        pass
     try:
         return tuple(g.index_of(t) for t in toks)
     except ValidationError as exc:

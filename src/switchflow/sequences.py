@@ -41,17 +41,18 @@ class SymbolicSequence:
             if word and not (0 <= min(word) and max(word) < g.n):
                 s = next(s for s in word if not 0 <= s < g.n)
                 raise ValidationError(f"symbol {s} out of range")
-        # each word's pairs, then the period wraps and the layout's junctions
-        # (with an empty core, the right junction repeats the left one)
+        # two walks hold every word's pairs, both period wraps and both
+        # junctions (with an empty core, the right junction is the left one)
+        edges = g.edges
+        wrap, through = left + left[:1], left[-1:] + core + right + right[:1]
+        if edges.issuperset(zip(wrap, wrap[1:])) and edges.issuperset(zip(through, through[1:])):
+            return
+        # name the first bad pair: each word's, then the wraps, then the junctions
         words = ((left, "left period"), (core, "core"), (right, "right period"))
         joins = [(left[-1], left[0], "left period wrap"),
                  (right[-1], right[0], "right period wrap"),
                  (left[-1], (core or right)[0], "left junction"),
                  ((core or left)[-1], right[0], "right junction")]
-        edges = g.edges
-        if (all(edges.issuperset(zip(word, word[1:])) for word, _ in words)
-                and all((a, b) in edges for a, b, _ in joins)):
-            return
         pairs = [(a, b, name) for word, name in words for a, b in zip(word, word[1:])]
         a, b, where = next(p for p in pairs + joins if p[:2] not in edges)
         raise ValidationError(

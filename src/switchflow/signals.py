@@ -7,7 +7,10 @@ produce the full signal space.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -61,17 +64,14 @@ def sigma_embed(x: SymbolicSequence, h: float) -> SwitchingSignal:
     return SwitchingSignal(x, 0.0, h)
 
 
-def shift(f: SwitchingSignal, t: float) -> SwitchingSignal:
-    """Time translation: value_at(result, s) == value_at(f, s + t).
-
-    Whole cells are absorbed into the base's origin shift; the remainder
-    renormalizes the phase into [0, h).
-    """
+def _phase(f: SwitchingSignal, t: float) -> tuple[int, float]:
+    """Whole cells k and phase tau of f shifted by t: the shift's cell i is
+    the base's cell i - k, and its phase is tau in [0, h)."""
     cells = (f.offset - t) / f.step
     if not math.isfinite(cells):
         raise ValidationError(f"shift time {t!r} is not a finite number of cells")
     if t == 0.0:
-        return f
+        return 0, f.offset
     k = math.floor(cells)
     tau = f.offset - t - k * f.step
     if tau >= f.step:  # float dust at the boundary
@@ -79,6 +79,21 @@ def shift(f: SwitchingSignal, t: float) -> SwitchingSignal:
         k += 1
     if tau < 0.0:
         tau = 0.0
+    if not tau < f.step:  # at |t| far above h, k * h rounds by more than a cell
+        raise ValidationError(f"shift time {t!r} leaves no representable phase "
+                              f"in cells of length {f.step!r}")
+    return k, tau
+
+
+def shift(f: SwitchingSignal, t: float) -> SwitchingSignal:
+    """Time translation: value_at(result, s) == value_at(f, s + t).
+
+    Whole cells are absorbed into the base's origin shift; the remainder
+    renormalizes the phase into [0, h).
+    """
+    k, tau = _phase(f, t)
+    if t == 0.0:
+        return f
     return SwitchingSignal(shift_discrete(f.base, -k), tau, f.step)
 
 
@@ -91,28 +106,37 @@ def metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float = 1e-12) -> 
     and on the last h - hi both hold cell i.  Each unit cell is integrated
     exactly from these pieces; only the geometric tail beyond the truncation
     order is dropped, and it is bounded by tol.  Each base is read once, as
-    one window, and equal windows at equal offsets are at distance 0.
+    one window of cells -N-1..N.
     """
     if f.step != g.step:
         raise ValidationError("signals must share the same step h")
     if f.graph is not g.graph and f.graph != g.graph:
         raise ValidationError("signals live over different graphs")
     n = truncation_order(tol)
-    h = f.step
-    # cell i of either base is item i + n + 1 of its window
-    x, y = f.base.window(-n - 1, n), g.base.window(-n - 1, n)
-    lo, hi = sorted((f.offset, g.offset))
+    return _delta_sum(f.base.window(-n - 1, n), g.base.window(-n - 1, n),
+                      f.offset, g.offset, f.step, n)
+
+
+def _delta_sum(x: tuple[int, ...], y: tuple[int, ...], f_offset: float,
+               g_offset: float, h: float, n: int) -> float:
+    """``metric_delta`` of signals at the given offsets whose cells -n-1..n
+    are the windows x and y: cell i is item i + n + 1."""
+    lo, hi = sorted((f_offset, g_offset))
     if lo == hi and x == y:
         return 0.0
-    early, late = (x, y) if f.offset <= g.offset else (y, x)
+    w = metric_weights(n)
+    diff = list(map(operator.ne, x, y))  # item j serves cells j - n - 1 and j - n
+    if hi == 0.0:  # (0*0 + 0*0 + h) / h * w is exactly w: add them in cell order
+        return functools.reduce(operator.add, itertools.compress(w, diff[1:]), 0.0)
+    early, late = (x, y) if f_offset <= g_offset else (y, x)
     mid, rest = hi - lo, h - hi
+    # with equal offsets mid is 0, so any flags give the middle piece 0
+    cross = list(map(operator.ne, early[1:], late)) if mid else diff
     total = 0.0
-    # cell i = -n..n: its items i + n and i + n + 1, and its weight
-    for w, x0, y0, e1, l0, x1, y1 in zip(metric_weights(n), x, y, early[1:], late,
-                                          x[1:], y[1:]):
-        mismatch = (x0 != y0) * lo + (e1 != l0) * mid + (x1 != y1) * rest
+    for wi, d0, c, d1 in zip(w, diff, cross, diff[1:]):
+        mismatch = d0 * lo + c * mid + d1 * rest
         if mismatch:
-            total += mismatch / h * w
+            total += mismatch / h * wi
     return total
 
 
@@ -124,9 +148,14 @@ def continuity_gap(f: SwitchingSignal, g: SwitchingSignal, t: float,
     ``bound = 4^ceil(|t|/h) * d(f, g)``; the shift can expand distances by
     at most one weight ratio per crossed cell.  The bound is 0 when
     ``d(f, g)`` is, and inf from 512 cells on, where the power overflows.
+    The shifted pair is never built: each base is read as a window of
+    2N+2 cells, whatever t is.
     """
-    lhs = metric_delta(shift(f, t), shift(g, t), tol)
+    (kf, tau_f), (kg, tau_g) = _phase(f, t), _phase(g, t)
     d = metric_delta(f, g, tol)
+    n = truncation_order(tol)
+    lhs = _delta_sum(f.base.window(-n - 1 - kf, n - kf), g.base.window(-n - 1 - kg, n - kg),
+                     tau_f, tau_g, f.step, n)
     cells = math.ceil(abs(t) / f.step)
     if d == 0.0:
         return lhs, 0.0

@@ -17,7 +17,7 @@ from switchflow.graph import (
     require_valid,
 )
 from switchflow.sequences import SymbolicSequence, truncation_order
-from switchflow.signals import SwitchingSignal
+from switchflow.signals import SwitchingSignal, shift
 
 
 @pytest.fixture
@@ -99,6 +99,19 @@ def reference_metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float) -
         if mismatch:
             total += mismatch / h * 4.0 ** (-abs(j - n - 1))
     return total
+
+
+def reference_continuity_gap(f: SwitchingSignal, g: SwitchingSignal, t: float,
+                             tol: float) -> tuple[float, float]:
+    """``continuity_gap`` as two built shifts and two sums, the form its
+    window reads replaced: ``shift`` makes both shifted signals, and
+    ``reference_metric_delta`` sums their distance and d(f, g)."""
+    lhs = reference_metric_delta(shift(f, t), shift(g, t), tol)
+    d = reference_metric_delta(f, g, tol)
+    cells = math.ceil(abs(t) / f.step)
+    if d == 0.0:
+        return lhs, 0.0
+    return lhs, 4.0 ** cells * d if cells < 512 else math.inf
 
 
 def reference_metric_omega(x: SymbolicSequence, y: SymbolicSequence, tol: float) -> float:

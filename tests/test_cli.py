@@ -81,6 +81,20 @@ class TestLiterals:
                 parse_sequence(g, text)
             assert err.value.position == text.index(key)
 
+    def test_word_tokens_resolve_as_index_of_does(self):
+        # labels spelling other vertices' indices win; other spellings of an
+        # index resolve; a bad token is reported at its word's key
+        g = DirectedGraph.from_edges(3, [(0, 0), (0, 1), (1, 2), (2, 0), (1, 1)],
+                                     labels=["1", "2", "0"])
+        x = parse_sequence(g, "left=(1) core=[1 01 +1 2] right=(0 1 2)")
+        assert (x.left_period, x.core, x.right_period) == ((0,), (0, 1, 1, 1), (2, 0, 1))
+        for text, message, key in [
+                ("left=(1) core=[1 C] right=(1)", "unknown vertex 'C'", "core="),
+                ("left=(1) right=(1 7)", "vertex index 7 out of range", "right=")]:
+            with pytest.raises(LiteralError, match=f"{message}$") as err:
+                parse_sequence(g, text)
+            assert err.value.position == text.index(key)
+
     def test_unknown_vertex_rejected(self):
         g = DirectedGraph.complete(2)
         with pytest.raises(LiteralError):

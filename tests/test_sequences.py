@@ -30,6 +30,24 @@ def graph_abc():
                                     labels=["A", "B", "C"])
 
 
+def first_bad_pair(g, left, core, right):
+    """The admissibility check as one ``has_edge`` per pair, in the order
+    rejections name them: each word's pairs, then the period wraps, then
+    the junctions.  ``None`` when every pair is an edge."""
+    checks = []
+    for word, name in ((left, "left period"), (core, "core"), (right, "right period")):
+        for i in range(len(word) - 1):
+            checks.append((word[i], word[i + 1], name))
+    checks.append((left[-1], left[0], "left period wrap"))
+    checks.append((right[-1], right[0], "right period wrap"))
+    checks.append((left[-1], core[0] if core else right[0], "left junction"))
+    checks.append((core[-1] if core else left[-1], right[0], "right junction"))
+    for a, b, where in checks:
+        if not g.has_edge(a, b):
+            return a, b, where
+    return None
+
+
 class TestRepresentation:
     def test_constant(self):
         g = DirectedGraph.complete(2)
@@ -67,6 +85,34 @@ class TestRepresentation:
         g = DirectedGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)], labels=["A", "B", "C"])
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             SymbolicSequence(g, left, core, right)
+
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.integers(1, 4), extra=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))),
+           labelled=st.booleans(),
+           left=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+           core=st.lists(st.integers(0, 3), max_size=4),
+           right=st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    @example(n=2, extra=set(), labelled=True, left=[0], core=[], right=[0])  # wrap A->A
+    @example(n=3, extra={(0, 0)}, labelled=False, left=[0], core=[], right=[0])
+    @example(n=3, extra=set(), labelled=True, left=[2, 0, 1], core=[], right=[2, 0, 1])
+    @example(n=3, extra={(1, 1)}, labelled=True, left=[0, 1, 2], core=[0, 1], right=[1])
+    def test_admissibility_matches_pairwise_check(self, n, extra, labelled, left, core, right):
+        # a sequence is built exactly when every pair is an edge, and a
+        # rejection names the pairwise check's first bad pair
+        edges = {(u, (u + 1) % n) for u in range(n)} | {(u, v) for u, v in extra
+                                                          if u < n and v < n}
+        g = DirectedGraph.from_edges(n, sorted(edges), labels=list("ABCD"[:n]) if labelled
+                                     else None)
+        left, core, right = (tuple(v % n for v in w) for w in (left, core, right))
+        bad = first_bad_pair(g, left, core, right)
+        if bad is None:
+            x = SymbolicSequence(g, left, core, right)
+            assert (x.left_period, x.core, x.right_period) == (left, core, right)
+        else:
+            a, b, where = bad
+            message = f"inadmissible transition {g.label_of(a)}->{g.label_of(b)} ({where})"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                SymbolicSequence(g, left, core, right)
 
     def test_wraparound_checked(self):
         g = DirectedGraph.from_edges(2, [(0, 1), (1, 0), (1, 1)])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from conftest import (
     random_sequence,
     random_signal,
     random_strong_graph,
+    reference_continuity_gap,
     reference_metric_delta,
     reference_metric_omega,
 )
@@ -96,9 +98,26 @@ class TestShiftFlow:
     def test_nonfinite_cell_count_rejected(self, t):
         # inf, nan, and a time whose count of cells h = 0.1 overflows
         f = alternating()
-        with pytest.raises(ValidationError, match="not a finite number of cells"):
+        with pytest.raises(ValidationError, match="not a finite number of cells") as shifted:
             shift(f, t)
-        with pytest.raises(ValidationError, match="not a finite number of cells"):
+        with pytest.raises(ValidationError) as gap:
+            continuity_gap(f, f, t)
+        assert str(gap.value) == str(shifted.value)
+
+    @pytest.mark.parametrize("tau, t", [
+        (0.09126219336408857, 7.08233703646486e16),
+        (0.014924534454025785, -3.83836025899679e18),
+        (0.06406309611072321, -1.088221295391152e21),
+    ])
+    def test_time_beyond_the_phase_resolution_rejected(self, tau, t):
+        # at these |t| the remainder t - k*h rounds by more than a cell, so
+        # no phase in [0, h) is left: a named error, not an offset check
+        g = DirectedGraph.complete(2)
+        f = parse_signal(g, f"left=(0) core=[1 0 1] right=(1 0) tau={tau!r} h=0.1")
+        message = f"^shift time {re.escape(repr(t))} leaves no representable phase"
+        with pytest.raises(ValidationError, match=message):
+            shift(f, t)
+        with pytest.raises(ValidationError, match=message):
             continuity_gap(f, f, t)
 
     def test_shift_by_step_matches_discrete(self):
@@ -265,45 +284,105 @@ class TestMetricDelta:
         assert metric_delta(s, f, tol).hex() == per_cell_metric_delta(s, f, tol).hex()
 
 
+def draw_literal_pair(data):
+    """Two signals parsed from literals over a labelled or unlabelled graph,
+    with offsets equal, zero, random or one ulp below h, and a tolerance."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(1, 4), label="n")
+    g = random_strong_graph(rng, n)
+    labels = data.draw(st.one_of(st.none(), st.just(tuple("ABCD"[:n])),
+                                 st.permutations([str(v) for v in range(n)]).map(tuple)),
+                       label="labels")
+    g = DirectedGraph(g.n, g.edges, labels)
+    h = data.draw(st.sampled_from([0.1, 0.5, 1.0, 7.0]), label="h")
+
+    def offset(label):
+        kind = data.draw(st.sampled_from(["zero", "random", "below h"]), label=label)
+        return {"zero": 0.0, "below h": math.nextafter(h, 0.0),
+                "random": float(rng.uniform(0.0, h))}[kind]
+
+    x = random_sequence(g, rng)
+    pairing = data.draw(st.sampled_from(["fresh", "same", "shifted"]), label="y")
+    y = {"fresh": random_sequence(g, rng), "same": x,
+         "shifted": shift_discrete(x, int(rng.integers(-3, 4)))}[pairing]
+    tau_x = offset("tau_x")
+    tau_y = tau_x if data.draw(st.booleans(), label="same offset") else offset("tau_y")
+    # y's literal is parsed over an equal copy of the graph, or the graph itself
+    g_y = DirectedGraph(g.n, g.edges, labels) if data.draw(st.booleans(),
+                                                           label="graph copy") else g
+    f = parse_signal(g, format_signal(SwitchingSignal(x, tau_x, h)))
+    s = parse_signal(g_y, format_signal(SwitchingSignal(y, tau_y, h)))
+    tol = data.draw(st.one_of(st.sampled_from([1e-12, 0.5]), st.floats(1e-12, 0.5)),
+                    label="tol")
+    return f, s, tol
+
+
+def gap_bits(gap, f, s, t, tol):
+    """``gap(f, s, t, tol)`` as the hex of both values, or its error message."""
+    try:
+        return tuple(v.hex() for v in gap(f, s, t, tol))
+    except ValidationError as exc:
+        return str(exc)
+
+
 class TestMetricReferences:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_metrics_bit_equal_to_references(self, data):
-        # literals parsed over labelled or unlabelled graphs; offsets equal,
-        # zero, random or one ulp below h; both metrics must give the bits of
-        # their reference loops
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        n = data.draw(st.integers(1, 4), label="n")
-        g = random_strong_graph(rng, n)
-        labels = data.draw(st.one_of(st.none(), st.just(tuple("ABCD"[:n])),
-                                     st.permutations([str(v) for v in range(n)]).map(tuple)),
-                           label="labels")
-        g = DirectedGraph(g.n, g.edges, labels)
-        h = data.draw(st.sampled_from([0.1, 0.5, 1.0, 7.0]), label="h")
-
-        def offset(label):
-            kind = data.draw(st.sampled_from(["zero", "random", "below h"]), label=label)
-            return {"zero": 0.0, "below h": math.nextafter(h, 0.0),
-                    "random": float(rng.uniform(0.0, h))}[kind]
-
-        x = random_sequence(g, rng)
-        pairing = data.draw(st.sampled_from(["fresh", "same", "shifted"]), label="y")
-        y = {"fresh": random_sequence(g, rng), "same": x,
-             "shifted": shift_discrete(x, int(rng.integers(-3, 4)))}[pairing]
-        tau_x = offset("tau_x")
-        tau_y = tau_x if data.draw(st.booleans(), label="same offset") else offset("tau_y")
-        # y's literal is parsed over an equal copy of the graph, or the graph itself
-        g_y = DirectedGraph(g.n, g.edges, labels) if data.draw(st.booleans(),
-                                                               label="graph copy") else g
-        f = parse_signal(g, format_signal(SwitchingSignal(x, tau_x, h)))
-        s = parse_signal(g_y, format_signal(SwitchingSignal(y, tau_y, h)))
-        tol = data.draw(st.one_of(st.sampled_from([1e-12, 0.5]), st.floats(1e-12, 0.5)),
-                        label="tol")
+        # both metrics must give the bits of their reference loops
+        f, s, tol = draw_literal_pair(data)
         for a, b in ((f, s), (s, f)):
             assert metric_delta(a, b, tol).hex() == reference_metric_delta(a, b, tol).hex()
             assert metric_omega(a.base, b.base, tol).hex() \
                 == reference_metric_omega(a.base, b.base, tol).hex()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_continuity_gap_bit_equal_to_two_shifts(self, data):
+        # the gap reads windows of the bases; it must give the bits (or the
+        # error) of shifting both signals and summing on the shifted pair
+        f, s, tol = draw_literal_pair(data)
+        h = f.step
+        cells = st.integers(-40, 40)
+        kind = data.draw(st.sampled_from(
+            ["zero", "whole cells", "within 40 cells", "next to a boundary", "bound inf",
+             "far"]), label="t kind")
+        if kind == "zero":
+            t = 0.0
+        elif kind == "whole cells":
+            t = data.draw(cells, label="k") * h
+        elif kind == "within 40 cells":
+            t = data.draw(st.floats(-40 * h, 40 * h), label="t")
+        elif kind == "next to a boundary":
+            # t one ulp either side of a cell boundary of f or s: the phase
+            # lands at 0 or rounds up to h
+            edge = data.draw(st.sampled_from([f, s]), label="boundary of").offset \
+                - data.draw(cells, label="k") * h
+            t = math.nextafter(edge, data.draw(st.sampled_from([-math.inf, math.inf]),
+                                               label="side"))
+        elif kind == "bound inf":  # 4^cells overflows from 512 cells on
+            t = data.draw(st.floats(511.5, 5000.0), label="cells") * h \
+                * data.draw(st.sampled_from([-1.0, 1.0]), label="sign")
+        else:  # 1e20 / h cells: the windows must not span them
+            t = data.draw(st.sampled_from([1e20, -1e300]), label="t")
+        for a, b in ((f, s), (s, f)):
+            assert gap_bits(continuity_gap, a, b, t, tol) \
+                == gap_bits(reference_continuity_gap, a, b, t, tol)
+
+
+    @pytest.mark.parametrize("h, t", [(0.1, 5e-324), (0.1, math.nextafter(0.2, math.inf)),
+                                      (0.5, 5e-324), (1.0, 5e-324)])
+    @pytest.mark.parametrize("tau_s", [0.0, 0.25])
+    def test_continuity_gap_at_the_boundary_correction(self, h, t, tau_s):
+        # an aligned signal shifted one ulp past a cell boundary: its phase
+        # rounds up to h and is carried into the next cell as 0
+        g = DirectedGraph.complete(2)
+        f = parse_signal(g, f"left=(0 1) core=[1 1 0] right=(0) h={h!r}")
+        s = parse_signal(g, f"left=(1 0) core=[0] right=(0 1) tau={tau_s * h!r} h={h!r}")
+        assert shift(f, t).offset == 0.0
+        for a, b in ((f, s), (s, f)):
+            assert gap_bits(continuity_gap, a, b, t, 1e-12) \
+                == gap_bits(reference_continuity_gap, a, b, t, 1e-12)
 
 def per_cell_metric_delta(f, g, tol):
     """The loop metric_delta replaced: six at() lookups per unit cell, in
