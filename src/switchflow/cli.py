@@ -237,8 +237,7 @@ def cmd_stitch_demo(cfg: ExperimentConfig, out_dir: Path, links: int,
     rng = np.random.default_rng(cfg.run.seed)
 
     def rand_word(k):
-        # a word drawn with length 0 still holds one symbol
-        return tuple(int(rng.integers(g.n)) for _ in range(max(k, 1)))
+        return tuple(int(rng.integers(g.n)) for _ in range(k))
 
     def random_signal():
         return sigma_embed(SymbolicSequence(

@@ -1,21 +1,18 @@
 """Vector-field families for the per-vertex dynamics.
 
 Every field is one expression tree per component over x1..xd, its
-``bodies``, and three functions are compiled from them when the field is
-built.  ``field.columns(x1, ..., xd)`` returns the d velocity columns, where
-each ``xi`` is a float or an array, and each column is a number or an array
-of the inputs' shape.  ``field.rk4(n_steps, half, hstep, sixth, x1, ...,
-xd)`` is the fixed-step RK4 loop with the bodies inlined, which integration
-runs on a lone point's Python floats; it returns the d coordinates after
-``n_steps`` steps.  ``field.into(k1, ..., kd, x1, ..., xd, t1, ..., tn)``
-writes the d velocity columns at the arrays x1..xd into the arrays k1..kd
-with ``out=``, using the ``field.temps`` arrays t1..tn as scratch; a batch
-runs it in ``flow``'s fixed RK4 loop.  Every operation acts elementwise, so
-a lone point equals its row of a batch bit for bit.  ``field(x)`` is the
-array form: shape (..., d) in, (..., d) out.  ``ExpressionField`` is the
-one field class: its expressions are over x1..xd with +, -, *, /, ** and
-sin/cos/exp.  The config forms ``poly1d`` and ``linear`` are shorthand for
-expression text.
+``bodies``, and two functions are compiled from them when the field is
+built.  ``field.rk4(n_steps, half, hstep, sixth, x1, ..., xd)`` is the
+fixed-step RK4 loop with the bodies inlined, which integration runs on a
+lone point's Python floats; it returns the d coordinates after ``n_steps``
+steps.  ``field.into(k1, ..., kd, x1, ..., xd, t1, ..., tn)`` writes the d
+velocity columns at the arrays x1..xd into the arrays k1..kd with
+``out=``, using the ``field.temps`` arrays t1..tn as scratch; a batch runs
+it in ``flow``'s fixed RK4 loop.  Every operation acts elementwise, so a
+lone point equals its row of a batch bit for bit.  ``ExpressionField`` is
+the one field class: its expressions are over x1..xd with +, -, *, /, **
+and sin/cos/exp.  The config forms ``poly1d`` and ``linear`` are shorthand
+for expression text.
 """
 from __future__ import annotations
 
@@ -60,8 +57,9 @@ def _constant_value(node: ast.expr):
 def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
     """``body``, the tree of ``expr``, checked against the whitelist over the
     variables ``names`` and with each ``a ** b`` that has a variable operand
-    rewritten as ``square(a)`` when b is the constant 2, else as ``power(a,
-    b)``: Python and numpy scalars compute ``**`` with libm ``pow``, which can
+    rewritten as the product ``a * a`` when b is the constant 2 and a is a
+    name, as ``square(a)`` when b is 2 and a is not, else as ``power(a, b)``:
+    Python and numpy scalars compute ``**`` with libm ``pow``, which can
     differ in the last bit from ndarray ``**``, while ``np.power`` agrees with
     it and computes the exponent 2 as ``a * a``.  Each node is checked before
     its children, so the first node the whitelist refuses, in reading order,
@@ -106,6 +104,8 @@ def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
         if not isinstance(node.op, ast.Pow):
             return node, False
         if isinstance(node.right, ast.Constant) and node.right.value == 2:
+            if isinstance(node.left, ast.Name):
+                return ast.BinOp(node.left, ast.Mult(), node.left), False
             return ast.Call(ast.Name("square", ast.Load()), [node.left], []), False
         return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], []), False
 
@@ -125,15 +125,6 @@ def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
     return body
 
 
-def stack_columns(columns: Sequence, lead: tuple[int, ...]) -> np.ndarray:
-    """The ``lead + (d,)`` float array of d columns, each broadcast to the
-    leading shape ``lead`` (ints converted)."""
-    out = np.empty(lead + (len(columns),))
-    for i, column in enumerate(columns):
-        out[..., i] = column
-    return out
-
-
 # the ufuncs that ndarray operators call, under the names ``into`` uses
 _UFUNCS = {ast.Add: "add", ast.Sub: "subtract", ast.Mult: "multiply", ast.Div: "divide",
            ast.USub: "negative", ast.UAdd: "positive"}
@@ -143,25 +134,13 @@ _GLOBALS = {"__builtins__": {}, "range": range, **_ALLOWED_CALLS, "power": np.po
             "square": _square, **{name: getattr(np, name) for name in _UFUNCS.values()}}
 
 
-class _InlineSquares(ast.NodeTransformer):
-    """Writes each ``square(a)`` of a name ``a`` as ``a * a``, the product
-    ``square`` returns.  The tree is changed in place, but a root call is
-    replaced, so the caller keeps what ``visit`` returns."""
-
-    def visit_Call(self, node: ast.Call) -> ast.expr:
-        self.generic_visit(node)
-        if node.func.id == "square" and isinstance(node.args[0], ast.Name):
-            return ast.BinOp(node.args[0], ast.Mult(), node.args[0])
-        return node
-
-
 def _rk4_source(at_x: Sequence[str], xs: list[str]) -> str:
     """The fixed-step RK4 loop with the component bodies, printed over x1..xd
     as ``at_x``, inlined: ``loop(n_steps, half, hstep, sixth, x1, ..., xd)``
-    returns the d columns after ``n_steps`` steps.  Where a step would call
-    ``columns``, a stage assigns the moved coordinates to ``y1..yd``, then
-    its values ``k{s}_i`` to the bodies read at them: the operations and
-    their order are those of four ``columns`` calls.  The only identifiers
+    returns the d columns after ``n_steps`` steps.  Each stage after the
+    first assigns the moved coordinates to ``y1..yd``, and every stage its
+    values ``k{s}_i`` to the bodies read at them: the operations and their
+    order are those of the bodies evaluated four times.  The only identifiers
     in a body are x1..xd and function names, and a number prints without an
     ``x``, so each ``x`` before a digit starts a coordinate."""
     ys = [f"y{i}" for i in range(1, len(xs) + 1)]
@@ -197,8 +176,8 @@ def _into_source(bodies: Sequence[ast.expr], xs: list[str]) -> tuple[str, int]:
     its node: the body's ``ki``, or ``tj`` for a right operand computed while
     the left one holds its node's buffer at depth j - 1.  Operands run left
     to right; a coordinate or variable-free subexpression is read as
-    written.  So the values are those ``columns`` returns on arrays, bit for
-    bit, and a leaf body is copied into its ``ki``."""
+    written.  So the values are those of the bodies evaluated on arrays, bit
+    for bit, and a leaf body is copied into its ``ki``."""
     names = set(xs)
     ks = [f"k{i}" for i in range(1, len(xs) + 1)]
     lines = ["pass"]  # keeps the function valid when d = 0
@@ -246,12 +225,8 @@ class ExpressionField:
     Each expression is checked against the whitelist, and every ``**`` with
     a variable operand is rewritten, by ``_array_powers``; the results are
     the field's ``bodies``, which ``ast.unparse`` prints as the source of
-    ``columns``, of ``rk4`` (the lone-point loop) and of ``into`` (a batch's
-    stage, which needs ``temps`` scratch arrays), compiled under
-    ``__builtins__: {}``.  ``field(x)`` evaluates ``columns`` on the
-    coordinate columns of a ``(..., d)`` array.  A lone point runs as a
-    batch of one, since numpy scalars may give a NaN another sign than the
-    array loop does.
+    ``rk4`` (the lone-point loop) and of ``into`` (a batch's stage, which
+    needs ``temps`` scratch arrays), compiled under ``__builtins__: {}``.
     """
 
     expressions: tuple[str, ...]
@@ -266,27 +241,15 @@ class ExpressionField:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
             bodies.append(_array_powers(tree.body, expr, set(xs)))
         # an overflowing literal, such as 1e309 in 1/1e309, prints back as 1e309
-        texts = [ast.unparse(body) for body in bodies]
-        # the loop inlines squares in fresh trees, so the bodies keep their calls
-        at_x = [ast.unparse(_InlineSquares().visit(ast.parse(text, mode="eval").body))
-                for text in texts]
-        # one compile of text, which costs less than building AST objects
-        columns = "".join(text + ", " for text in texts)
+        at_x = [ast.unparse(body) for body in bodies]
         into, temps = _into_source(bodies, xs)
         namespace = dict(_GLOBALS)
-        exec(compile(f"columns = lambda {', '.join(xs)}: ({columns})\n"
-                     + _rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
+        # one compile of text, which costs less than building AST objects
+        exec(compile(_rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
         object.__setattr__(self, "bodies", tuple(bodies))
-        object.__setattr__(self, "columns", namespace.pop("columns"))
         object.__setattr__(self, "rk4", namespace.pop("loop"))
         object.__setattr__(self, "into", namespace.pop("into"))
         object.__setattr__(self, "temps", temps)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self(x[None])[0]
-        return stack_columns(self.columns(*np.moveaxis(x, -1, 0)), x.shape[:-1])
 
 
 def field_from_config(entry, dimension: int) -> ExpressionField:

@@ -42,7 +42,7 @@ class SwitchedSystem:
             raise ValidationError("substeps must be >= 1")
         if not all(isinstance(f, ExpressionField) for f in self.fields):
             raise ValidationError("every field needs component expressions, from which its "
-                                  "columns(x1, ..., xd) evaluation and RK4 loop are compiled")
+                                  "RK4 loop and batch stage are compiled")
         if not self.box:
             raise ValidationError("box needs at least one interval")
         for lo, hi in self.box:
@@ -118,10 +118,10 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
     ``x0`` has shape (..., d).  A lone point runs the field's compiled
     loop, ``field.rk4``, on its d coordinates as Python floats; a batch runs
     ``_rk4_rows`` on a ``(d, ...)`` copy.  Both perform the operations of
-    ``columns`` in the same order, so every point comes out bit for bit as
-    if flowed alone, since ``+ - * /`` round the same on Python floats as on
-    float64.  Where Python raises instead (division by zero), a lone point
-    is rerun as a batch of one.
+    the field's bodies in the same order, so every point comes out bit for
+    bit as if flowed alone, since ``+ - * /`` round the same on Python
+    floats as on float64.  Where Python raises instead (division by zero), a
+    lone point is rerun as a batch of one.
     """
     x = _state(sys, x0)
     if not math.isfinite(dt):

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from switchflow.fields import _constant_value, stack_columns
+from switchflow.fields import _constant_value
 from switchflow.flow import IntegrationError
 from switchflow.graph import (
     DirectedGraph,
@@ -25,34 +25,56 @@ def rng():
     return np.random.default_rng(20240811)
 
 
+def per_component_field(expressions, d):
+    """The evaluator ExpressionField replaced: one eval per component, each
+    broadcast to the leading shape, then stacked.  A lone point is evaluated
+    as a batch of one, since numpy scalars would take libm's ``pow``."""
+    calls = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+    codes = [compile(ast.parse(e, mode="eval"), "<field>", "eval") for e in expressions]
+
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return field(x[None])[0]
+        env = {f"x{i + 1}": x[..., i] for i in range(d)}
+        return np.stack([np.broadcast_to(np.asarray(
+            eval(code, {"__builtins__": {}}, {**calls, **env}), dtype=float), x.shape[:-1])
+            for code in codes], axis=-1)
+
+    return field
+
+
 def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
-    """``integrate_segment`` as one loop over lists of coordinate columns,
-    the form the field's compiled loop replaced: each stage is a list
-    comprehension over ``zip``, unpacked into ``columns``."""
+    """``integrate_segment`` as one RK4 loop over ``(..., d)`` arrays, the
+    form the field's compiled loops replaced: each stage evaluates the
+    field's expression text with ``per_component_field``."""
     x = np.asarray(x0, dtype=float)
     if dt == 0.0:
         return x.copy()
-    columns = sys.fields[field_index].columns
+    field = per_component_field(sys.fields[field_index].expressions, sys.dimension)
     n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
     hstep = dt / n_steps
     half, sixth = 0.5 * hstep, hstep / 6.0
-    xs = x.tolist() if x.ndim == 1 else list(np.moveaxis(x, -1, 0))
-    try:
-        for _ in range(n_steps):
-            k1 = columns(*xs)
-            k2 = columns(*[a + half * k for a, k in zip(xs, k1)])
-            k3 = columns(*[a + half * k for a, k in zip(xs, k2)])
-            k4 = columns(*[a + hstep * k for a, k in zip(xs, k3)])
-            xs = [a + sixth * (p + 2.0 * q + 2.0 * r + s)
-                  for a, p, q, r, s in zip(xs, k1, k2, k3, k4)]
-    except ZeroDivisionError:
-        if x.ndim != 1:
-            raise
-        return reference_rk4(sys, field_index, x[None], dt)[0]
-    x = stack_columns(xs, x.shape[:-1])
+    for _ in range(n_steps):
+        k1 = field(x)
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + hstep * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x)):
         raise IntegrationError(f"state became non-finite under field {field_index}")
     return x
+
+
+def velocity(field, x) -> np.ndarray:
+    """``field``'s velocity at the ``(..., d)`` array ``x``, as ``field.into``
+    writes it from a C-ordered ``(d, N)`` copy of the coordinate rows, with
+    ``field.temps`` scratch arrays."""
+    x = np.asarray(x, dtype=float)
+    rows = np.array(x.reshape(-1, x.shape[-1]).T, order="C")
+    k = np.empty_like(rows)
+    field.into(*k, *rows, *np.empty((field.temps, rows.shape[1])))
+    return k.T.reshape(x.shape)
 
 
 def reference_linear_columns(matrix, *xs) -> tuple:
@@ -151,6 +173,8 @@ class ReferenceArrayPowers(ast.NodeTransformer):
         if not isinstance(node.op, ast.Pow):
             return node
         if isinstance(node.right, ast.Constant) and node.right.value == 2:
+            if isinstance(node.left, ast.Name):
+                return ast.BinOp(node.left, ast.Mult(), node.left)
             return ast.Call(ast.Name("square", ast.Load()), [node.left], [])
         return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
 

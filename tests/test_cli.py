@@ -428,6 +428,21 @@ def test_stitch_demo_refused_before_any_signal_is_built(links, window, code, mes
     assert not (tmp_path / "o").exists()
 
 
+def test_stitch_demo_draws_empty_cores(tmp_path):
+    # a core drawn with length 0 is empty: f_head, written unstitched as the
+    # first signal, has one within a few seeds
+    heads = []
+    for seed in range(8):
+        doc = json.loads(json.dumps(COMPLETE2))
+        doc["run"]["seed"] = seed
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"o{seed}"
+        assert main(["--config", str(path), "--out", str(out), "stitch-demo"]) == 0
+        heads.append(json.loads((out / "stitch_demo.json").read_text())["signals"][0])
+    assert any("core=[]" in head for head in heads), heads
+
+
 def test_chain_sets_too_many_words_exits_4_before_listing_them(monkeypatch, tmp_path, capsys):
     # 2**40 words of length 40: refused from walk counts, before any is listed
     def refuse(*args):

@@ -12,7 +12,6 @@ from switchflow.fields import (
     ExpressionField,
     _array_powers,
     field_from_config,
-    stack_columns,
 )
 from switchflow.flow import (
     HybridState,
@@ -29,10 +28,12 @@ from switchflow.signals import metric_delta, shift, sigma_embed
 
 from conftest import (
     ReferenceArrayPowers,
+    per_component_field,
     random_signal,
     reference_linear_columns,
     reference_polynomial_columns,
     reference_rk4,
+    velocity,
 )
 
 H = 0.1
@@ -65,14 +66,14 @@ class TestFields:
     def test_expression_vectorized(self):
         f = ExpressionField(("-x1*(x1-1)*(x1-2)",))
         x = np.array([[0.5], [1.5]])
-        out = f(x)
+        out = velocity(f, x)
         assert out.shape == (2, 1)
         assert out[0, 0] == pytest.approx(-0.375)
         assert out[1, 0] == pytest.approx(0.375)
 
     def test_expression_functions(self):
         f = ExpressionField(("sin(x1) + exp(x2)", "x1"))
-        val = f(np.array([0.0, 0.0]))[0]
+        val = velocity(f, np.array([0.0, 0.0]))[0]
         assert float(val) == pytest.approx(1.0)
 
     def test_expression_rejects_unknown_names(self):
@@ -100,11 +101,11 @@ class TestFields:
 
     def test_polynomial(self):
         f = poly1d((0.0, -1.0))  # -x
-        assert f(np.array([2.0]))[0] == pytest.approx(-2.0)
+        assert velocity(f, np.array([2.0]))[0] == pytest.approx(-2.0)
 
     def test_linear(self):
         f = linear(((0.0, 1.0), (-1.0, 0.0)))
-        out = f(np.array([1.0, 0.0]))
+        out = velocity(f, np.array([1.0, 0.0]))
         assert out == pytest.approx(np.array([0.0, -1.0]))
 
     def test_from_config_forms(self):
@@ -142,41 +143,40 @@ class TestFields:
     @pytest.mark.parametrize("expr, base", [
         ("x1**2", lambda x: x), ("x1**2.0", lambda x: x), ("(x1-1)**2", lambda x: x - 1)])
     def test_square_equals_np_power(self, expr, base):
-        # x**2 compiles to x*x; numpy's power computes exponent 2 the same
-        # way, for arrays and scalars, up to overflow to inf
+        # x**2 compiles to x*x, never to power; numpy's power computes
+        # exponent 2 the same way, up to overflow to inf
         field = ExpressionField((expr,))
-        assert "square" in field.columns.__code__.co_names
+        for compiled in (field.rk4, field.into):
+            assert "power" not in compiled.__code__.co_names
         rng = np.random.default_rng(5)
         exponents = np.repeat(np.arange(-300, 161, 4), 2000)
         x = rng.choice([-1.0, 1.0], exponents.size) * rng.uniform(1.0, 10.0, exponents.size) \
             * 10.0 ** exponents.astype(float)
         with np.errstate(over="ignore", under="ignore"):
             want = np.power(base(x), 2)
-            (got,) = field.columns(x)
+            got = velocity(field, x[:, None])[:, 0]
             assert got.tobytes() == want.tobytes()
-            lone = x[::20]
-            assert np.array([field.columns(v)[0] for v in lone.tolist()]).tobytes() \
-                == want[::20].tobytes()
-            assert np.array([field.columns(v)[0] for v in lone]).tobytes() \
-                == want[::20].tobytes()
         assert np.isinf(want).any()
 
     @pytest.mark.parametrize("expr", ["x1**3", "x1**0.5", "x1**x2", "2.0**x1"])
     def test_other_variable_powers_use_np_power(self, expr):
-        names = ExpressionField((expr, "x2")).columns.__code__.co_names
-        assert "power" in names and "square" not in names
+        field = ExpressionField((expr, "x2"))
+        for compiled in (field.rk4, field.into):
+            names = compiled.__code__.co_names
+            assert "power" in names and "square" not in names
 
     def test_finite_constant_powers_kept(self):
         field = ExpressionField(("x1 * 2**0.5 + (-2.0)**2 + 2**-1 + (-8)**3",))
-        assert "power" not in field.columns.__code__.co_names
-        assert field.columns(1.0) == (2**0.5 + (-2.0)**2 + 2**-1 + (-8)**3,)
+        for compiled in (field.rk4, field.into):
+            assert "power" not in compiled.__code__.co_names
+        assert velocity(field, np.array([1.0]))[0] == 2**0.5 + (-2.0)**2 + 2**-1 + (-8)**3
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_linear_and_polynomial_equal_references(self, data):
-        # both kinds compile one expression per component; they must compute
-        # what their hand-written columns methods did, signed zeros and
-        # infinities included, on lone Python floats and on arrays
+        # both kinds compile one expression per component; on arrays they
+        # must compute what their hand-written columns methods did, signed
+        # zeros, infinities and NaNs included
         coeffs = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-4.0, 4.0))
         values = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
                            st.floats())
@@ -195,19 +195,13 @@ class TestFields:
 
             def reference(x1):
                 return reference_polynomial_columns(poly, x1)
-        lone = data.draw(st.lists(values, min_size=d, max_size=d), label="lone point")
         batch = [np.array(data.draw(st.lists(values, min_size=6, max_size=6), label=f"x{i}"))
                  for i in range(1, d + 1)]
         with np.errstate(all="ignore"):
-            got, want = np.array(field.columns(*lone)), np.array(reference(*lone))
-            assert stack_columns(field.columns(*batch), (6,)).tobytes() \
-                == stack_columns(reference(*batch), (6,)).tobytes()
-        # CPython's float + returns one NaN operand before the interpreter
-        # specialises the instruction and the other after, so on lone floats
-        # only the NaN positions, not their signs, are fixed
-        nan = np.isnan(want)
-        assert (np.isnan(got) == nan).all()
-        assert got[~nan].tobytes() == want[~nan].tobytes()
+            got = velocity(field, np.stack(batch, axis=-1))
+            want = np.column_stack([np.broadcast_to(np.asarray(column, dtype=float), (6,))
+                                    for column in reference(*batch)])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("make", [lambda v: linear(((1.0, 0.0), (v, -1.0))),
                                       lambda v: poly1d((0.5, v))],
@@ -250,21 +244,10 @@ class TestFields:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
             want = reference(x)
-            got = field(x)
+            got = velocity(field, x)
         assert got.shape == want.shape == x.shape
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
-
-    def test_lone_point_nan_sign_matches_batch_row(self):
-        # for x1 < 0, x1**x1 is a NaN with the sign set and its negation one
-        # with the sign clear; numpy's scalar + and its array loop return
-        # different ones of the two, so a lone point runs as a batch of one
-        exprs = ("x1", "((x1)**x1 + -(x1)**x1)")
-        field, reference = ExpressionField(exprs), per_component_field(exprs, 2)
-        with np.errstate(all="ignore"):
-            for seed in range(40):
-                x = np.random.default_rng(seed).uniform(-3.0, 3.0, (2,))
-                assert field(x).tobytes() == reference(x).tobytes()
 
 
 def field_expressions(d):
@@ -338,25 +321,6 @@ def expression_field_or_none(exprs):
         return None
 
 
-def per_component_field(expressions, d):
-    """The evaluator ExpressionField replaced: one eval per component, each
-    broadcast to the leading shape, then stacked.  A lone point is evaluated
-    as a batch of one, since numpy scalars would take libm's ``pow``."""
-    calls = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-    codes = [compile(ast.parse(e, mode="eval"), "<field>", "eval") for e in expressions]
-
-    def field(x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return field(x[None])[0]
-        env = {f"x{i + 1}": x[..., i] for i in range(d)}
-        return np.stack([np.broadcast_to(np.asarray(
-            eval(code, {"__builtins__": {}}, {**calls, **env}), dtype=float), x.shape[:-1])
-            for code in codes], axis=-1)
-
-    return field
-
-
 def any_field(d):
     """An expression, polynomial (1-D) or linear field of dimension d."""
     coeffs = st.floats(-2.0, 2.0)
@@ -406,9 +370,9 @@ class TestIntegrateSegment:
             assert batch[0] == "error"
             assert batch[1] in {v for kind, v in alone if kind == "error"}
 
-    def test_field_without_columns_rejected(self):
+    def test_field_without_expressions_rejected(self):
         g = DirectedGraph.from_edges(1, [(0, 0)])
-        with pytest.raises(ValidationError, match="columns"):
+        with pytest.raises(ValidationError, match="needs component expressions"):
             SwitchedSystem(g, ((-1.0, 1.0),), H, (lambda x: -x,))
 
     @pytest.mark.parametrize("field", [ExpressionField(("x2", "-x1")), linear(((1.0,),))],
