@@ -11,8 +11,7 @@ velocity columns at the arrays x1..xd into the arrays k1..kd with
 it in ``flow``'s fixed RK4 loop.  Every operation acts elementwise, so a
 lone point equals its row of a batch bit for bit.  ``ExpressionField`` is
 the one field class: its expressions are over x1..xd with +, -, *, /, **
-and sin/cos/exp.  The config forms ``poly1d`` and ``linear`` are shorthand
-for expression text.
+and sin/cos/exp.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import ValidationError, require_real
+from .graph import ValidationError
 
 _ALLOWED_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
@@ -253,16 +252,8 @@ class ExpressionField:
 
 
 def field_from_config(entry, dimension: int) -> ExpressionField:
-    """Build a field from a config entry.
-
-    Accepts a single expression string (1-D systems), a list of d expression
-    strings, or a named form written out as expression text:
-    ``{"type": "poly1d", "coeffs": [c_0, ..., c_n]}`` as Horner's rule from
-    0.0, ``(...(0.0) * x1 + (c_n)) * x1 + ... + (c_0)``, and ``{"type":
-    "linear", "matrix": A}`` as each row summed left to right, ``(a0) * x1 +
-    (a1) * x2 + ...``.  A named form holds no key but ``type`` and its data
-    key.
-    """
+    """Build a field from a config entry: a single expression string (1-D
+    systems) or a list of d expression strings."""
     if isinstance(entry, str):
         if dimension == 1:
             return ExpressionField((entry,))
@@ -272,30 +263,4 @@ def field_from_config(entry, dimension: int) -> ExpressionField:
         if len(entry) != dimension:
             raise ValidationError(f"field needs {dimension} component expressions")
         return ExpressionField(tuple(entry))
-    if isinstance(entry, dict):
-        kind = entry.get("type")
-        # each named form's one data key
-        data = isinstance(kind, str) and {"poly1d": "coeffs", "linear": "matrix"}.get(kind)
-        if not data:
-            raise ValidationError(f"unknown field type {kind!r}")
-        unknown = sorted(map(str, set(entry) - {"type", data}))
-        if unknown:
-            raise ValidationError(f"unknown {kind} field key " + ", ".join(unknown))
-        if kind == "poly1d":
-            if dimension != 1:
-                raise ValidationError("poly1d fields require dimension 1")
-            coeffs = [require_real(c, "poly1d coeffs") for c in entry["coeffs"]]
-            if not all(math.isfinite(c) for c in coeffs):
-                raise ValidationError("polynomial coefficients must be finite")
-            horner = "0.0"
-            for c in reversed(coeffs):
-                horner = f"({horner}) * x1 + ({c!r})"
-            return ExpressionField((horner,))
-        m = [[require_real(v, "linear matrix") for v in row] for row in entry["matrix"]]
-        if len(m) != dimension or any(len(row) != dimension for row in m):
-            raise ValidationError("linear field matrix must be d x d")
-        if not all(math.isfinite(a) for row in m for a in row):
-            raise ValidationError("linear field matrix entries must be finite")
-        return ExpressionField(tuple(
-            " + ".join(f"({a!r}) * x{i}" for i, a in enumerate(row, 1)) for row in m))
     raise ValidationError(f"cannot interpret field entry {entry!r}")

@@ -157,21 +157,15 @@ def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
 
 def _breakpoints(f: SwitchingSignal, t: float) -> list[float]:
     """Partition points of [0, t] (or [t, 0]) at the signal's cell boundaries."""
-    pts = [0.0]
-    if t > 0:
-        b = f.breakpoint_after(0.0)
-        while b < t:
-            pts.append(b)
-            b += f.step
-    else:
-        b = f.breakpoint_after(t)
-        down = []
-        while b < 0.0:
-            down.append(b)
-            b += f.step
-        pts.extend(reversed(down))
-    pts.append(t)
-    return pts
+    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
+    inner = []
+    b = f.breakpoint_after(lo)
+    while b < hi:
+        inner.append(b)
+        b += f.step
+    if t <= 0:
+        inner.reverse()
+    return [0.0, *inner, t]
 
 
 def switched_flow(sys: SwitchedSystem, t: float, x0: Sequence[float] | np.ndarray,

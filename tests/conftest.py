@@ -78,9 +78,9 @@ def velocity(field, x) -> np.ndarray:
 
 
 def reference_linear_columns(matrix, *xs) -> tuple:
-    """The ``linear`` config form's columns as a method over the matrix,
-    the form its written-out component expressions replaced: each row
-    summed left to right."""
+    """The columns of the field x -> A x as a method over the matrix, the
+    form its written-out row expressions replaced: each row summed left to
+    right."""
     out = []
     for row in matrix:
         column = row[0] * xs[0]
@@ -91,9 +91,9 @@ def reference_linear_columns(matrix, *xs) -> tuple:
 
 
 def reference_polynomial_columns(coeffs, x1) -> tuple:
-    """The ``poly1d`` config form's column as a method over the
-    coefficients, the form its written-out expression replaced: Horner's
-    rule from 0.0."""
+    """The column of the polynomial field as a method over the
+    coefficients, the form its written-out Horner expression replaced:
+    Horner's rule from 0.0."""
     out = 0.0
     for c in reversed(coeffs):
         out = out * x1 + c

@@ -11,6 +11,7 @@ bounds. See the criterion's docstring and the README.
 """
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from switchflow.chains import (
     hausdorff_distance,
     lift_kernel,
 )
+from switchflow.config import ExperimentConfig
 from switchflow.fields import ExpressionField
 from switchflow.flow import SwitchedSystem, integrate_segment, switched_flow
 from switchflow.graph import DirectedGraph, connector, morse_order, scc
@@ -53,6 +55,7 @@ from conftest import (
     random_signal,
     random_strong_graph,
     random_validated_graph,
+    velocity,
 )
 
 H = 0.1
@@ -458,3 +461,73 @@ def test_criterion_11_lift_checks():
     ok = not failures and elapsed < 60.0
     assert _report(11, "invariant sets lift fully; components sit inside kernels",
                    ok, elapsed, "; ".join(failures[:3]))
+
+
+# Normal contractions: every field is x -> A_v x with A_v = -0.5 I + S_v, S_v
+# skew-symmetric, so under every signal |x(t)| = e^(-0.5 t) |x(0)| and the
+# (eps, T)-chain-recurrent set is one ball about 0.  The 2-D pair is the
+# fields of scripts/configs/spiral2d.json, rotations at rates 1 and 2; the
+# 3-D pair rotates about x3 at rate 1 and about x1 at rate 2.
+SPIRAL2D = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "spiral2d.json"
+SPIRAL2D_MATRICES = ([[-0.5, -1.0], [1.0, -0.5]], [[-0.5, 2.0], [-2.0, -0.5]])
+SPIRAL3D_MATRICES = ([[-0.5, -1.0, 0.0], [1.0, -0.5, 0.0], [0.0, 0.0, -0.5]],
+                     [[-0.5, 0.0, 0.0], [0.0, -0.5, -2.0], [0.0, 2.0, -0.5]])
+
+
+def link_contraction(sys_, matrices, m) -> float:
+    """The factor by which one link of m steps of the computed flow at most
+    scales |x|: each RK4 substep of length dt maps x to P(dt A) x, with P
+    RK4's stability polynomial, and P(dt A) is normal when A is, so its
+    norm is max_j |P(dt mu_j)| over the eigenvalues mu_j."""
+    dt = sys_.step / sys_.substeps
+    z = dt * np.concatenate([np.linalg.eigvals(np.array(a)) for a in matrices])
+    return float(np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max()) ** (m * sys_.substeps)
+
+
+def contraction_components(sys_, matrices, cells, eps, m):
+    """The grid, the chain components, and the envelope radius
+    (eps + r (1 + kappa)) / (1 - lambda) that holds every component's
+    centres: an edge a -> b needs |phi(c_a) - c_b| <= eps + r kappa + r and
+    |phi(c_a)| <= lambda |c_a|, so along a cycle the largest centre norm M
+    obeys M <= lambda M + eps + r (1 + kappa)."""
+    grid = build_grid(sys_.box, cells)
+    comps = chain_components(build_chain_graph(sys_, grid, eps, m))
+    words = enumerate_admissible_words(sys_.graph, frozenset(range(sys_.graph.n)), m)
+    kappa = float(_sampled_expansion(_link_images(sys_, words, grid.all_centers()), grid).max())
+    for field, a in zip(sys_.fields, matrices):  # the fields are the matrices
+        assert velocity(field, np.eye(grid.dimension)).T.tolist() == a
+    lam = link_contraction(sys_, matrices, m)
+    return grid, comps, (eps + grid.radius * (1 + kappa)) / (1 - lam)
+
+
+@pytest.mark.parametrize("cells, eps", [(20, 0.05), (40, 0.05), (80, 0.05), (80, 0.02)])
+def test_normal_contraction_2d_holds_the_ball(cells, eps):
+    """On spiral2d.json, every cell whose box meets the ball of radius
+    eps / (1 - lambda) about 0 lies in the largest component, and every
+    component lies inside the envelope ball.  The component counts are
+    measured, not asserted: rings outside the ball but inside the envelope
+    show at 20x20 and at 80x80 with eps 0.02."""
+    cfg = ExperimentConfig.from_file(SPIRAL2D)
+    sys_, m = cfg.system, cfg.analysis.m
+    grid, comps, envelope = contraction_components(sys_, SPIRAL2D_MATRICES, (cells, cells), eps, m)
+    ball = eps / (1 - link_contraction(sys_, SPIRAL2D_MATRICES, m))
+    centers = grid.all_centers()
+    half = np.array(grid.widths) / 2
+    nearest = np.clip(0.0, centers - half, centers + half)  # each box's point nearest 0
+    meets = np.flatnonzero(np.linalg.norm(nearest, axis=1) <= ball)
+    assert meets.size and set(meets.tolist()) <= set(comps[0])
+    for comp in comps:
+        assert np.linalg.norm(grid.centers(comp), axis=1).max() <= envelope
+
+
+def test_normal_contraction_3d_within_the_envelope():
+    """In 3-D the computed map scales the rotation plane and the axis by
+    different factors, so only the envelope is checked."""
+    fields = (ExpressionField(("-0.5*x1 - x2", "x1 - 0.5*x2", "-0.5*x3")),
+              ExpressionField(("-0.5*x1", "-0.5*x2 - 2*x3", "2*x2 - 0.5*x3")))
+    sys_ = SwitchedSystem(DirectedGraph.complete(2), ((-1.0, 1.0),) * 3, 0.25, fields,
+                          substeps=20)
+    grid, comps, envelope = contraction_components(sys_, SPIRAL3D_MATRICES, (12,) * 3, 0.1, 4)
+    assert comps
+    for comp in comps:
+        assert np.linalg.norm(grid.centers(comp), axis=1).max() <= envelope

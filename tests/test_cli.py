@@ -243,30 +243,6 @@ def test_refused_config_names_the_key(edit, message):
         ExperimentConfig.from_dict(doc)
 
 
-@pytest.mark.parametrize("named, written", [
-    ({"type": "poly1d", "coeffs": [0, -2, 3, -1]},
-     "((((0.0) * x1 + (-1.0)) * x1 + (3.0)) * x1 + (-2.0)) * x1 + (0.0)"),
-    ({"type": "linear", "matrix": [[-0.7]]}, "(-0.7) * x1"),
-], ids=["poly1d", "linear"])
-def test_named_field_simulates_as_its_expression_text(named, written, tmp_path):
-    # a named form is shorthand for its expression text: the same samples,
-    # bit for bit; only the embedded config differs
-    rows = []
-    for field in (named, written):
-        doc = json.loads(json.dumps(COMPLETE2))
-        doc["system"]["fields"][0] = field
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "o"
-        assert main(["--config", str(path), "--out", str(out), "simulate", "--x0", "0.5",
-                     "--signal", "left=(A) core=[A B B] right=(B A) tau=0.05",
-                     "--t-end", "3.0", "--sample-dt", "0.1"]) == 0
-        lines = (out / "trajectory.csv").read_bytes().split(b"\n")
-        assert lines[0].startswith(b"# config=")
-        rows.append(lines[1:])
-    assert len(rows[0]) == 33 and rows[0] == rows[1]
-
-
 def test_vertex_without_in_edge_is_named(tmp_path, capsys):
     doc = json.loads(json.dumps(COMPLETE2))
     doc["graph"]["edges"] = [[0, 0], [1, 0]]
@@ -340,18 +316,22 @@ def test_bad_cli_input_exits_2(config, command, config_path, tmp_path, capsys):
     assert "validation error" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("field, key", [
-    ({"type": "poly1d", "coeffs": [0.0, -1.0], "matrix": [[2]]}, "poly1d field key matrix"),
-    ({"type": "linear", "matrix": [[-1.0]], "coeffs": [1.0]}, "linear field key coeffs"),
+@pytest.mark.parametrize("field", [
+    pytest.param({"type": "poly1d", "coeffs": [0.0, -1.0]}, id="poly1d"),
+    pytest.param({"type": "linear", "matrix": [[-1.0]]}, id="linear"),
+    pytest.param({"type": "poly1d", "coeffs": [0.0, -1.0], "matrix": [[2]]}, id="poly1d-stray-key"),
+    pytest.param({"type": "linear", "matrix": [[-1.0]], "coeffs": [1.0]}, id="linear-stray-key"),
 ])
-def test_named_field_with_extra_key_exits_2(field, key, tmp_path, capsys):
+def test_object_field_exits_2(field, tmp_path, capsys):
+    # a field is expression text: an object entry, named or not, is refused
     doc = json.loads(json.dumps(COMPLETE2))
     doc["system"]["fields"][0] = field
-    path = tmp_path / "extra.json"
+    path = tmp_path / "object.json"
     path.write_text(json.dumps(doc))
     assert main(["--config", str(path), "--out", str(tmp_path / "o"), "chain-sets"]) == 2
     err = capsys.readouterr().err
-    assert "validation error" in err and key in err and "Traceback" not in err
+    assert "validation error" in err and "cannot interpret field entry" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("constant", ["(-1.0)**0.5", "0.0**-1", "10.0**400", "10**400",
