@@ -34,7 +34,7 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
 
-# most trajectory samples `simulate` takes before it refuses the run
+# most trajectory samples, or signal cells crossed, before `simulate` refuses
 MAX_SAMPLES = 1_000_000
 # most symbols the `stitch-demo` outputs may hold before it refuses the run;
 # (links + 3)**2 * (window + 3) bounds them: each of the links + 3 outputs
@@ -107,11 +107,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
     f = parse_signal(cfg.graph, signal_text, default_h=sys_.step)
     if not (0 < t_end < math.inf and 0 < sample_dt < math.inf):
         raise ValidationError("t_end and sample_dt must be finite and positive")
-    # ceil(t_end / sample_dt) > MAX_SAMPLES, without overflowing ceil
-    if t_end / sample_dt > MAX_SAMPLES:
+    # a sample flows through each signal cell it crosses, one integration per
+    # cell; compared without ceil, which may overflow
+    pieces = t_end / min(sample_dt, sys_.step)
+    if pieces > MAX_SAMPLES:
         raise SizingError(
-            f"t_end / sample_dt = {t_end / sample_dt:.6g} samples exceeds the bound "
-            f"{MAX_SAMPLES}; use a larger sample_dt or a shorter t_end")
+            f"t_end / min(sample_dt, h) = {pieces:.6g} samples or signal cells exceeds "
+            f"the bound {MAX_SAMPLES}; use a shorter t_end, or a larger sample_dt up to h")
     header = ["t", *[f"x{i+1}" for i in range(sys_.dimension)], "active_vertex"]
     rows: list[list] = []
     t = 0.0

@@ -248,8 +248,7 @@ class RangeRows:
 
 def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     """Strongly connected components of the relation that can reach
-    themselves (more than one id, or one id with an edge to itself), without
-    expanding any range.
+    themselves: more than one id, or one id with a range containing it.
 
     Cut ``c`` in ``0..n`` separates ids ``< c`` from ids ``>= c``.  A cycle
     that crosses a cut crosses it both ways, so none crosses a free cut: one
@@ -276,18 +275,12 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     cycle through one of them lies inside it, so the components of the
     other groups are those of the relation without it.
 
-    ``tarjan`` then runs on a bottom-up segment-tree gadget over the ``g``
-    groups left: node 0 is unused, internal node ``j`` in ``1..g-1`` points
-    at its children ``2j`` and ``2j + 1``, leaf ``g + i`` stands for group
-    ``i``, and each leaf points at the O(log g) tree nodes whose leaves tile
-    its ranges.  Paths between leaves are exactly the contracted relation's
-    paths, and every cycle passes through a leaf, so the components with more
-    than one gadget node are the non-trivial ones.  A range of one group is
-    covered by its own leaf, a gadget self-loop, so a single-leaf component
-    is kept when one of its ranges contains it.  The peeled component comes
-    first, if it reaches itself; the gadget's components follow, each
-    expanded back to its ids, in Tarjan's emission order; then the lone ids
-    with a self-loop, ascending.
+    ``tarjan`` then runs on the groups left, each range expanded to the
+    groups it meets.  Each such group edge stands for at least one edge
+    between their ids, so the expansion never holds more than the relation's
+    ``nnz`` edges.  The peeled component comes first, if it reaches itself;
+    Tarjan's components follow, each expanded back to its ids, in Tarjan's
+    emission order; then the lone ids with a self-loop, ascending.
     """
     n = rows.n
     src = np.repeat(np.arange(n), np.diff(rows.indptr))
@@ -305,6 +298,8 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
     # own[i]: one of i's ranges contains i
     own = np.zeros(n, dtype=bool)
     own[src[(first <= src) & (src <= last)]] = True
+    # a component is kept if it has more than one id, or its one id has a
+    # range containing it; a lone id can meet only the second
     loops = [[i] for i in np.flatnonzero(lone & own).tolist()]
     # up[i]: i points at i + 1; down[i]: i points at i - 1
     up, down = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
@@ -323,35 +318,16 @@ def self_reaching_components(rows: RangeRows) -> list[list[int]]:
                                                 src, first, last))
     indptr = np.searchsorted(src, np.arange(g + 1))
     peeled = _component_of(RangeRows(indptr, first, last), src, int(np.argmax(np.diff(indptr))))
-    ids = expand_ranges(starts[peeled], stops[peeled] - 1)[1]
-    comps = [ids.tolist()] if len(ids) > 1 or own[ids[0]] else []
+    comps = [expand_ranges(starts[peeled], stops[peeled] - 1)[1].tolist()]
     starts, stops = starts[~peeled].tolist(), stops[~peeled].tolist()
     g = len(starts)
     # distinct groups keep distinct ids, so the relabelled ranges of a source
-    # still ascend and never overlap
+    # still ascend and never overlap: the keys ascend strictly
     src, first, last = _relabel(np.cumsum(~peeled) - 1, peeled, src, first, last)
-    src = src + g
-    lo, hi = first + g, last + g + 1
-    self_loop = np.zeros(2 * g, dtype=bool)
-    self_loop[src[(lo <= src) & (src < hi)]] = True
-    tails, heads = [np.repeat(np.arange(1, g), 2)], [np.arange(2, 2 * g)]
-    while len(lo):
-        odd = (lo & 1) == 1
-        tails.append(src[odd])
-        heads.append(lo[odd])
-        lo = lo + odd
-        odd = (hi & 1) == 1
-        hi = hi - odd
-        tails.append(src[odd])
-        heads.append(hi[odd])
-        lo, hi = lo >> 1, hi >> 1
-        more = lo < hi
-        src, lo, hi = src[more], lo[more], hi[more]
-    keys = np.sort(np.concatenate(tails) * (2 * g) + np.concatenate(heads))
-    self_loop = self_loop.tolist()
-    return comps + [[i for v in comp if v >= g for i in range(starts[v - g], stops[v - g])]
-                    for comp in tarjan(*successor_rows(keys, 2 * g))
-                    if len(comp) > 1 or self_loop[comp[0]]] + loops
+    row, group = expand_ranges(first, last)
+    comps += [[i for v in comp for i in range(starts[v], stops[v])]
+              for comp in tarjan(*successor_rows(src[row] * g + group, g))]
+    return [comp for comp in comps if len(comp) > 1 or own[comp[0]]] + loops
 
 
 def _relabel(label: np.ndarray, skip: np.ndarray, src: np.ndarray,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -634,8 +635,8 @@ class TestSelfReachingComponents:
         cells = data.draw(st.integers(1, 60 // k), label="cells")
         n = cells * k
         source = st.integers(0, n - 1)
-        # cell runs as chain rows write them, single ids (a leaf covers
-        # them, a gadget self-loop) and whole-range rows
+        # cell runs as chain rows write them, single ids (a self-loop where
+        # the id is its own source) and whole-range rows
         run = st.tuples(source, st.integers(0, cells - 1), st.integers(0, cells - 1)).map(
             lambda r: (r[0], min(r[1:]) * k, max(r[1:]) * k + k - 1))
         single = st.tuples(source, st.integers(0, n - 1)).map(lambda r: (r[0], r[1], r[1]))
@@ -655,15 +656,16 @@ class TestSelfReachingComponents:
             ranges = slice(relation.indptr[u], relation.indptr[u + 1])
             first, last = relation.first[ranges], relation.last[ranges]
             assert (first <= last).all() and (first[1:] > last[:-1] + 1).all()
-        assert sorted(map(sorted, self_reaching_components(relation))) == \
-            sorted(map(sorted, expanded_self_reaching(ptr, adj)))
+        with traced_tarjan():
+            found = self_reaching_components(relation)
+        assert sorted(map(sorted, found)) == sorted(map(sorted, expanded_self_reaching(ptr, adj)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_pruned_lone_ids_match_tarjan_on_expanded_edges(self, data):
         # rows that drift upward leave many ids on no cycle: lone ids, which
-        # are pruned before the gadget; with no row pointing down, every id
-        # is lone and no gadget is built
+        # are pruned before the contraction; with no row pointing down, every
+        # id is lone and tarjan does not run
         shape = data.draw(st.sampled_from(["drift", "all lone", "none lone"]), label="shape")
         n = data.draw(st.integers(2 if shape == "none lone" else 1, 60), label="n")
         ids = st.integers(0, n - 1)
@@ -683,9 +685,9 @@ class TestSelfReachingComponents:
             assert lone == list(range(n))
         if shape == "none lone":
             assert lone == []
-        with mock.patch("switchflow.graph.tarjan", wraps=tarjan) as gadget:
+        with traced_tarjan() as traced:
             found = self_reaching_components(relation)
-        assert gadget.call_count == (len(lone) < n)
+        assert traced.call_count == (len(lone) < n)
         assert sorted(map(sorted, found)) == \
             sorted(map(sorted, expanded_self_reaching(*expanded_rows(pairs, n))))
 
@@ -846,21 +848,35 @@ class TestSelfReachingComponents:
             peels.append((pivot, np.flatnonzero(peeled).tolist()))
             return peeled
 
-        with mock.patch("switchflow.graph._component_of", recording), \
-                mock.patch("switchflow.graph.tarjan", wraps=tarjan) as gadget:
+        with mock.patch("switchflow.graph._component_of", recording), traced_tarjan() as traced:
             found = self_reaching_components(relation)
         assert sorted(map(sorted, found)) == expected
         if shape == "all lone":
             assert lone_ids(pairs, n) == list(range(n))
-            assert peels == [] and gadget.call_count == 0
+            assert peels == [] and traced.call_count == 0
         if shape == "transient pivot":
             # group ids are ids here: pivot alone is peeled, and not emitted
             assert peels == [(pivot, [pivot])] and [pivot] not in found
         if shape == "giant":
-            # the peeled component comes first; tarjan sees the odd ids alone,
-            # where without the peel each even id would be one more leaf
+            # the peeled component comes first; tarjan sees at most the odd
+            # ids, where without the peel it would see the even ids too
             assert found[0] == sorted(giant)
-            assert len(gadget.call_args.args[0]) - 1 <= 2 * (n - len(giant))
+            assert len(traced.call_args.args[0]) - 1 <= n - len(giant)
+
+    def test_many_morse_sets_match_tarjan_on_expanded_edges(self):
+        # many_morse2d.json has hundreds of Morse sets, and the peel takes
+        # one of them, so tarjan runs on the expanded ranges of the
+        # thousands of groups left
+        cfg = ExperimentConfig.from_file(CONFIG_DIR / "many_morse2d.json")
+        a = cfg.analysis
+        rows = build_chain_graph(cfg.system, build_grid(cfg.system.box, a.cells),
+                                 a.eps, a.m, max_work=a.max_work)
+        with traced_tarjan() as traced:
+            comps = chain_components(rows)
+        assert len(comps) == 740
+        assert len(traced.call_args.args[0]) - 1 > 1000
+        assert sorted(comps) == sorted(map(sorted, expanded_self_reaching(
+            *expanded_rows(edge_pairs(rows), rows.n))))
 
 
 def expanded_rows(pairs, n):
@@ -877,9 +893,21 @@ def lone_ids(pairs, n):
     return [i for i in range(n) if free[i] and free[i + 1]]
 
 
+@contextmanager
+def traced_tarjan():
+    """``graph.tarjan`` wrapped in a mock for the chain SCC's calls; on exit,
+    every key array that ``graph.successor_rows`` got must ascend strictly,
+    as its rows require."""
+    with mock.patch("switchflow.graph.tarjan", wraps=tarjan) as traced, \
+            mock.patch("switchflow.graph.successor_rows", wraps=successor_rows) as rows:
+        yield traced
+    assert all((np.diff(call.args[0]) > 0).all() for call in rows.call_args_list)
+
+
 def expanded_self_reaching(ptr, adj):
-    """Components as found before the gadget: ``tarjan`` on the expanded
-    edges, dropping single nodes without a self-edge."""
+    """Components as found on the expanded relation, with no cut test,
+    contraction or peel: ``tarjan`` on the expanded edges, dropping single
+    nodes without a self-edge."""
     return [comp for comp in tarjan(ptr, adj)
             if len(comp) > 1 or comp[0] in adj[ptr[comp[0]]:ptr[comp[0] + 1]]]
 

@@ -363,14 +363,21 @@ def test_simulate_infinite_t_end_exits_2_at_once(config_path, tmp_path):
     assert "validation error" in done.stderr and "Traceback" not in done.stderr
 
 
-def test_simulate_too_many_samples_exits_4_at_once(tmp_path):
-    # 1e12 samples would run until killed; the guard refuses them up front
+@pytest.mark.parametrize("t_end, sample_dt", [
+    # 1e12 samples would run until killed
+    pytest.param("1", "1e-12", id="samples"),
+    # one sample, but across 1e8 signal cells of h = 0.1, each its own
+    # integration: about 50 minutes
+    pytest.param("1e7", "1e7", id="cells"),
+])
+def test_simulate_too_many_samples_exits_4_at_once(tmp_path, t_end, sample_dt):
+    # the guard refuses them up front
     src = Path(switchflow.__file__).resolve().parents[1]
     config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "two_well_complete.json"
     done = subprocess.run(
         [sys.executable, "-m", "switchflow.cli", "--config", str(config),
          "--out", str(tmp_path / "o"), *SIMULATE, "--x0", "0.5",
-         "--t-end", "1", "--sample-dt", "1e-12"],
+         "--t-end", t_end, "--sample-dt", sample_dt],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
         timeout=60)
     assert done.returncode == 4
