@@ -8,9 +8,11 @@ failure, 4 resource guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,18 +45,34 @@ MAX_SAMPLES = 1_000_000
 MAX_STITCH_SYMBOLS = 10_000_000
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Refuse ``out_dir``, creating nothing, unless its nearest existing
+    ancestor is a directory."""
+    try:
+        nearest = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    except OSError as exc:  # a search permission denied
+        raise ValidationError(f"cannot write to {out_dir}: {exc}") from exc
+    if not nearest.is_dir():
+        raise ValidationError(f"cannot write to {out_dir}: {nearest} is not a directory")
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     payload = {"config": cfg.resolved(), **payload}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list], cfg: ExperimentConfig) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config={cfg.provenance_json()}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header: list[str], lines: list[str], cfg: ExperimentConfig) -> None:
+    """Write the CSV text ``lines`` under the provenance line and ``header``."""
+    _write_text(path, "\n".join([f"# config={cfg.provenance_json()}", ",".join(header),
+                                 *lines]) + "\n")
 
 
 def cmd_analyze_graph(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -115,16 +133,15 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, x0_text: str,
             f"t_end / min(sample_dt, h) = {pieces:.6g} samples or signal cells exceeds "
             f"the bound {MAX_SAMPLES}; use a shorter t_end, or a larger sample_dt up to h")
     header = ["t", *[f"x{i+1}" for i in range(sys_.dimension)], "active_vertex"]
-    rows: list[list] = []
+    rows = [",".join(map(str, [0.0, *x.tolist(), cfg.graph.label_of(f.value_at(0.0))]))]
     t = 0.0
-    rows.append([0.0, *[float(v) for v in x], cfg.graph.label_of(f.value_at(0.0))])
     try:
         while t < t_end * (1 - 1e-12):
             dt = min(sample_dt, t_end - t)
             x = switched_flow(sys_, dt, x, shift(f, t))
             t += dt
-            rows.append([t, *[float(v) for v in x],
-                         cfg.graph.label_of(f.value_at(t))])
+            rows.append(",".join(map(str, [t, *x.tolist(),
+                                           cfg.graph.label_of(f.value_at(t))])))
     except IntegrationError as exc:
         _write_csv(out_dir / "trajectory_partial.csv", header, rows, cfg)
         print(f"integration failed: {exc} (partial output written)", file=sys.stderr)
@@ -201,11 +218,13 @@ def cmd_chain_sets(cfg: ExperimentConfig, out_dir: Path) -> int:
     grid = build_grid(cfg.system.box, a.cells)
     comps = chain_components(
         build_chain_graph(cfg.system, grid, a.eps, a.m, max_work=a.max_work))
-    rows: list[list] = []
+    rows: list[str] = []
     summaries = []
     for cid, cells in enumerate(comps):
         centers = grid.centers(cells)
-        rows.extend([cid, cell, *center] for cell, center in zip(cells, centers.tolist()))
+        # one line per cell, joined column by column; str(float) is repr(float)
+        columns = (map(str, column) for column in centers.T.tolist())
+        rows.extend(map(",".join, zip(repeat(str(cid)), map(str, cells), *columns)))
         summaries.append(_component_summary(cells, centers, a.references))
     header = ["component_id", "cell_index",
               *[f"center_x{i+1}" for i in range(grid.dimension)]]
@@ -270,7 +289,9 @@ def cmd_stitch_demo(cfg: ExperimentConfig, out_dir: Path, links: int,
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="switchflow",
         description="Graph-constrained switching signals, switched flows, "
@@ -309,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = ExperimentConfig.from_file(args.config)
         out_dir = Path(args.out if args.out is not None else cfg.run.out)
+        if args.command != "metric":  # the one command that writes no file
+            _check_out_dir(out_dir)
         if args.command == "analyze-graph":
             return cmd_analyze_graph(cfg, out_dir)
         if args.command == "simulate":

@@ -1,17 +1,17 @@
 """Vector-field families for the per-vertex dynamics.
 
 Every field is one expression tree per component over x1..xd, its
-``bodies``, and two functions are compiled from them when the field is
-built.  ``field.rk4(n_steps, half, hstep, sixth, x1, ..., xd)`` is the
-fixed-step RK4 loop with the bodies inlined, which integration runs on a
-lone point's Python floats; it returns the d coordinates after ``n_steps``
-steps.  ``field.into(k1, ..., kd, x1, ..., xd, t1, ..., tn)`` writes the d
-velocity columns at the arrays x1..xd into the arrays k1..kd with
-``out=``, using the ``field.temps`` arrays t1..tn as scratch; a batch runs
-it in ``flow``'s fixed RK4 loop.  Every operation acts elementwise, so a
-lone point equals its row of a batch bit for bit.  ``ExpressionField`` is
-the one field class: its expressions are over x1..xd with +, -, *, /, **
-and sin/cos/exp.
+``bodies``, checked when the field is built, and two functions are compiled
+from them, each on first use.  ``field.rk4(n_steps, half, hstep, sixth,
+x1, ..., xd)`` is the fixed-step RK4 loop with the bodies inlined, which
+integration runs on a lone point's Python floats; it returns the d
+coordinates after ``n_steps`` steps.  ``field.into(k1, ..., kd, x1, ...,
+xd, t1, ..., tn)`` writes the d velocity columns at the arrays x1..xd into
+the arrays k1..kd with ``out=``, using the ``field.temps`` arrays t1..tn as
+scratch; a batch runs it in ``flow``'s fixed RK4 loop.  Every operation
+acts elementwise, so a lone point equals its row of a batch bit for bit.
+``ExpressionField`` is the one field class: its expressions are over
+x1..xd with +, -, *, /, ** and sin/cos/exp.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import ast
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -217,38 +218,62 @@ def _into_source(bodies: Sequence[ast.expr], xs: list[str]) -> tuple[str, int]:
     return f"def into({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in lines), temps
 
 
+def _compiled(source: str, name: str):
+    """The function ``name`` that ``source`` defines, compiled under
+    ``_GLOBALS`` alone."""
+    namespace = dict(_GLOBALS)
+    # a compile of text, which costs less than building AST objects
+    exec(compile(source, "<field>", "exec"), namespace)
+    return namespace.pop(name)
+
+
 @dataclass(frozen=True)
 class ExpressionField:
     """Vector field given by one expression per state component, over x1..xd.
 
-    Each expression is checked against the whitelist, and every ``**`` with
-    a variable operand is rewritten, by ``_array_powers``; the results are
-    the field's ``bodies``, which ``ast.unparse`` prints as the source of
-    ``rk4`` (the lone-point loop) and of ``into`` (a batch's stage, which
-    needs ``temps`` scratch arrays), compiled under ``__builtins__: {}``.
+    When the field is built, each expression is checked against the
+    whitelist, and every ``**`` with a variable operand is rewritten, by
+    ``_array_powers``; the results are the field's ``bodies``, which
+    ``ast.unparse`` prints.  ``rk4`` (the lone-point loop, with the printed
+    bodies inlined) and ``into`` (a batch's stage, which needs ``temps``
+    scratch arrays) are each compiled from them on first use, under
+    ``__builtins__: {}``.
     """
 
     expressions: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        xs = [f"x{i}" for i in range(1, len(self.expressions) + 1)]
+        names = {f"x{i}" for i in range(1, len(self.expressions) + 1)}
         bodies = []
         for expr in self.expressions:
             try:
                 tree = ast.parse(expr, mode="eval")
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-            bodies.append(_array_powers(tree.body, expr, set(xs)))
-        # an overflowing literal, such as 1e309 in 1/1e309, prints back as 1e309
-        at_x = [ast.unparse(body) for body in bodies]
-        into, temps = _into_source(bodies, xs)
-        namespace = dict(_GLOBALS)
-        # one compile of text, which costs less than building AST objects
-        exec(compile(_rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
+            bodies.append(_array_powers(tree.body, expr, names))
         object.__setattr__(self, "bodies", tuple(bodies))
-        object.__setattr__(self, "rk4", namespace.pop("loop"))
-        object.__setattr__(self, "into", namespace.pop("into"))
-        object.__setattr__(self, "temps", temps)
+        # printed here, since printing recurses deepest: a body nested too
+        # deeply fails when the field is built, not on first use of rk4.  An
+        # overflowing literal, such as 1e309 in 1/1e309, prints back as 1e309
+        object.__setattr__(self, "_at_x", tuple(ast.unparse(body) for body in bodies))
+
+    @property
+    def _xs(self) -> list[str]:
+        return [f"x{i}" for i in range(1, len(self.bodies) + 1)]
+
+    @cached_property
+    def rk4(self):
+        return _compiled(_rk4_source(self._at_x, self._xs), "loop")
+
+    @cached_property
+    def into(self):
+        source, self.__dict__["temps"] = _into_source(self.bodies, self._xs)
+        return _compiled(source, "into")
+
+    @cached_property
+    def temps(self) -> int:
+        self.into  # compiling into stores its temps
+        return self.__dict__["temps"]
 
 
 def field_from_config(entry, dimension: int) -> ExpressionField:

@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from switchflow.fields import _constant_value
+from switchflow.fields import (
+    _GLOBALS,
+    _array_powers,
+    _constant_value,
+    _into_source,
+    _rk4_source,
+)
 from switchflow.flow import IntegrationError
 from switchflow.graph import (
     DirectedGraph,
@@ -75,6 +81,26 @@ def velocity(field, x) -> np.ndarray:
     k = np.empty_like(rows)
     field.into(*k, *rows, *np.empty((field.temps, rows.shape[1])))
     return k.T.reshape(x.shape)
+
+
+def reference_compiled_field(expressions) -> tuple:
+    """``(rk4, into, temps)`` of the field of ``expressions`` from one
+    compile of both sources, the form that compiling each on first use
+    replaced; raises what refused the field when it was built."""
+    xs = [f"x{i}" for i in range(1, len(expressions) + 1)]
+    bodies = [_array_powers(ast.parse(expr, mode="eval").body, expr, set(xs))
+              for expr in expressions]
+    at_x = [ast.unparse(body) for body in bodies]
+    into, temps = _into_source(bodies, xs)
+    namespace = dict(_GLOBALS)
+    exec(compile(_rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
+    return namespace.pop("loop"), namespace.pop("into"), temps
+
+
+def reference_csv_line(row) -> str:
+    """One CSV line as ``cli`` wrote rows of values: ``repr`` for a float,
+    ``str`` for anything else."""
+    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
 
 
 def reference_linear_columns(matrix, *xs) -> tuple:

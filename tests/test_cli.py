@@ -1,12 +1,17 @@
 import hashlib
 import json
+import math
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import switchflow
 from switchflow import chains, cli
@@ -21,6 +26,8 @@ from switchflow.literals import (
     parse_signal,
 )
 from switchflow.graph import DirectedGraph
+
+from conftest import reference_csv_line
 
 COMPLETE2 = {
     "graph": {"vertices": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 1]],
@@ -414,6 +421,121 @@ def test_stitch_demo_refused_before_any_signal_is_built(links, window, code, mes
     assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
+
+@pytest.mark.parametrize("command", [["analyze-graph"], ["chain-sets"], ["stitch-demo"],
+                                     ["simulate", "--x0", "0.5", "--signal",
+                                      "left=(A) core=[] right=(A)", "--t-end", "1.0",
+                                      "--sample-dt", "0.5"]],
+                         ids=lambda c: c[0])
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_out_under_a_file_exits_2_before_any_work(sub, command, monkeypatch, config_path,
+                                                  tmp_path, capsys):
+    # --out naming a file, or a path below one, is refused before any work,
+    # creating nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the output directory check")
+
+    for name in ("scc", "build_chain_graph", "switched_flow", "sigma_embed"):
+        monkeypatch.setattr(cli, name, refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    before = sorted(tmp_path.iterdir())
+    assert main(["--config", str(config_path), "--out", str(blocker / sub), *command]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write to {blocker / sub}: {blocker} is not a directory" in err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == before and blocker.read_text() == "kept"
+
+
+def test_failed_write_exits_2(config_path, tmp_path, capsys):
+    # an output file that cannot be written, here a directory in its place
+    (tmp_path / "o" / "components.csv").mkdir(parents=True)
+    assert main(["--config", str(config_path), "--out", str(tmp_path / "o"),
+                 "chain-sets"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {tmp_path / 'o' / 'components.csv'}" in err
+    assert "Traceback" not in err
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; no call's options or outputs
+    # reach the next
+    assert cli.build_parser() is cli.build_parser()
+    config = str(CONFIG_DIR / "two_well_complete.json")
+    pair = ["--a", "left=(A) core=[] right=(A)", "--b", "left=(B) core=[] right=(B)"]
+    assert main(["--config", config, "metric", "--kind", "omega", "--check-isometry",
+                 *pair]) == 0
+    assert "isometry_ok" in json.loads(capsys.readouterr().out)
+    assert main(["--config", config, "metric", "--kind", "omega", *pair]) == 0
+    assert not any(key.startswith("isometry_") for key in json.loads(capsys.readouterr().out))
+    with pytest.raises(SystemExit) as info:
+        main(["--config", config, "metric", *pair])
+    assert info.value.code == 2
+    for run in range(2):
+        out = tmp_path / f"chain{run}"
+        assert main(["--config", config, "--out", str(out), "chain-sets"]) == 0
+        expected = FROZEN_OUTPUTS[("two_well_complete", "chain-sets")]
+        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in expected} == expected
+        _, args, expected = FROZEN_TRAJECTORIES["two_well_complete"]
+        out = tmp_path / f"simulate{run}"
+        assert main(["--config", config, "--out", str(out), "simulate", *args]) == 0
+        assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == expected
+
+
+# the floats whose text is most likely to differ between two formatters
+CSV_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e16, 1e22,
+                                        math.inf, -math.inf, math.nan]), st.floats())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_csv_lines_equal_reference_formatter(tmp_path_factory, data):
+    # chain-sets and simulate write each value as the reference formatter
+    # does: repr for a float, str for an int or a vertex label
+    d = data.draw(st.integers(1, 3), label="d")
+    out = tmp_path_factory.mktemp("csv")
+    comps = data.draw(st.lists(st.lists(st.integers(0, 2**62), min_size=1, max_size=4),
+                               min_size=1, max_size=3), label="components")
+    centers = [np.array(data.draw(st.lists(st.lists(CSV_FLOATS, min_size=d, max_size=d),
+                                           min_size=len(c), max_size=len(c)),
+                                  label="centers")).reshape(len(c), d) for c in comps]
+    grid = mock.Mock(dimension=d, radius=0.5)
+    grid.centers.side_effect = centers
+    cfg = ExperimentConfig.from_dict(COMPLETE2)
+    with mock.patch.object(cli, "build_grid", return_value=grid), \
+            mock.patch.object(cli, "build_chain_graph"), \
+            mock.patch.object(cli, "chain_components", return_value=comps), \
+            mock.patch.object(cli, "_component_summary", return_value={}):
+        assert cli.cmd_chain_sets(cfg, out) == 0
+    want = [reference_csv_line([cid, cell, *center])
+            for cid, (cells, xs) in enumerate(zip(comps, centers))
+            for cell, center in zip(cells, xs.tolist())]
+    assert (out / "components.csv").read_text().splitlines()[2:] == want
+
+    labels = data.draw(st.lists(st.text(string.ascii_letters + string.digits + "_-.+,",
+                                        min_size=1, max_size=4),
+                                min_size=2, max_size=2, unique=True), label="labels")
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["graph"]["labels"] = labels
+    doc["system"]["box"] = [[0.0, 2.0]] * d
+    doc["system"]["fields"] = [["x1"] * d] * 2 if d > 1 else ["x1", "x1"]
+    del doc["analysis"]
+    cfg = ExperimentConfig.from_dict(doc)
+    states = [np.array(data.draw(st.lists(CSV_FLOATS, min_size=d, max_size=d),
+                                 label=f"state {k}")) for k in range(5)]
+    a, b = labels
+    with mock.patch.object(cli, "switched_flow", side_effect=states):
+        assert cli.cmd_simulate(cfg, out, ",".join(["0.5"] * d),
+                                f"left=({a}) core=[{a} {b}] right=({b} {a})", 0.5, 0.1) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()[2:]
+    assert len(lines) == 6
+    t = 0.0
+    want = [reference_csv_line([t, *[0.5] * d, a])]
+    for x, label in zip(states, [b, b, a, b, a]):
+        t += min(0.1, 0.5 - t)
+        want.append(reference_csv_line([t, *x.tolist(), label]))
+    assert lines == want
 
 def test_stitch_demo_draws_empty_cores(tmp_path):
     # a core drawn with length 0 is empty: f_head, written unstitched as the

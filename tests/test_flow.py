@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchflow.chains import build_chain_graph, build_grid
 from switchflow.fields import (
     ExpressionField,
     _array_powers,
@@ -30,6 +31,7 @@ from conftest import (
     ReferenceArrayPowers,
     per_component_field,
     random_signal,
+    reference_compiled_field,
     reference_linear_columns,
     reference_polynomial_columns,
     reference_rk4,
@@ -225,6 +227,79 @@ class TestFields:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
+
+    def test_each_path_compiles_only_its_form(self):
+        # the chain build runs only the batch stage and a lone point only the
+        # RK4 loop; each form is compiled on first use
+        def fresh_system():
+            return SwitchedSystem(DirectedGraph.complete(2), ((0.0, 2.0),), H,
+                                  (ExpressionField(("-x1*(x1-1)*(x1-2)",)),
+                                   ExpressionField(("-x1*(x1-2)",))), substeps=2)
+
+        sys = fresh_system()
+        assert not any({"rk4", "into", "temps"} & set(f.__dict__) for f in sys.fields)
+        build_chain_graph(sys, build_grid(sys.box, (40,)), 0.05, 2)
+        for field in sys.fields:
+            assert "rk4" not in field.__dict__ and "into" in field.__dict__
+        sys = fresh_system()
+        integrate_segment(sys, 0, np.array([0.5]), 0.3)
+        assert "into" not in sys.fields[0].__dict__ and "rk4" in sys.fields[0].__dict__
+        assert "temps" not in sys.fields[0].__dict__
+
+    def test_compiled_forms_equal_one_compile_on_corpus(self):
+        # each form compiled alone on first use is the code object of the
+        # one compile of both sources, and a field fails when it is built or
+        # never, with the same message; a body nested 400 or 600 deep passes
+        # the checks but is too deep to print (where the recursion limit is
+        # hit, and so its message, depends on the stack)
+        compiled = refused = 0
+        deep = [("+".join(["x1"] * 400),), ("-" * 600 + "x1",)]
+        for exprs in [*deep, *seeded_field_corpus(np.random.default_rng(31), 400)]:
+            try:
+                rk4, into, temps = reference_compiled_field(exprs)
+            except (ValidationError, RecursionError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    ExpressionField(exprs)
+                assert isinstance(exc, RecursionError) or str(info.value) == str(exc)
+                refused += 1
+                continue
+            field = ExpressionField(exprs)
+            assert field.temps == temps
+            for got, want in ((field.rk4, rk4), (field.into, into)):
+                assert got.__globals__ == want.__globals__
+                for attr in ("co_code", "co_consts", "co_names", "co_varnames"):
+                    assert getattr(got.__code__, attr) == getattr(want.__code__, attr), exprs
+            compiled += 1
+        assert compiled > 200 and refused > 20
+
+
+def seeded_field_corpus(rng: np.random.Generator, count: int):
+    """``count`` tuples of d in 1..3 random expressions over x1..xd with sin,
+    cos and exp, the exponents 2, 2.0, 3, 0.5, -1 and x_i, and the constants
+    1e309, 1e308 and 1e-300 among others."""
+    constants = ["1", "2.5", "0", "1e309", "1e308", "1e-300", "0.1"]
+
+    def expr(names, depth):
+        kind = rng.integers(7) if depth < 4 else rng.integers(2)
+        if kind == 0:
+            return str(rng.choice(names))
+        if kind == 1:
+            return str(rng.choice(constants))
+        if kind == 2:
+            op = rng.choice(["+", "-", "*", "/"])
+            return f"({expr(names, depth + 1)} {op} {expr(names, depth + 1)})"
+        if kind == 3:
+            exponent = rng.choice(["2", "2.0", "3", "0.5", "-1", str(rng.choice(names))])
+            return f"({expr(names, depth + 1)})**{exponent}"
+        if kind == 4:
+            return f"{rng.choice(['sin', 'cos', 'exp'])}({expr(names, depth + 1)})"
+        if kind == 5:
+            return f"-{expr(names, depth + 1)}"
+        return f"{rng.choice(names)}**2"
+
+    for _ in range(count):
+        names = [f"x{i}" for i in range(1, int(rng.integers(1, 4)) + 1)]
+        yield tuple(expr(names, 0) for _ in names)
 
 def field_expressions(d):
     """Whitelisted expressions over x1..xd.  Exponents are float constants or
