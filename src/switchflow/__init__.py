@@ -28,7 +28,6 @@ from .graph import (
     DirectedGraph,
     SccDecomposition,
     ValidationError,
-    admissible_path,
     morse_order,
     scc,
 )

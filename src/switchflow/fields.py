@@ -183,9 +183,14 @@ def _into_source(bodies: Sequence[ast.expr], xs: list[str]) -> tuple[str, int]:
     lines = ["pass"]  # keeps the function valid when d = 0
     temps = 0
 
+    held = set()  # the ids of the nodes that hold a coordinate, in one pass
+    for node in reversed([n for body in bodies for n in ast.walk(body)]):  # after its subtree
+        children = map(id, ast.iter_child_nodes(node))
+        if isinstance(node, ast.Name) and node.id in names or not held.isdisjoint(children):
+            held.add(id(node))
+
     def leaf(node: ast.expr) -> bool:
-        return isinstance(node, ast.Name) or not any(
-            isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+        return isinstance(node, ast.Name) or id(node) not in held
 
     def value(node: ast.expr, out: str, depth: int) -> str:
         """The operand that holds ``node``: its text for a leaf, else ``out``
@@ -244,18 +249,20 @@ class ExpressionField:
 
     def __post_init__(self) -> None:
         names = {f"x{i}" for i in range(1, len(self.expressions) + 1)}
-        bodies = []
+        bodies, at_x = [], []
         for expr in self.expressions:
+            # printed here, since printing recurses deepest: a body nested too
+            # deeply is refused when the field is built.  An overflowing
+            # literal, such as 1e309 in 1/1e309, prints back as 1e309
             try:
-                tree = ast.parse(expr, mode="eval")
+                bodies.append(_array_powers(ast.parse(expr, mode="eval").body, expr, names))
+                at_x.append(ast.unparse(bodies[-1]))
             except SyntaxError as exc:
                 raise ValidationError(f"cannot parse field expression {expr!r}: {exc}") from exc
-            bodies.append(_array_powers(tree.body, expr, names))
+            except RecursionError:
+                raise ValidationError(f"field expression {expr!r} is nested too deeply") from None
         object.__setattr__(self, "bodies", tuple(bodies))
-        # printed here, since printing recurses deepest: a body nested too
-        # deeply fails when the field is built, not on first use of rk4.  An
-        # overflowing literal, such as 1e309 in 1/1e309, prints back as 1e309
-        object.__setattr__(self, "_at_x", tuple(ast.unparse(body) for body in bodies))
+        object.__setattr__(self, "_at_x", tuple(at_x))
 
     @property
     def _xs(self) -> list[str]:

@@ -446,11 +446,6 @@ def scc(g: DirectedGraph) -> SccDecomposition:
                             tuple(component_of), frozenset(cond))
 
 
-def admissible_path(g: DirectedGraph, u: int, v: int) -> list[int] | None:
-    """Shortest directed path from u to v, inclusive; None if unreachable."""
-    return path_within(g, frozenset(range(g.n)), u, v)
-
-
 def morse_order(decomp: SccDecomposition) -> frozenset[tuple[int, int]]:
     """Reflexive-transitive closure of the condensation: the order on components.
 

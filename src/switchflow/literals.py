@@ -69,34 +69,29 @@ def _sequence(g: DirectedGraph, fields: dict[str, tuple[str, int]],
     for key in ("left", "right"):
         if key not in fields:
             raise LiteralError(f"missing {key}=(...)", len(text))
-    left = _word(g, *fields["left"])
-    core = _word(g, *fields.get("core", ("", 0)))
-    right = _word(g, *fields["right"])
-    shift_txt, shift_pos = fields.get("shift", ("0", 0))
+    left, core, right = (_word(g, *fields.get(key, ("", 0))) for key in ("left", "core", "right"))
+    return SymbolicSequence(g, left, core, right, _number(fields, "shift", 0, int))
+
+
+def _number(fields: dict[str, tuple[str, int]], key: str, default: float | None,
+            convert: type) -> float | None:
+    """``convert`` (``int`` or ``float``) of ``key``'s text, else ``default``."""
+    if key not in fields:
+        return default
+    text, position = fields[key]
     try:
-        shift = int(shift_txt)
+        return convert(text)
     except ValueError:
-        raise LiteralError(f"shift must be an integer, got {shift_txt!r}", shift_pos)
-    return SymbolicSequence(g, left, core, right, shift)
+        kind = "an integer" if convert is int else "a real"
+        raise LiteralError(f"{key} must be {kind}, got {text!r}", position)
 
 
 def parse_signal(g: DirectedGraph, text: str, default_h: float | None = None) -> SwitchingSignal:
     fields = _parse_fields(text, SIGNAL_KEYS)
     base = _sequence(g, fields, text)
-    tau_txt, tau_pos = fields.get("tau", ("0.0", 0))
-    try:
-        tau = float(tau_txt)
-    except ValueError:
-        raise LiteralError(f"tau must be a real, got {tau_txt!r}", tau_pos)
-    if "h" in fields:
-        h_txt, h_pos = fields["h"]
-        try:
-            h = float(h_txt)
-        except ValueError:
-            raise LiteralError(f"h must be a real, got {h_txt!r}", h_pos)
-    elif default_h is not None:
-        h = default_h
-    else:
+    tau = _number(fields, "tau", 0.0, float)
+    h = _number(fields, "h", default_h, float)
+    if h is None:
         raise LiteralError("missing h=<real>", len(text))
     return SwitchingSignal(base, tau, h)
 

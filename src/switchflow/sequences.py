@@ -9,7 +9,9 @@ certified accuracy.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -114,12 +116,9 @@ def concat_past_future(past: SymbolicSequence, future: SymbolicSequence) -> Symb
     """
     lo = min(-1, past.left_boundary)
     hi = max(0, future.right_boundary)
-    p = len(past.left_period)
-    left = tuple(past.at(lo - p + r) for r in range(p))
-    core = tuple(past.at(i) for i in range(lo, 0)) + \
-        tuple(future.at(i) for i in range(0, hi))
-    right = tuple(future.at(hi + r) for r in range(len(future.right_period)))
-    return SymbolicSequence(past.graph, left, core, right, -lo)
+    return SymbolicSequence(past.graph, past.window(lo - len(past.left_period), lo - 1),
+                            past.window(lo, -1) + future.window(0, hi - 1),
+                            future.window(hi, hi + len(future.right_period) - 1), -lo)
 
 
 def constant_sequence(g: DirectedGraph, v: int) -> SymbolicSequence:
@@ -165,19 +164,35 @@ def metric_omega(x: SymbolicSequence, y: SymbolicSequence, tol: float = 1e-12) -
     """Weighted mismatch distance sum_i [x_i != y_i] * 4^(-|i|), within tol.
 
     The sum is truncated at the smallest N whose geometric tail is below
-    tol, so the result is certified to that accuracy.  Each sequence is
-    read once, as its window of indices -N..N.
+    tol, so the result is certified to that accuracy.  It is δ's sum at
+    offsets 0, since the phase-aligned embedding is an isometry.
     """
     if x.graph is not y.graph and x.graph != y.graph:
         raise ValidationError("sequences live over different graphs")
     n = truncation_order(tol)
-    a, b, w = x.window(-n, n), y.window(-n, n), metric_weights(n)
-    total = 1.0 if a[n] != b[n] else 0.0
-    for i in range(1, n + 1):  # cells i and -i are items n + i and n - i
-        if a[n + i] != b[n + i]:
-            total += w[n + i]
-        if a[n - i] != b[n - i]:
-            total += w[n + i]
+    return _delta_sum(x.window(-n - 1, n), y.window(-n - 1, n), 0.0, 0.0, 1.0, n)
+
+
+def _delta_sum(x: tuple[int, ...], y: tuple[int, ...], f_offset: float,
+               g_offset: float, h: float, n: int) -> float:
+    """``signals.metric_delta`` of signals at the given offsets whose cells
+    -n-1..n are the windows x and y: cell i is item i + n + 1."""
+    lo, hi = sorted((f_offset, g_offset))
+    if lo == hi and x == y:
+        return 0.0
+    w = metric_weights(n)
+    diff = list(map(operator.ne, x, y))  # item j serves cells j - n - 1 and j - n
+    if hi == 0.0:  # (0*0 + 0*0 + h) / h * w is exactly w: add them in cell order
+        return functools.reduce(operator.add, itertools.compress(w, diff[1:]), 0.0)
+    early, late = (x, y) if f_offset <= g_offset else (y, x)
+    mid, rest = hi - lo, h - hi
+    # with equal offsets mid is 0, so any flags give the middle piece 0
+    cross = list(map(operator.ne, early[1:], late)) if mid else diff
+    total = 0.0
+    for wi, d0, c, d1 in zip(w, diff, cross, diff[1:]):
+        mismatch = d0 * lo + c * mid + d1 * rest
+        if mismatch:
+            total += mismatch / h * wi
     return total
 
 

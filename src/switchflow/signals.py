@@ -7,19 +7,16 @@ produce the full signal space.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import DirectedGraph, ValidationError, admissible_path, scc
+from .graph import DirectedGraph, ValidationError, path_within, scc
 from .sequences import (
     SymbolicSequence,
+    _delta_sum,
     concat_past_future,
     cycle_word,
-    metric_weights,
     shift_discrete,
     truncation_order,
 )
@@ -117,29 +114,6 @@ def metric_delta(f: SwitchingSignal, g: SwitchingSignal, tol: float = 1e-12) -> 
                       f.offset, g.offset, f.step, n)
 
 
-def _delta_sum(x: tuple[int, ...], y: tuple[int, ...], f_offset: float,
-               g_offset: float, h: float, n: int) -> float:
-    """``metric_delta`` of signals at the given offsets whose cells -n-1..n
-    are the windows x and y: cell i is item i + n + 1."""
-    lo, hi = sorted((f_offset, g_offset))
-    if lo == hi and x == y:
-        return 0.0
-    w = metric_weights(n)
-    diff = list(map(operator.ne, x, y))  # item j serves cells j - n - 1 and j - n
-    if hi == 0.0:  # (0*0 + 0*0 + h) / h * w is exactly w: add them in cell order
-        return functools.reduce(operator.add, itertools.compress(w, diff[1:]), 0.0)
-    early, late = (x, y) if f_offset <= g_offset else (y, x)
-    mid, rest = hi - lo, h - hi
-    # with equal offsets mid is 0, so any flags give the middle piece 0
-    cross = list(map(operator.ne, early[1:], late)) if mid else diff
-    total = 0.0
-    for wi, d0, c, d1 in zip(w, diff, cross, diff[1:]):
-        mismatch = d0 * lo + c * mid + d1 * rest
-        if mismatch:
-            total += mismatch / h * wi
-    return total
-
-
 def continuity_gap(f: SwitchingSignal, g: SwitchingSignal, t: float,
                    tol: float = 1e-12) -> tuple[float, float]:
     """Distance after shifting both signals by t, and its admissible bound.
@@ -194,14 +168,12 @@ def sensitivity_witness(f: SwitchingSignal, eps: float) -> tuple[SwitchingSignal
     if f.offset != 0.0:
         raise ValidationError("witness construction needs a phase-aligned signal")
     g = f.graph
-    decomp = scc(g)
-    if len(decomp.components) != 1:
+    if len(scc(g).components) != 1:
         raise ValidationError("graph must be a single strongly connected component")
-    branching = [v for v in range(g.n) if len(g.successors(v)) >= 2]
-    if not branching:
+    gamma1 = next((v for v in range(g.n) if len(g.successors(v)) >= 2), None)
+    if gamma1 is None:
         raise ValidationError("every vertex has out-degree 1; the flow is a single "
                               "periodic orbit and has no sensitive dependence")
-    gamma1 = branching[0]
     # two-sided tail bound: sum_{|i|>=N} 4^(-|i|) = (8/3) 4^(-N) < eps
     n_window = witness_window(eps)
 
@@ -211,35 +183,23 @@ def sensitivity_witness(f: SwitchingSignal, eps: float) -> tuple[SwitchingSignal
     stop = max(n_window, base.right_boundary) + len(base.right_period)
     occurrence = next((i for i in range(n_window, stop) if base.at(i) == gamma1), None)
 
-    def prefix_through(k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """Left period, core covering exactly [lo, k], and origin shift."""
-        lo = min(-1, base.left_boundary)
-        p = len(base.left_period)
-        left = tuple(base.at(lo - p + r) for r in range(p))
-        core = tuple(base.at(i) for i in range(lo, k + 1))
-        return left, core, -lo
-
     allowed = frozenset(range(g.n))
     if occurrence is not None:
         # branch right after the visit to gamma1
-        p = occurrence
-        gamma2 = base.at(p + 1)
-        gamma3 = min(w for w in g.successors(gamma1) if w != gamma2)
-        left, agreed_core, origin = prefix_through(p)
-        core = agreed_core + (gamma3,)
-        tail_cycle = cycle_word(g, allowed, gamma3)
-        m = p + 1
+        k, gamma2 = occurrence, base.at(occurrence + 1)
+        branch = (min(w for w in g.successors(gamma1) if w != gamma2),)
     else:
         # f never visits gamma1 beyond the window; route the witness to it
-        path = admissible_path(g, base.at(n_window), gamma1)
+        k = n_window
+        path = path_within(g, allowed, base.at(k), gamma1)
         assert path is not None and len(path) >= 2
-        left, agreed_core, origin = prefix_through(n_window)
-        core = agreed_core + tuple(path[1:])
-        tail_cycle = cycle_word(g, allowed, gamma1)
-        m = n_window + len(path) - 1
-
-    right = tail_cycle[1:] + tail_cycle[:1]
-    y_base = SymbolicSequence(base.graph, left, core, right, origin)
+        branch = tuple(path[1:])
+    tail_cycle = cycle_word(g, allowed, branch[-1])
+    m = k + len(branch)
+    lo = min(-1, base.left_boundary)
+    y_base = SymbolicSequence(g, base.window(lo - len(base.left_period), lo - 1),
+                              base.window(lo, k) + branch,
+                              tail_cycle[1:] + tail_cycle[:1], -lo)
     y = SwitchingSignal(y_base, 0.0, f.step)
     assert y.base.at(m) != f.base.at(m)
     return y, m

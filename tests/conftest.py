@@ -9,9 +9,9 @@ import pytest
 
 from switchflow.fields import (
     _GLOBALS,
+    _UFUNCS,
     _array_powers,
     _constant_value,
-    _into_source,
     _rk4_source,
 )
 from switchflow.flow import IntegrationError
@@ -20,10 +20,12 @@ from switchflow.graph import (
     ValidationError,
     connector,
     expand_ranges,
+    path_within,
     require_valid,
+    scc,
 )
-from switchflow.sequences import SymbolicSequence, truncation_order
-from switchflow.signals import SwitchingSignal, shift
+from switchflow.sequences import SymbolicSequence, cycle_word, truncation_order
+from switchflow.signals import SwitchingSignal, shift, witness_window
 
 
 @pytest.fixture
@@ -83,15 +85,58 @@ def velocity(field, x) -> np.ndarray:
     return k.T.reshape(x.shape)
 
 
+def reference_into_source(bodies, xs: list[str]) -> tuple[str, int]:
+    """``fields._into_source`` with a leaf test that walks the node's whole
+    subtree on every call, the form that one pass over the bodies
+    replaced."""
+    names = set(xs)
+    ks = [f"k{i}" for i in range(1, len(xs) + 1)]
+    lines = ["pass"]
+    temps = 0
+
+    def leaf(node: ast.expr) -> bool:
+        return isinstance(node, ast.Name) or not any(
+            isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+
+    def value(node: ast.expr, out: str, depth: int) -> str:
+        nonlocal temps
+        if leaf(node):
+            return ast.unparse(node)
+        temps = max(temps, depth)
+        if isinstance(node, ast.Call):
+            func, args = node.func.id, node.args
+        elif isinstance(node, ast.UnaryOp):
+            func, args = _UFUNCS[type(node.op)], [node.operand]
+        else:
+            func, args = _UFUNCS[type(node.op)], [node.left, node.right]
+        operands = [value(args[0], out, depth)]
+        if len(args) == 2:
+            spare = depth + (not leaf(args[0]))
+            operands.append(value(args[1], f"t{spare}" if spare else out, spare))
+        if func == "square":
+            func, operands = "multiply", operands * 2
+        lines.append(f"{func}({', '.join(operands)}, out={out})")
+        return out
+
+    for k, body in zip(ks, bodies):
+        if leaf(body):
+            lines.append(f"{k}[...] = {ast.unparse(body)}")
+        else:
+            value(body, k, 0)
+    params = ks + xs + [f"t{j}" for j in range(1, temps + 1)]
+    return f"def into({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in lines), temps
+
+
 def reference_compiled_field(expressions) -> tuple:
     """``(rk4, into, temps)`` of the field of ``expressions`` from one
     compile of both sources, the form that compiling each on first use
-    replaced; raises what refused the field when it was built."""
+    replaced, with ``into`` written by ``reference_into_source``; raises
+    what refused the field when it was built."""
     xs = [f"x{i}" for i in range(1, len(expressions) + 1)]
     bodies = [_array_powers(ast.parse(expr, mode="eval").body, expr, set(xs))
               for expr in expressions]
     at_x = [ast.unparse(body) for body in bodies]
-    into, temps = _into_source(bodies, xs)
+    into, temps = reference_into_source(bodies, xs)
     namespace = dict(_GLOBALS)
     exec(compile(_rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
     return namespace.pop("loop"), namespace.pop("into"), temps
@@ -176,6 +221,76 @@ def reference_metric_omega(x: SymbolicSequence, y: SymbolicSequence, tol: float)
         if x.at(-i) != y.at(-i):
             total += w
     return total
+
+
+def reference_concat_past_future(past: SymbolicSequence,
+                                 future: SymbolicSequence) -> SymbolicSequence:
+    """``concat_past_future`` with one ``at()`` lookup per cell, the form its
+    three window reads replaced."""
+    lo = min(-1, past.left_boundary)
+    hi = max(0, future.right_boundary)
+    p = len(past.left_period)
+    left = tuple(past.at(lo - p + r) for r in range(p))
+    core = tuple(past.at(i) for i in range(lo, 0)) + \
+        tuple(future.at(i) for i in range(0, hi))
+    right = tuple(future.at(hi + r) for r in range(len(future.right_period)))
+    return SymbolicSequence(past.graph, left, core, right, -lo)
+
+
+def reference_sensitivity_witness(f: SwitchingSignal,
+                                  eps: float) -> tuple[SwitchingSignal, int]:
+    """``sensitivity_witness`` as two cases that each build the witness with
+    ``prefix_through``, one ``at()`` lookup per cell, the form its window
+    reads replaced.  The path to the branching vertex is ``path_within``
+    over all vertices, which the deleted ``admissible_path`` wrapped."""
+    if f.offset != 0.0:
+        raise ValidationError("witness construction needs a phase-aligned signal")
+    g = f.graph
+    if len(scc(g).components) != 1:
+        raise ValidationError("graph must be a single strongly connected component")
+    branching = [v for v in range(g.n) if len(g.successors(v)) >= 2]
+    if not branching:
+        raise ValidationError("every vertex has out-degree 1; the flow is a single "
+                              "periodic orbit and has no sensitive dependence")
+    gamma1 = branching[0]
+    n_window = witness_window(eps)
+    base = f.base
+    stop = max(n_window, base.right_boundary) + len(base.right_period)
+    occurrence = next((i for i in range(n_window, stop) if base.at(i) == gamma1), None)
+
+    def prefix_through(k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Left period, core covering exactly [lo, k], and origin shift."""
+        lo = min(-1, base.left_boundary)
+        p = len(base.left_period)
+        left = tuple(base.at(lo - p + r) for r in range(p))
+        core = tuple(base.at(i) for i in range(lo, k + 1))
+        return left, core, -lo
+
+    allowed = frozenset(range(g.n))
+    if occurrence is not None:
+        p = occurrence
+        gamma2 = base.at(p + 1)
+        gamma3 = min(w for w in g.successors(gamma1) if w != gamma2)
+        left, agreed_core, origin = prefix_through(p)
+        core = agreed_core + (gamma3,)
+        tail_cycle = cycle_word(g, allowed, gamma3)
+        m = p + 1
+    else:
+        path = path_within(g, allowed, base.at(n_window), gamma1)
+        assert path is not None and len(path) >= 2
+        left, agreed_core, origin = prefix_through(n_window)
+        core = agreed_core + tuple(path[1:])
+        tail_cycle = cycle_word(g, allowed, gamma1)
+        m = n_window + len(path) - 1
+    right = tail_cycle[1:] + tail_cycle[:1]
+    y_base = SymbolicSequence(base.graph, left, core, right, origin)
+    return SwitchingSignal(y_base, 0.0, f.step), m
+
+
+def sequence_fields(x: SymbolicSequence) -> tuple:
+    """Every field of ``x``: its graph, left period, core, right period and
+    origin shift."""
+    return x.graph, x.left_period, x.core, x.right_period, x.index_shift
 
 
 class ReferenceArrayPowers(ast.NodeTransformer):

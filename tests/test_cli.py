@@ -80,6 +80,21 @@ class TestLiterals:
                 parse_signal(g, text)
             assert err.value.position == (len(text) if at is None else text.index(at))
 
+    @pytest.mark.parametrize("text, message, key", [
+        ("left=(0) right=(1) shift=1.5 h=0.1", "shift must be an integer, got '1.5'", "shift="),
+        ("left=(0) right=(1) tau=x h=0.1", "tau must be a real, got 'x'", "tau="),
+        ("left=(0) right=(1) tau=0.05 h=0,1", "h must be a real, got '0,1'", "h="),
+        ("left=(0) right=(1) tau=0.05", "missing h=<real>", None),
+        ("left=(0) right=(1) tau=x", "tau must be a real, got 'x'", "tau="),
+    ], ids=["bad shift", "bad tau", "bad h", "missing h", "bad tau before missing h"])
+    def test_number_errors_keep_their_message_position_and_order(self, text, message, key):
+        g = DirectedGraph.complete(2)
+        position = len(text) if key is None else text.index(key)
+        with pytest.raises(LiteralError) as err:
+            parse_signal(g, text)
+        assert str(err.value) == f"at position {position}: {message}"
+        assert err.value.position == position
+
     def test_sequence_rejects_signal_keys_at_their_position(self):
         g = DirectedGraph.complete(2)
         for text, key in [("left=(0) core=[1] right=(1) tau=0.5", "tau="),
@@ -355,6 +370,20 @@ def test_bad_constant_power_exits_2(constant, tmp_path, capsys):
                  "--x0", "0.5", "--t-end", "0.2", "--sample-dt", "0.1"]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and repr(expr) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("terms", [400, 3000])
+def test_field_nested_past_the_recursion_limit_exits_2(terms, tmp_path, capsys):
+    # at the default recursion limit, 400 terms are too deep to print and
+    # 3 000 too deep to parse
+    doc = json.loads(json.dumps(COMPLETE2))
+    doc["system"]["fields"][0] = "+".join(["x1"] * terms)
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o"), "analyze-graph"]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "is nested too deeply" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_infinite_t_end_exits_2_at_once(config_path, tmp_path):

@@ -13,9 +13,9 @@ from switchflow.graph import (
     DirectedGraph,
     SccDecomposition,
     ValidationError,
-    admissible_path,
     connector,
     morse_order,
+    path_within,
     require_valid,
     scc,
     successor_rows,
@@ -202,15 +202,15 @@ class TestTarjan:
 
 class TestPaths:
     def test_direct_edge(self):
-        assert admissible_path(DirectedGraph.cycle(2), 0, 1) == [0, 1]
+        assert path_within(DirectedGraph.cycle(2), {0, 1}, 0, 1) == [0, 1]
 
     def test_same_vertex_is_empty_walk(self):
         g = DirectedGraph.from_edges(1, [(0, 0)])
-        assert admissible_path(g, 0, 0) == [0]
+        assert path_within(g, {0}, 0, 0) == [0]
 
     def test_unreachable_is_none(self):
         g = DirectedGraph.from_edges(2, [(0, 0), (0, 1), (1, 1)])
-        assert admissible_path(g, 1, 0) is None
+        assert path_within(g, {0, 1}, 1, 0) is None
 
     def test_paths_inside_scc_exist(self, rng):
         for _ in range(20):
@@ -219,7 +219,7 @@ class TestPaths:
             for comp in d.components:
                 for u in comp:
                     for v in comp:
-                        path = admissible_path(g, u, v)
+                        path = path_within(g, frozenset(range(g.n)), u, v)
                         assert path is not None
                         assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
 

@@ -21,7 +21,12 @@ from switchflow.sequences import (
     truncation_order,
 )
 
-from conftest import random_sequence, random_strong_graph
+from conftest import (
+    random_sequence,
+    random_strong_graph,
+    reference_concat_past_future,
+    sequence_fields,
+)
 
 
 def graph_abc():
@@ -161,6 +166,22 @@ class TestRepresentation:
             c = concat_past_future(a, b)
             assert all(c.at(i) == a.at(i) for i in range(-20, 0))
             assert all(c.at(i) == b.at(i) for i in range(0, 20))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.integers(-8, 8))
+    def test_concat_past_future_equals_per_cell_reference(self, seed, n, k):
+        # the three window slices build the sequence the per-cell at() loops
+        # built, field by field, or refuse the same junction
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, n)
+        past, future = shift_discrete(random_sequence(g, rng), k), random_sequence(g, rng)
+        outcomes = []
+        for concat in (concat_past_future, reference_concat_past_future):
+            try:
+                outcomes.append(sequence_fields(concat(past, future)))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestMetric:

@@ -36,6 +36,8 @@ from conftest import (
     reference_continuity_gap,
     reference_metric_delta,
     reference_metric_omega,
+    reference_sensitivity_witness,
+    sequence_fields,
 )
 
 H = 0.1
@@ -338,6 +340,18 @@ class TestMetricReferences:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
+    def test_omega_is_delta_of_the_embedding_bit_for_bit(self, data):
+        # the embedding is an isometry: omega is delta's sum at phase 0, at
+        # any tolerance, including those whose partial sums are inexact
+        f, s, _ = draw_literal_pair(data)
+        tol = data.draw(st.one_of(st.sampled_from([1e-300, 1e-20, 1.4e-16]),
+                                  st.floats(1e-300, 0.5)), label="tol")
+        for a, b in ((f.base, s.base), (s.base, f.base)):
+            assert metric_omega(a, b, tol).hex() \
+                == metric_delta(sigma_embed(a, f.step), sigma_embed(b, f.step), tol).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
     def test_continuity_gap_bit_equal_to_two_shifts(self, data):
         # the gap reads windows of the bases; it must give the bits (or the
         # error) of shifting both signals and summing on the shifted pair
@@ -557,6 +571,24 @@ class TestSensitivity:
         assert all(y.base.at(i) == f.base.at(i) for i in range(-n, n + 1))
         assert metric_delta(f, y, 1e-10) < 1 / 64
         assert metric_delta(shift(f, m * H), shift(y, m * H), 1e-10) >= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), k=st.integers(-8, 8),
+           eps=st.sampled_from([0.5, 0.1, 1 / 64, 1e-3]))
+    def test_witness_equals_per_cell_reference(self, seed, n, k, eps):
+        # the witness spliced from windows is the one prefix_through built
+        # with per-cell at() loops, field by field, or the same refusal
+        rng = np.random.default_rng(seed)
+        g = random_strong_graph(rng, n)
+        f = sigma_embed(shift_discrete(random_sequence(g, rng), k), H)
+        outcomes = []
+        for witness in (sensitivity_witness, reference_sensitivity_witness):
+            try:
+                y, m = witness(f, eps)
+                outcomes.append((sequence_fields(y.base), y.offset, y.step, m))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_case_without_revisit(self):
         # 0 branches; constant-1 signal never revisits 0 on its tail
