@@ -189,7 +189,7 @@ def build_grid(box: Sequence[Sequence[float]], cells_per_axis: Sequence[int] | i
 # took 250-311 ms at 8 192), while peak RSS grows.
 SWEEP_ROWS = 8192
 
-# Points (cells x words) in one Grid.rows_within call of build_chain_graph,
+# Points (cells x words) in one Grid.rows_within call of relation,
 # rounded down to whole multiples of n cells, and at least n.  A sweep is a
 # block of cells under every word, so it holds all the rows of its cells
 # and is joined once; the expansion estimate runs once on all the images.
@@ -207,8 +207,8 @@ SWEEP_ROWS = 8192
 SWEEP_POINTS = 2048
 
 
-def _link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
-                 points: np.ndarray) -> np.ndarray:
+def link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
+                points: np.ndarray) -> np.ndarray:
     """``points`` (shape ``(N, d)``) flowed for one step h under each symbol
     of each word in turn: one ``(len(words), N, d)`` array.  The words are
     distinct and of one length, as ``enumerate_admissible_words`` lists them.
@@ -234,7 +234,7 @@ def _link_images(sys: SwitchedSystem, words: Sequence[tuple[int, ...]],
     return level
 
 
-def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
+def sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
     """Max growth of each word's flow map, from adjacent-center differences:
     images of shape ``(words, n_cells, d)`` give one factor per word."""
     d = grid.dimension
@@ -259,6 +259,24 @@ def _sampled_expansion(images: np.ndarray, grid: Grid) -> np.ndarray:
     return np.where(best > 0.0, best, 1.0)
 
 
+def relation(grid: Grid, images: np.ndarray, radius: np.ndarray) -> RangeRows:
+    """The chain graph of ``images`` (shape ``(words, n_cells, d)``): merged
+    ranges of the cells b whose centers lie within ``radius[w]`` of a's image
+    ``images[w, a]`` for some word w, found in sweeps of cells under all words."""
+    n, n_words = grid.n_cells, len(images)
+    per_sweep = max(1, max(n, SWEEP_POINTS // n * n) // n_words)
+
+    def sweep_rows():
+        # point i of a sweep is cell a + i // n_words under word i % n_words
+        for a in range(0, n, per_sweep):
+            block = images[:, a:a + per_sweep].swapaxes(0, 1)
+            rows = grid.rows_within(block, np.tile(radius, len(block)))
+            rows[:, 0] = a + rows[:, 0] // n_words
+            yield rows.T
+
+    return RangeRows.from_rows(n, sweep_rows())
+
+
 def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
                       max_work: int = 2_000_000) -> RangeRows:
     """The (epsilon, m*h) reachability graph over the grid, as merged ranges
@@ -269,10 +287,10 @@ def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
     epsilon ball of b's center.  Links start in phase: each symbol of a word holds
     for one step h.
 
-    Cells x words, counted before any word is listed, must not exceed
-    ``max_work``, and cells 2**21 - 1.  The eps-free images (one array) and
-    expansions kappa come first; the ball query with radius ``eps + r*kappa
-    + r`` runs on blocks of cells under all words.
+    Cells x word prefixes flowed, counted before any word is listed, must
+    not exceed ``max_work``, and cells 2**21 - 1.  The eps-free images
+    (``link_images``) and expansions kappa (``sampled_expansion``) come
+    first; ``relation`` reads them at radius ``eps + r*kappa + r``.
     """
     g = sys.graph
     if not 0 < eps < math.inf:
@@ -284,32 +302,20 @@ def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
     if n >= 2**21:
         # RangeRows packs (source, first, last) in one int64 key, 21 bits each
         raise SizingError(f"{n} cells exceed the {2**21 - 1} that range rows can index")
-    # words by first vertex, one length at a time; every vertex has
-    # in-degree >= 1, so the total never falls with the length
-    walks, length = [1] * g.n, 1
-    while length < m and n * sum(walks) <= max_work:
+    # words by first vertex, one length at a time, and the prefixes of every
+    # level so far: each prefix is flowed at every cell
+    walks, length, prefixes = [1] * g.n, 1, g.n
+    while length < m and n * prefixes <= max_work:
         walks, length = [sum(walks[v] for v in g.successors(u)) for u in range(g.n)], length + 1
-    if n * sum(walks) > max_work:
-        raise SizingError(f"{n} nodes x at least {sum(walks)} words exceeds the work bound "
-                          f"{max_work}; use a coarser grid, a smaller m, or raise the bound")
+        prefixes += sum(walks)
+    if n * prefixes > max_work:
+        raise SizingError(f"{n} nodes x at least {prefixes} word prefixes exceeds the work "
+                          f"bound {max_work}; use a coarser grid, a smaller m, or raise the bound")
 
     words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
-    images = _link_images(sys, words, grid.all_centers())
-    kappa = _sampled_expansion(images, grid)
-    radius = eps + grid.radius * kappa + grid.radius
-    # cells per sweep: as many points as whole words of n cells would make
-    per_sweep = max(1, max(n, SWEEP_POINTS // n * n) // len(words))
-    by_cell = images.swapaxes(0, 1)
-
-    def sweep_rows():
-        # point i of a sweep is cell a + i // len(words) under word i % len(words)
-        for a in range(0, n, per_sweep):
-            block = by_cell[a:a + per_sweep]
-            rows = grid.rows_within(block, np.tile(radius, len(block)))
-            rows[:, 0] = a + rows[:, 0] // len(words)
-            yield rows.T
-
-    return RangeRows.from_rows(n, sweep_rows())
+    images = link_images(sys, words, grid.all_centers())
+    kappa = sampled_expansion(images, grid)
+    return relation(grid, images, eps + grid.radius * kappa + grid.radius)
 
 
 def chain_components(rows: RangeRows) -> list[list[int]]:
@@ -340,10 +346,8 @@ def lift_kernel(sys: SwitchedSystem, grid: Grid, cells: Iterable[int],
     n = g.n
     pos = np.full(grid.n_cells, -1, dtype=np.int64)
     pos[cell_ids] = np.arange(len(cell_ids))
-    centers = grid.centers(cell_ids)
     src, dst = [], []
-    for u in range(n):
-        images = integrate_segment(sys, u, centers, sys.step)
+    for u, images in enumerate(link_images(sys, [(u,) for u in range(n)], grid.centers(cell_ids))):
         point, first, last = grid.rows_within(images, slack).T
         row, b = expand_ranges(first, last)
         i, j = point[row], pos[b]

@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 
 from switchflow.chains import (
-    _link_images,
-    _sampled_expansion,
     build_chain_graph,
     build_grid,
     chain_components,
     hausdorff_distance,
     lift_kernel,
+    link_images,
+    relation,
+    sampled_expansion,
 )
 from switchflow.config import ExperimentConfig
 from switchflow.fields import ExpressionField
@@ -419,15 +420,14 @@ def test_criterion_10_stitching():
                    ok, elapsed, "; ".join(failures[:3]))
 
 
-def lifted_nodes(sys_, g, grid, eps, cells):
+def lifted_nodes(grid, words, images, kappas, eps, cells):
     """Pairs ``(a, w[0])`` for the cells ``a`` of ``cells`` and the words
     ``w`` of length 1 that link ``a`` to a cell of ``cells``, found by the
-    per-word ball query of the chain build."""
+    per-word ball query of the chain build on its link ``images`` and
+    expansion factors ``kappas``."""
     r = grid.radius
     nodes = set()
-    words = enumerate_admissible_words(g, frozenset(range(g.n)), 1)
-    images = _link_images(sys_, words, grid.all_centers())
-    for word, image, kappa in zip(words, images, _sampled_expansion(images, grid)):
+    for word, image, kappa in zip(words, images, kappas):
         reach = eps + r * kappa + r
         nodes.update((a, word[0]) for a, first, last in grid.rows_within(image, reach).tolist()
                      for b in range(first, last + 1) if a in cells and b in cells)
@@ -448,14 +448,18 @@ def test_criterion_11_lift_checks():
         failures.append(f"invariant kernel kept {len(kernel)}")
 
     # components, lifted to the (cell, first symbol) pairs of their links,
-    # sit inside the kernels of their cells
+    # sit inside the kernels of their cells; the images and factors of the
+    # chain build are made once and read at both eps
     words = enumerate_admissible_words(g, frozenset(range(g.n)), 1)
-    kappa = float(_sampled_expansion(_link_images(sys_, words, grid.all_centers()), grid).max())
+    images = link_images(sys_, words, grid.all_centers())
+    kappas = sampled_expansion(images, grid)
+    kappa = float(kappas.max())
     for eps in (0.02, 0.005):
         slack = eps + grid.radius * kappa + grid.radius
-        for comp in chain_components(build_chain_graph(sys_, grid, eps, 1))[:2]:
+        rows = relation(grid, images, eps + grid.radius * kappas + grid.radius)
+        for comp in chain_components(rows)[:2]:
             k = lift_kernel(sys_, grid, comp, slack=slack)
-            if not lifted_nodes(sys_, g, grid, eps, set(comp)) <= k:
+            if not lifted_nodes(grid, words, images, kappas, eps, set(comp)) <= k:
                 failures.append(f"eps={eps}: component escapes its kernel")
     elapsed = time.time() - t0
     ok = not failures and elapsed < 60.0
@@ -491,9 +495,11 @@ def contraction_components(sys_, matrices, cells, eps, m):
     |phi(c_a)| <= lambda |c_a|, so along a cycle the largest centre norm M
     obeys M <= lambda M + eps + r (1 + kappa)."""
     grid = build_grid(sys_.box, cells)
-    comps = chain_components(build_chain_graph(sys_, grid, eps, m))
     words = enumerate_admissible_words(sys_.graph, frozenset(range(sys_.graph.n)), m)
-    kappa = float(_sampled_expansion(_link_images(sys_, words, grid.all_centers()), grid).max())
+    images = link_images(sys_, words, grid.all_centers())
+    kappas = sampled_expansion(images, grid)
+    comps = chain_components(relation(grid, images, eps + grid.radius * kappas + grid.radius))
+    kappa = float(kappas.max())
     for field, a in zip(sys_.fields, matrices):  # the fields are the matrices
         assert velocity(field, np.eye(grid.dimension)).T.tolist() == a
     lam = link_contraction(sys_, matrices, m)

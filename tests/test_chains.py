@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from switchflow import chains, graph
 from switchflow.chains import (
     SizingError,
-    _link_images,
-    _sampled_expansion,
     build_chain_graph,
     build_grid,
     chain_components,
     hausdorff_distance,
     lift_kernel,
+    link_images,
+    relation,
+    sampled_expansion,
 )
 from switchflow.config import ExperimentConfig
 from switchflow.fields import ExpressionField
@@ -250,7 +251,7 @@ class TestGrid:
 
 def word_image(sys, grid, cell, word):
     """The centre of ``cell`` flowed for one step h per symbol of ``word``."""
-    return _link_images(sys, [word], grid.centers([cell]))[0, 0]
+    return link_images(sys, [word], grid.centers([cell]))[0, 0]
 
 
 class TestStepImage:
@@ -307,7 +308,7 @@ class TestBuildChainGraph:
         sys = single_vertex_system("-x1", (-1.0, 1.0))
         grid = build_grid([(-1.0, 1.0)], 40)
         pairs = set(edge_pairs(build_chain_graph(sys, grid, 0.01, 1)))
-        images = _link_images(sys, [(0,)], grid.all_centers())[0, :, 0]
+        images = link_images(sys, [(0,)], grid.all_centers())[0, :, 0]
         # the cell holding each image, the right edge in the last cell
         image_cells = np.clip(np.floor((images + 1.0) / 0.05), 0, 39).astype(int)
         for a, b in enumerate(image_cells.tolist()):
@@ -358,17 +359,23 @@ class TestBuildChainGraph:
         with pytest.raises(SizingError):
             build_chain_graph(sys, grid, 0.02, 1, max_work=100)
 
-    def test_sizing_guard_lists_no_word(self, monkeypatch):
-        # 2**40 words of length 40: the guard must refuse them from walk
-        # counts, before any word is listed
+    @pytest.mark.parametrize("g, m", [
+        # 2**40 words of length 40
+        pytest.param(DirectedGraph.complete(2), 40, id="complete"),
+        # two words of length 10**6, whose 2 * 10**6 prefixes are each
+        # flowed at every cell: flat walk counts, but a long m
+        pytest.param(DirectedGraph.cycle(2), 10**6, id="cycle"),
+    ])
+    def test_sizing_guard_lists_no_word(self, monkeypatch, g, m):
+        # the guard must refuse the prefixes from walk counts, before any
+        # word is listed
         def refuse(*args):
             raise AssertionError("words listed before the work guard")
 
         monkeypatch.setattr(chains, "enumerate_admissible_words", refuse)
-        g = DirectedGraph.complete(2)
         grid = build_grid([(0.0, 2.0)], 400)
         with pytest.raises(SizingError, match="at least"):
-            build_chain_graph(example2_system(g), grid, 0.02, 40)
+            build_chain_graph(example2_system(g), grid, 0.02, m)
 
     def test_cell_count_guard_at_packed_key_bound(self, monkeypatch):
         # range rows pack three cell ids of 21 bits into one int64 key: 2**21
@@ -396,7 +403,7 @@ class TestBuildChainGraph:
 
         def check(sys, points, m):
             words = enumerate_admissible_words(sys.graph, frozenset(range(sys.graph.n)), m)
-            images = _link_images(sys, words, points)
+            images = link_images(sys, words, points)
             assert images.shape == (len(words),) + points.shape
             for word, image in zip(words, images):
                 expected = points
@@ -491,7 +498,7 @@ def expanded_edge_pairs(sys, g, grid, eps, m):
     words = enumerate_admissible_words(g, frozenset(range(g.n)), m)
     r = grid.radius
     pairs = set()
-    for images in _link_images(sys, words, grid.all_centers()):
+    for images in link_images(sys, words, grid.all_centers()):
         kappa = per_word_expansion(images, grid)
         pairs.update(map(tuple, cells_within(grid, images, eps + r * kappa + r).tolist()))
     return sorted(pairs)
@@ -515,8 +522,8 @@ def word_expansions(sys, grid, m):
     """Each admissible word of length m, with the expansion factor the chain
     build samples for it."""
     words = enumerate_admissible_words(sys.graph, frozenset(range(sys.graph.n)), m)
-    images = _link_images(sys, words, grid.all_centers())
-    return dict(zip(words, _sampled_expansion(images, grid).tolist()))
+    images = link_images(sys, words, grid.all_centers())
+    return dict(zip(words, sampled_expansion(images, grid).tolist()))
 
 
 def per_word_chain_graph(sys, g, grid, eps, m):
@@ -528,7 +535,7 @@ def per_word_chain_graph(sys, g, grid, eps, m):
     expansions = {}
 
     def word_rows():
-        for word, images in zip(words, _link_images(sys, words, grid.all_centers())):
+        for word, images in zip(words, link_images(sys, words, grid.all_centers())):
             kappa = expansions[word] = per_word_expansion(images, grid)
             yield grid.rows_within(images, eps + r * kappa + r).T
 
@@ -597,10 +604,14 @@ def test_swept_build_equals_per_word_build(case, monkeypatch):
         assert 1 < per_sweep < n and n % per_sweep
     built = build_chain_graph(sys, grid, eps, m)
     rows, expansions = per_word_chain_graph(sys, sys.graph, grid, eps, m)
-    for name in ("indptr", "first", "last"):
-        assert np.array_equal(getattr(built, name), getattr(rows, name))
+    # the relation read off the per-word factors at one radius per word
+    images = link_images(sys, words, grid.all_centers())
+    radius = eps + grid.radius * np.array(list(expansions.values())) + grid.radius
+    for swept in (built, relation(grid, images, radius)):
+        for name in ("indptr", "first", "last"):
+            assert np.array_equal(getattr(swept, name), getattr(rows, name))
     # the vectorised expansion factors are bit-equal to the per-word ones
-    kappa = _sampled_expansion(_link_images(sys, words, grid.all_centers()), grid)
+    kappa = sampled_expansion(images, grid)
     assert list(zip(words, kappa.tolist())) == list(expansions.items())
 
 
@@ -611,7 +622,7 @@ def test_sampled_expansion_bit_equal_to_per_word_sum(d):
     rng = np.random.default_rng(d)
     grid = build_grid([(0.0, 1.0)] * d, [3, 2] + [1] * (d - 2))
     images = rng.normal(size=(200, grid.n_cells, d))
-    assert _sampled_expansion(images, grid).tolist() == \
+    assert sampled_expansion(images, grid).tolist() == \
         [per_word_expansion(image, grid) for image in images]
 
 
