@@ -1,10 +1,11 @@
 """Vector-field families for the per-vertex dynamics.
 
 Every field is one expression tree per component over x1..xd, its
-``bodies``, checked when the field is built, and two functions are compiled
-from them, each on first use.  ``field.rk4(n_steps, half, hstep, sixth,
-x1, ..., xd)`` is the fixed-step RK4 loop with the bodies inlined, which
-integration runs on a lone point's Python floats; it returns the d
+``bodies``, checked when the field is built, with each variable-free
+subexpression folded to the float it evaluates to, and two functions are
+compiled from them, each on first use.  ``field.rk4(n_steps, half, hstep,
+sixth, x1, ..., xd)`` is the fixed-step RK4 loop with the bodies inlined,
+which integration runs on a lone point's Python floats; it returns the d
 coordinates after ``n_steps`` steps.  ``field.into(k1, ..., kd, x1, ...,
 xd, t1, ..., tn)`` writes the d velocity columns at the arrays x1..xd into
 the arrays k1..kd with ``out=``, using the ``field.temps`` arrays t1..tn as
@@ -64,11 +65,20 @@ def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
     it and computes the exponent 2 as ``a * a``.  Each node is checked before
     its children, so the first node the whitelist refuses, in reading order,
     raises ValidationError.  Each maximal variable-free subexpression is
-    evaluated once and kept as written; the first, in reading order, whose
-    value is complex or not finite raises ValidationError.  One bottom-up
-    pass learns which subtrees hold a variable: every name outside a call's
-    function is one."""
-    constants: list[ast.expr] = []  # the maximal variable-free ones, in reading order
+    evaluated once, as Python computes it, and replaced by the float
+    ``ast.Constant`` of its value, which its variable operand would convert
+    it to anyway; the first, in reading order, whose value is complex or not
+    finite raises ValidationError.  The square or power choice is made on
+    the tree as written, so ``x1 ** (1 + 1)`` stays ``power(x1, 2.0)``.  One
+    bottom-up pass learns which subtrees hold a variable: every name outside
+    a call's function is one."""
+    # the maximal variable-free subexpressions, in reading order, each with
+    # the constant that takes its place once it is evaluated
+    constants: list[tuple[ast.expr, ast.Constant]] = []
+
+    def folded(node: ast.expr, at: int) -> ast.Constant:
+        constants.insert(at, (node, ast.Constant(None)))
+        return constants[at][1]
 
     def rewrite(node: ast.expr) -> tuple[ast.expr, bool]:
         """``node`` checked and rewritten, and whether it holds no variable."""
@@ -97,13 +107,14 @@ def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
         node.right, right_free = rewrite(node.right)
         if left_free and right_free:
             return node, True
+        square = isinstance(node.right, ast.Constant) and node.right.value == 2
         if left_free:
-            constants.insert(mark, node.left)
+            node.left = folded(node.left, mark)
         if right_free:
-            constants.append(node.right)
+            node.right = folded(node.right, len(constants))
         if not isinstance(node.op, ast.Pow):
             return node, False
-        if isinstance(node.right, ast.Constant) and node.right.value == 2:
+        if square:
             if isinstance(node.left, ast.Name):
                 return ast.BinOp(node.left, ast.Mult(), node.left), False
             return ast.Call(ast.Name("square", ast.Load()), [node.left], []), False
@@ -111,9 +122,9 @@ def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
 
     body, free = rewrite(body)
     if free:
-        constants.append(body)
+        body = folded(body, len(constants))
     with np.errstate(all="ignore"):
-        for node in constants:
+        for node, constant in constants:
             try:
                 value = _constant_value(node)
                 finite = not isinstance(value, complex) and math.isfinite(value)
@@ -122,6 +133,7 @@ def _array_powers(body: ast.expr, expr: str, names: set[str]) -> ast.expr:
             if not finite:
                 raise ValidationError(f"constant {ast.unparse(node)} in field "
                                       f"expression {expr!r} is not a finite real number")
+            constant.value = float(value)
     return body
 
 
@@ -175,9 +187,9 @@ def _into_source(bodies: Sequence[ast.expr], xs: list[str]) -> tuple[str, int]:
     calls (``square(a)`` is ``multiply(a, a)``) with ``out=`` the buffer of
     its node: the body's ``ki``, or ``tj`` for a right operand computed while
     the left one holds its node's buffer at depth j - 1.  Operands run left
-    to right; a coordinate or variable-free subexpression is read as
-    written.  So the values are those of the bodies evaluated on arrays, bit
-    for bit, and a leaf body is copied into its ``ki``."""
+    to right; a coordinate or folded constant is read as written.  So the
+    values are those of the bodies evaluated on arrays, bit for bit, and a
+    leaf body is copied into its ``ki``."""
     names = set(xs)
     ks = [f"k{i}" for i in range(1, len(xs) + 1)]
     lines = ["pass"]  # keeps the function valid when d = 0
@@ -237,12 +249,12 @@ class ExpressionField:
     """Vector field given by one expression per state component, over x1..xd.
 
     When the field is built, each expression is checked against the
-    whitelist, and every ``**`` with a variable operand is rewritten, by
-    ``_array_powers``; the results are the field's ``bodies``, which
-    ``ast.unparse`` prints.  ``rk4`` (the lone-point loop, with the printed
-    bodies inlined) and ``into`` (a batch's stage, which needs ``temps``
-    scratch arrays) are each compiled from them on first use, under
-    ``__builtins__: {}``.
+    whitelist, every ``**`` with a variable operand is rewritten, and every
+    variable-free subexpression is folded to a float, by ``_array_powers``;
+    the results are the field's ``bodies``, which ``ast.unparse`` prints.
+    ``rk4`` (the lone-point loop, with the printed bodies inlined) and
+    ``into`` (a batch's stage, which needs ``temps`` scratch arrays) are
+    each compiled from them on first use, under ``__builtins__: {}``.
     """
 
     expressions: tuple[str, ...]
@@ -252,8 +264,7 @@ class ExpressionField:
         bodies, at_x = [], []
         for expr in self.expressions:
             # printed here, since printing recurses deepest: a body nested too
-            # deeply is refused when the field is built.  An overflowing
-            # literal, such as 1e309 in 1/1e309, prints back as 1e309
+            # deeply is refused when the field is built
             try:
                 bodies.append(_array_powers(ast.parse(expr, mode="eval").body, expr, names))
                 at_x.append(ast.unparse(bodies[-1]))

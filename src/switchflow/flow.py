@@ -85,10 +85,13 @@ def _rk4_rows(field: ExpressionField, n_steps: int, half: float, hstep: float,
     final ``x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)`` runs one ufunc
     call per operation over all d rows, with ``out=``: the operations and
     their order are those of ``field.rk4`` on arrays.  A move computes
-    ``c * k`` in ``y`` itself, which the stage before it has read."""
+    ``c * k`` in ``y`` itself, which the stage before it has read.  The
+    factors are 0-d float64 arrays, which a ufunc takes without converting
+    a Python float on every call."""
     y, k1, k2, k3, k4 = (np.empty_like(x) for _ in range(5))
     temps = tuple(np.empty((field.temps,) + x.shape[1:]))
     into, add, multiply = field.into, np.add, np.multiply
+    half, hstep, sixth, two = map(np.array, (half, hstep, sixth, 2.0))
     # each stage's arguments: its buffer's rows, the rows it reads, the temporaries
     s1, s2, s3, s4 = ((*k, *at, *temps) for k, at in ((k1, x), (k2, y), (k3, y), (k4, y)))
     for _ in range(n_steps):
@@ -102,57 +105,78 @@ def _rk4_rows(field: ExpressionField, n_steps: int, half: float, hstep: float,
         multiply(hstep, k3, out=y)
         add(x, y, out=y)
         into(*s4)
-        multiply(2.0, k2, out=k2)
+        multiply(two, k2, out=k2)
         add(k1, k2, out=k1)
-        multiply(2.0, k3, out=k3)
+        multiply(two, k3, out=k3)
         add(k1, k3, out=k1)
         add(k1, k4, out=k1)
         multiply(sixth, k1, out=k1)
         add(x, k1, out=x)
 
 
+def _lone_flow(sys: SwitchedSystem, x0, pieces) -> tuple[float, ...]:
+    """The one state ``x0`` flowed through ``pieces``, (field index, time)
+    pairs, in turn, as d Python floats.  The coordinates enter through
+    ``float``, as ``np.asarray(x0, dtype=float).tolist()`` converts them,
+    and a state that is not finite is refused.  Each piece runs the field's
+    compiled loop, ``field.rk4``; where Python raises instead of float64
+    (division by zero), the piece is rerun as a batch of one."""
+    try:
+        xs = [float(v) for v in x0]
+    except TypeError:  # a scalar, or a point nested in a sequence
+        xs = None
+    if xs is None or len(xs) != sys.dimension:
+        raise ValidationError(f"state of shape {np.shape(x0)} does not end in the "
+                              f"system dimension {sys.dimension}")
+    if not all(map(math.isfinite, xs)):
+        raise ValidationError(f"state {tuple(xs)} is not finite")
+    for index, dt in pieces:
+        n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
+        hstep = dt / n_steps
+        try:
+            # a field with sin, cos, exp or power returns numpy floats: each
+            # piece starts from Python floats, which raise on division by zero
+            xs = sys.fields[index].rk4(n_steps, 0.5 * hstep, hstep, hstep / 6.0,
+                                       *map(float, xs))
+        except ZeroDivisionError:
+            # float64 gives inf or nan, which a later operation may make
+            # finite again (exp(-1/0.0) is 0)
+            xs = integrate_segment(sys, index, np.array([xs]), dt)[0]
+        if not all(map(math.isfinite, xs)):
+            raise IntegrationError(f"state became non-finite under field {index}")
+    return tuple(map(float, xs))
+
+
 def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
                       dt: float) -> np.ndarray:
     """Fixed-step RK4 under a single field for (possibly negative) time dt.
 
-    ``x0`` has shape (..., d).  A lone point runs the field's compiled
-    loop, ``field.rk4``, on its d coordinates as Python floats; a batch runs
-    ``_rk4_rows`` on a ``(d, ...)`` copy.  Both perform the operations of
-    the field's bodies in the same order, so every point comes out bit for
-    bit as if flowed alone, since ``+ - * /`` round the same on Python
-    floats as on float64.  Where Python raises instead (division by zero), a
-    lone point is rerun as a batch of one.
+    ``x0`` has shape (..., d).  A lone point runs ``_lone_flow``, the
+    field's compiled loop on its d coordinates as Python floats; a batch
+    runs ``_rk4_rows`` on a ``(d, ...)`` copy.  Both perform the operations
+    of the field's bodies in the same order, so every point comes out bit
+    for bit as if flowed alone, since ``+ - * /`` round the same on Python
+    floats as on float64.
     """
     x = _state(sys, x0)
     if not math.isfinite(dt):
         raise ValidationError(f"segment time {dt} is not finite")
     if dt == 0.0:
         return x.copy()
+    if x.ndim == 1:
+        return np.array(_lone_flow(sys, x, ((field_index, dt),)))
     n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
     hstep = dt / n_steps
-    field = sys.fields[field_index]
-    if x.ndim == 1:
-        try:
-            xs = field.rk4(n_steps, 0.5 * hstep, hstep, hstep / 6.0, *x.tolist())
-        except ZeroDivisionError:
-            # Python floats raise where float64 gives inf or nan, which a later
-            # operation may make finite again (exp(-1/0.0) is 0): rerun as a batch
-            return integrate_segment(sys, field_index, x[None], dt)[0]
-        finite = all(map(math.isfinite, xs))
-        x = np.array(xs)
-    else:
-        # a C-ordered copy: the caller's array is never written, and each
-        # coordinate row is contiguous
-        rows = np.array(np.moveaxis(x, -1, 0), order="C")
-        # an overflow or a division by zero is reported by the finiteness
-        # check alone, as IntegrationError; exp(-1/0.0) is 0 and stays finite
-        with np.errstate(all="ignore"):
-            _rk4_rows(field, n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
-        finite = np.all(np.isfinite(rows))
-        x = np.moveaxis(rows, 0, -1).copy()
-    if not finite:
+    # a C-ordered copy: the caller's array is never written, and each
+    # coordinate row is contiguous
+    rows = np.array(np.moveaxis(x, -1, 0), order="C")
+    # an overflow or a division by zero is reported by the finiteness
+    # check alone, as IntegrationError; exp(-1/0.0) is 0 and stays finite
+    with np.errstate(all="ignore"):
+        _rk4_rows(sys.fields[field_index], n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
+    if not np.all(np.isfinite(rows)):
         raise IntegrationError(f"state became non-finite under field {field_index}")
-    return x
+    return np.moveaxis(rows, 0, -1).copy()
 
 
 def _breakpoints(f: SwitchingSignal, t: float) -> list[float]:
@@ -168,33 +192,39 @@ def _breakpoints(f: SwitchingSignal, t: float) -> list[float]:
     return [0.0, *inner, t]
 
 
-def switched_flow(sys: SwitchedSystem, t: float, x0: Sequence[float] | np.ndarray,
-                  f: SwitchingSignal) -> np.ndarray:
-    """Flow the state for time t, switching fields at the signal's breakpoints.
-
-    Negative t integrates backward.  The active field over each piece is the
-    signal value in the piece's interior.
-    """
+def _pieces(sys: SwitchedSystem, t: float, f: SwitchingSignal) -> list[tuple[int, float]]:
+    """(field index, time) of each piece of the flow for time t, split at the
+    signal's breakpoints: the active field over a piece is the signal value
+    in its interior."""
     if f.graph != sys.graph:
         raise ValidationError("signal and system use different graphs")
     if abs(f.step - sys.step) > 1e-12 * sys.step:
         raise ValidationError("signal and system use different step h")
     if not math.isfinite(t):
         raise ValidationError(f"flow time {t} is not finite")
-    x = _state(sys, x0)
     pts = _breakpoints(f, t)
-    for a, b in zip(pts, pts[1:]):
-        if b == a:
-            continue
-        idx = f.value_at(0.5 * (a + b))
-        x = integrate_segment(sys, idx, x, b - a)
+    return [(f.value_at(0.5 * (a + b)), b - a) for a, b in zip(pts, pts[1:]) if b != a]
+
+
+def switched_flow(sys: SwitchedSystem, t: float, x0: Sequence[float] | np.ndarray,
+                  f: SwitchingSignal) -> np.ndarray:
+    """Flow the state for time t, switching fields at the signal's breakpoints.
+
+    Negative t integrates backward.  A lone state runs all its pieces in
+    ``_lone_flow``; a batch runs ``integrate_segment`` per piece.
+    """
+    pieces = _pieces(sys, t, f)
+    x = _state(sys, x0)
+    if x.ndim == 1:
+        return np.array(_lone_flow(sys, x, pieces))
+    for index, dt in pieces:
+        x = integrate_segment(sys, index, x, dt)
     return x
 
 
 def skew_product(sys: SwitchedSystem, t: float, state: HybridState) -> HybridState:
     """Advance the pair (x, f): state driven by f, signal translated by t."""
-    x1 = switched_flow(sys, t, state.x, state.f)
-    return HybridState(tuple(x1.tolist()), shift(state.f, t))
+    return HybridState(_lone_flow(sys, state.x, _pieces(sys, t, state.f)), shift(state.f, t))
 
 
 def product_metric(a: HybridState, b: HybridState, tol: float = 1e-12) -> float:
@@ -202,4 +232,9 @@ def product_metric(a: HybridState, b: HybridState, tol: float = 1e-12) -> float:
     xa, xb = np.asarray(a.x, dtype=float), np.asarray(b.x, dtype=float)
     if xa.shape != xb.shape:
         raise ValidationError(f"states of shapes {xa.shape} and {xb.shape} differ in dimension")
-    return float(np.linalg.norm(xa - xb)) + metric_delta(a.f, b.f, tol)
+    distance = float(np.linalg.norm(xa - xb))
+    if not math.isfinite(distance):  # a coordinate is not finite, or the distance overflows
+        for state, x in ((a, xa), (b, xb)):
+            if not np.isfinite(x).all():
+                raise ValidationError(f"state {state.x} is not finite")
+    return distance + metric_delta(a.f, b.f, tol)

@@ -74,6 +74,27 @@ def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
     return x
 
 
+def reference_switched_flow(sys, t: float, x0, f) -> np.ndarray:
+    """``switched_flow`` of one state as the loop that the lone-point path
+    replaced: each piece between the signal's breakpoints flows the state
+    as a batch of one with ``reference_rk4``, under the signal value in the
+    piece's interior."""
+    lo, hi = sorted((0.0, t))
+    pts = [lo]
+    b = f.breakpoint_after(lo)
+    while b < hi:
+        pts.append(b)
+        b += f.step
+    pts.append(hi)
+    if t <= 0:
+        pts.reverse()
+    x = np.asarray(x0, dtype=float)[None]
+    for a, b in zip(pts, pts[1:]):
+        if b != a:
+            x = reference_rk4(sys, f.value_at(0.5 * (a + b)), x, b - a)
+    return x[0]
+
+
 def velocity(field, x) -> np.ndarray:
     """``field``'s velocity at the ``(..., d)`` array ``x``, as ``field.into``
     writes it from a C-ordered ``(d, N)`` copy of the coordinate rows, with
@@ -127,19 +148,33 @@ def reference_into_source(bodies, xs: list[str]) -> tuple[str, int]:
     return f"def into({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in lines), temps
 
 
-def reference_compiled_field(expressions) -> tuple:
+def reference_compiled_field(expressions, bodies=None) -> tuple:
     """``(rk4, into, temps)`` of the field of ``expressions`` from one
     compile of both sources, the form that compiling each on first use
     replaced, with ``into`` written by ``reference_into_source``; raises
-    what refused the field when it was built."""
+    what refused the field when it was built.  The bodies are those of
+    ``_array_powers``, with their constants folded, unless ``bodies`` gives
+    others."""
     xs = [f"x{i}" for i in range(1, len(expressions) + 1)]
-    bodies = [_array_powers(ast.parse(expr, mode="eval").body, expr, set(xs))
-              for expr in expressions]
+    if bodies is None:
+        bodies = [_array_powers(ast.parse(expr, mode="eval").body, expr, set(xs))
+                  for expr in expressions]
     at_x = [ast.unparse(body) for body in bodies]
     into, temps = reference_into_source(bodies, xs)
     namespace = dict(_GLOBALS)
     exec(compile(_rk4_source(at_x, xs) + into, "<field>", "exec"), namespace)
     return namespace.pop("loop"), namespace.pop("into"), temps
+
+
+def unfolded_compiled_field(expressions) -> tuple:
+    """``reference_compiled_field`` on bodies whose variable-free
+    subexpressions are kept as written, so that the compiled code evaluates
+    each of them at every stage: the form that folding them to floats
+    replaced."""
+    names = {f"x{i}" for i in range(1, len(expressions) + 1)}
+    bodies = [ReferenceArrayPowers(names, expr, fold=False).visit(ast.parse(expr, mode="eval").body)
+              for expr in expressions]
+    return reference_compiled_field(expressions, bodies)
 
 
 def reference_csv_line(row) -> str:
@@ -295,31 +330,36 @@ def sequence_fields(x: SymbolicSequence) -> tuple:
 
 class ReferenceArrayPowers(ast.NodeTransformer):
     """``fields._array_powers`` as the transformer it replaced, which walks
-    each visited subtree again to learn whether it holds a variable:
-    ``ReferenceArrayPowers(names, expr).visit(body)``."""
+    each visited subtree again to learn whether it holds a variable, and
+    puts the float value of each variable-free one in its place:
+    ``ReferenceArrayPowers(names, expr).visit(body)``.  With ``fold=False``
+    a variable-free subtree is checked and kept as written."""
 
-    def __init__(self, names: set[str], expr: str) -> None:
+    def __init__(self, names: set[str], expr: str, fold: bool = True) -> None:
         self.names = names
         self.expr = expr
+        self.fold = fold
 
     def visit(self, node: ast.AST) -> ast.AST:
         if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant)) and not any(
                 isinstance(n, ast.Name) and n.id in self.names for n in ast.walk(node)):
-            self._check_constant(node)
-            return node
+            value = self._check_constant(node)
+            return ast.Constant(float(value)) if self.fold else node
         return super().visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        # the square is chosen on the exponent as written, before it is folded
+        square = isinstance(node.right, ast.Constant) and node.right.value == 2
         self.generic_visit(node)
         if not isinstance(node.op, ast.Pow):
             return node
-        if isinstance(node.right, ast.Constant) and node.right.value == 2:
+        if square:
             if isinstance(node.left, ast.Name):
                 return ast.BinOp(node.left, ast.Mult(), node.left)
             return ast.Call(ast.Name("square", ast.Load()), [node.left], [])
         return ast.Call(ast.Name("power", ast.Load()), [node.left, node.right], [])
 
-    def _check_constant(self, node: ast.expr) -> None:
+    def _check_constant(self, node: ast.expr):
         try:
             with np.errstate(all="ignore"):
                 value = _constant_value(node)
@@ -329,6 +369,7 @@ class ReferenceArrayPowers(ast.NodeTransformer):
         if not finite:
             raise ValidationError(f"constant {ast.unparse(node)} in field "
                                   f"expression {self.expr!r} is not a finite real number")
+        return value
 
 
 def reference_rows_within(grid, points, dist) -> np.ndarray:

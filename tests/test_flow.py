@@ -1,14 +1,18 @@
 import ast
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchflow import flow
 from switchflow.chains import build_chain_graph, build_grid
+from switchflow.config import ExperimentConfig
 from switchflow.fields import (
     ExpressionField,
     _array_powers,
@@ -24,6 +28,7 @@ from switchflow.flow import (
     switched_flow,
 )
 from switchflow.graph import DirectedGraph, ValidationError
+from switchflow.literals import parse_signal
 from switchflow.sequences import constant_sequence, periodic_sequence
 from switchflow.signals import metric_delta, shift, sigma_embed
 
@@ -35,6 +40,8 @@ from conftest import (
     reference_linear_columns,
     reference_polynomial_columns,
     reference_rk4,
+    reference_switched_flow,
+    unfolded_compiled_field,
     velocity,
 )
 
@@ -245,6 +252,10 @@ class TestFields:
         integrate_segment(sys, 0, np.array([0.5]), 0.3)
         assert "into" not in sys.fields[0].__dict__ and "rk4" in sys.fields[0].__dict__
         assert "temps" not in sys.fields[0].__dict__
+        sys = fresh_system()
+        skew_product(sys, 0.35, HybridState((0.5,), alternating_signal()))
+        for field in sys.fields:
+            assert "rk4" in field.__dict__ and not {"into", "temps"} & set(field.__dict__)
 
     def test_compiled_forms_equal_one_compile_on_corpus(self):
         # each form compiled alone on first use is the code object of the
@@ -276,6 +287,61 @@ class TestFields:
                     assert getattr(got.__code__, attr) == getattr(want.__code__, attr), exprs
             compiled += 1
         assert compiled > 200 and refused > 20
+
+    @pytest.mark.parametrize("corpus", ["seeded", "power", "hand"])
+    def test_folded_constants_keep_every_bit(self, corpus):
+        # each variable-free subexpression is folded to a float when the
+        # field is built; the compiled forms must give the bits of code
+        # compiled from the bodies as written, which evaluates each of them
+        # at every stage: rk4 on Python floats and into on arrays
+        cases = {"seeded": seeded_field_corpus(np.random.default_rng(37), 200),
+                 "power": [(expr, "x3", "x1") for expr in POWER_CORPUS],
+                 "hand": [(expr,) for expr in FOLDING_CASES]}[corpus]
+        rng = np.random.default_rng(41)
+        compared = 0
+        for exprs in cases:
+            try:
+                field = ExpressionField(exprs)
+            except ValidationError:
+                continue
+            rk4, into, temps = unfolded_compiled_field(exprs)
+            d = len(exprs)
+            special = [0.0, -0.0, 5e-324, -1e300, 1.0, 2.0**53]
+            rows = np.array(np.concatenate([rng.uniform(-3.0, 3.0, (10, d)),
+                                            np.resize(special, (len(special), d))]).T, order="C")
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                for point in rows.T.tolist():
+                    # a NaN from two NaN operands takes the sign of the one
+                    # that the interpreter's compiled float op reads first,
+                    # which changes when CPython specializes the loop: NaNs
+                    # compare as one value, and every other bit exactly
+                    got = outcome(lambda: one_nan(field.rk4(2, 0.05, 0.1, 0.1 / 6.0, *point)))
+                    want = outcome(lambda: one_nan(rk4(2, 0.05, 0.1, 0.1 / 6.0, *point)))
+                    # a Python float raises on division by zero where a numpy
+                    # float (sin of a constant) gives inf: either form is then
+                    # rerun as a batch of one, which into computes
+                    if ZeroDivisionError not in (got[1], want[1]):
+                        assert got == want, (exprs, point)
+                        compared += 1
+                k_got, k_want = np.empty_like(rows), np.empty_like(rows)
+                field.into(*k_got, *rows, *np.empty((field.temps, rows.shape[1])))
+                into(*k_want, *rows, *np.empty((temps, rows.shape[1])))
+            assert k_got.tobytes() == k_want.tobytes(), exprs
+        assert compared > {"seeded": 1000, "power": 300, "hand": 100}[corpus]
+
+    @pytest.mark.parametrize("expr, folded", [
+        ("-x1+(1-x1**2)*x2", "-x1 + (1.0 - x1 * x1) * x2"),
+        ("x1 * (2**53 + 1)", "x1 * 9007199254740992.0"),
+        ("x1 * (1 - 1/1e309)", "x1 * 1.0"),
+        ("x1 ** (1 + 1)", "power(x1, 2.0)"),
+        ("x1 ** 3 + sin(1.0)", "power(x1, 3.0) + 0.8414709848078965"),
+        ("2 ** 0.5", "1.4142135623730951"),
+    ])
+    def test_constants_print_folded(self, expr, folded):
+        # the square is chosen on the exponent as written: 1 + 1 is a power
+        field = ExpressionField((expr, "x1"))
+        assert ast.unparse(field.bodies[0]) == folded
 
 
 def seeded_field_corpus(rng: np.random.Generator, count: int):
@@ -340,6 +406,22 @@ POWER_CORPUS = (
     "1/0", "9**9**9 + x1", "(-1.0)**0.5 * x1", "exp(1000) * x1",
     "(1/0) + x1*(2/0)", "x1*(2/0) + 1/0", "x1**(1/0) + (3/0)**x2",
 )
+
+
+# folding's edge cases: an int beyond 2**53 rounds once, int arithmetic
+# stays exact, 1e309 is inf inside a finite constant, a signed zero, a bool,
+# a numpy float, an exponent that adds up to 2, and int exponents of power
+FOLDING_CASES = (
+    "x1 * (2**53 + 1)", "x1 + ((2**53 + 1) - 2**53)", "x1 * (1 - 1/1e309)", "x1 * -0.0",
+    "x1 * True", "x1 + sin(1.0)", "x1 ** (1 + 1)", "x1 ** 3", "x1 ** -1", "(x1 - 0.5) ** 5",
+    "x1 ** 2**64", "sin(1.0) / x1", "2 ** 70 * x1 + (2**70 + 1)",
+)
+
+
+def one_nan(values) -> np.ndarray:
+    """``values`` as a float array with each NaN replaced by ``np.nan``."""
+    x = np.array(values, dtype=float)
+    return np.where(np.isnan(x), np.nan, x)
 
 
 def array_powers_outcome(expr, rewrite=None):
@@ -442,9 +524,10 @@ class TestIntegrateSegment:
     def test_compiled_loop_namespace(self):
         # the loop and into run under __builtins__: {} and see only the
         # whitelisted functions; a square of a name is inlined as a multiply
-        # in the loop and is multiply(a, a) in into, the literal 1e309 (inf)
-        # inside a finite constant is compiled as written, and constant
-        # powers keep their grouping ((-2.0)**2 - (2**2)**0.5 is 2)
+        # in the loop and is multiply(a, a) in into, and each finite
+        # constant is folded to its float as Python groups it: 1 - 1/1e309
+        # is 1.0 with no inf compiled, and ((-2.0)**2 - (2**2)**0.5 - 2) is
+        # 0.0
         field = ExpressionField(("sin(x2) / x3**2 - x1**2", "cos(x1) * x3**3 - exp(-x2)",
                                  "x1 / (1.5 + x2**2) - x3 * (1 - 1/1e309)"
                                  " + ((-2.0)**2 - (2**2)**0.5 - 2)"))
@@ -455,6 +538,9 @@ class TestIntegrateSegment:
             assert set(compiled.__globals__) == {"__builtins__"} | whitelist
             assert set(compiled.__code__.co_names) <= whitelist
         assert "square" not in field.rk4.__code__.co_names
+        assert ast.unparse(field.bodies[2]).endswith("x3 * 1.0 + 0.0")
+        for compiled in (field.rk4, field.into):
+            assert math.inf not in compiled.__code__.co_consts
         assert set(field.into.__code__.co_names) == {"sin", "cos", "exp", "power", "add",
                                                      "subtract", "multiply", "divide",
                                                      "negative"}
@@ -750,6 +836,105 @@ class TestSkewProduct:
                    for u in rng.uniform(-2, 2, 40))
 
 
+PLANE2D = ExperimentConfig.from_dict(json.loads(
+    (Path(__file__).resolve().parents[1] / "scripts" / "configs" / "plane2d.json").read_text())).system
+
+
+def signal_literal():
+    """Signal literals over plane2d's labels with a phase tau in (0, h)."""
+    def word(min_size):
+        return st.lists(st.sampled_from("AB"), min_size=min_size, max_size=4).map(" ".join)
+
+    return st.builds(
+        lambda left, core, right, k, tau: (f"left=({left}) core=[{core}] right=({right}) "
+                                           f"shift={k} tau={tau!r}"),
+        word(1), word(0), word(1), st.integers(-3, 3),
+        st.floats(0.0, PLANE2D.step, exclude_min=True, exclude_max=True))
+
+
+class TestLonePath:
+    @settings(max_examples=100, deadline=None)
+    @given(literal=signal_literal(), t=st.floats(-0.6, 0.6),
+           x=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+    def test_lone_state_equals_batch_of_one_per_piece(self, literal, t, x):
+        # one lone state runs every piece of its switched flow on Python
+        # floats; each piece must give the bits of the piece flowed as a
+        # batch of one, forward and backward, under both plane2d fields
+        f = parse_signal(PLANE2D.graph, literal, default_h=PLANE2D.step)
+        want = reference_switched_flow(PLANE2D, t, x, f)
+        got = skew_product(PLANE2D, t, HybridState(x, f))
+        assert np.array(got.x).tobytes() == want.tobytes()
+        assert switched_flow(PLANE2D, t, np.array(x), f).tobytes() == want.tobytes()
+        assert switched_flow(PLANE2D, t, list(x), f).tobytes() == want.tobytes()
+        assert got.f == shift(f, t)
+
+    @pytest.mark.parametrize("fields", [PLANE2D.fields, (ExpressionField(("sin(x2)", "-x1")),
+                                                         ExpressionField(("x2", "exp(-x1)")))],
+                             ids=["plane2d", "sin-exp"])
+    @pytest.mark.parametrize("x", [(1, 0), (np.float64(0.5), np.float64(-0.25)), (0.5, -0.25)],
+                             ids=["int", "float64", "float"])
+    @pytest.mark.parametrize("t", [0.0, 0.3, -0.2])
+    def test_hybrid_state_holds_python_floats(self, fields, x, t):
+        # coordinates enter through float(), and a field with sin, exp or
+        # power, which returns numpy floats, still gives Python floats
+        sys = SwitchedSystem(PLANE2D.graph, PLANE2D.box, PLANE2D.step, fields)
+        f = sigma_embed(periodic_sequence(sys.graph, (0, 1)), sys.step)
+        out = skew_product(sys, t, HybridState(x, f))
+        assert [type(v) for v in out.x] == [float, float]
+        assert np.array(out.x).tobytes() == reference_switched_flow(sys, t, x, f).tobytes()
+
+    @pytest.mark.parametrize("expr, x0, outcome_type", [
+        ("1/x1", 0.0, IntegrationError), ("exp(-1/x1**2)", 0.0, None)])
+    def test_division_by_zero_reruns_as_batch_of_one(self, monkeypatch, expr, x0, outcome_type):
+        # Python floats raise on 1/0.0, where float64 gives inf: the piece is
+        # rerun as a batch of one, whose state turns non-finite (1/x1) or
+        # finite again (exp(-inf) is 0)
+        batches = []
+
+        def recording_segment(sys, index, x, dt):
+            batches.append(np.shape(x))
+            return integrate_segment(sys, index, x, dt)
+
+        monkeypatch.setattr(flow, "integrate_segment", recording_segment)
+        g = DirectedGraph.from_edges(1, [(0, 0)])
+        sys = SwitchedSystem(g, ((-1.0, 1.0),), H, (ExpressionField((expr,)),))
+        f = sigma_embed(constant_sequence(g, 0), H)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if outcome_type is None:
+                out = skew_product(sys, 0.5 * H, HybridState((x0,), f))
+                assert np.array(out.x).tobytes() \
+                    == reference_switched_flow(sys, 0.5 * H, (x0,), f).tobytes()
+            else:
+                with pytest.raises(outcome_type, match="non-finite under field 0"):
+                    skew_product(sys, 0.5 * H, HybridState((x0,), f))
+        assert batches == [(1, 1)]
+
+    @pytest.mark.parametrize("x, shape", [((0.5,), "(1,)"), ((0.5, 0.1, 0.2), "(3,)"),
+                                          (0.5, "()"), ((), "(0,)")])
+    def test_state_of_wrong_dimension_rejected(self, x, shape):
+        f = sigma_embed(periodic_sequence(PLANE2D.graph, (0, 1)), PLANE2D.step)
+        for t in (0.0, 0.3):
+            with pytest.raises(ValidationError) as info:
+                skew_product(PLANE2D, t, HybridState(x, f))
+            assert str(info.value) == f"state of shape {shape} does not end in the system dimension 2"
+
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_nonfinite_state_named(self, x):
+        # a non-finite state is refused on entry, naming it, before any
+        # piece runs and at t = 0 too, where no piece runs
+        f = sigma_embed(periodic_sequence(PLANE2D.graph, (0, 1)), PLANE2D.step)
+        message = re.escape(f"state {x} is not finite")
+        for t in (0.0, 0.3, -0.3):
+            with pytest.raises(ValidationError, match=message):
+                skew_product(PLANE2D, t, HybridState(x, f))
+            with pytest.raises(ValidationError, match=message):
+                switched_flow(PLANE2D, t, np.array(x), f)
+        finite = HybridState((0.0, 0.0), f)
+        for a, b in ((HybridState(x, f), finite), (finite, HybridState(x, f))):
+            with pytest.raises(ValidationError, match=message):
+                product_metric(a, b, 1e-10)
+
+
 class TestProductMetric:
     def test_zero_on_equal(self):
         st0 = HybridState((0.5,), alternating_signal())
@@ -759,6 +944,13 @@ class TestProductMetric:
         f = alternating_signal()
         a, b = HybridState((0.0,), f), HybridState((0.5,), f)
         assert product_metric(a, b, 1e-10) == pytest.approx(0.5, abs=1e-12)
+
+    def test_distance_that_overflows_is_not_refused(self):
+        # both states are finite; only their distance exceeds the floats
+        f = alternating_signal()
+        a, b = HybridState((1e308,), f), HybridState((-1e308,), f)
+        with np.errstate(over="ignore"):
+            assert product_metric(a, b, 1e-10) == math.inf
 
     def test_states_of_different_dimension_rejected(self):
         # numpy would broadcast (0.5,) against (0.1, 0.2) and return 0.5
