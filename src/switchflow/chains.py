@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import AnalysisConfig
 from .flow import SwitchedSystem, integrate_segment
 from .graph import (
     RangeRows,
@@ -278,7 +279,7 @@ def relation(grid: Grid, images: np.ndarray, radius: np.ndarray) -> RangeRows:
 
 
 def build_chain_graph(sys: SwitchedSystem, grid: Grid, eps: float, m: int,
-                      max_work: int = 2_000_000) -> RangeRows:
+                      max_work: int = AnalysisConfig.max_work) -> RangeRows:
     """The (epsilon, m*h) reachability graph over the grid, as merged ranges
     of target cells, never expanded.
 

@@ -303,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("analyze-graph", help="SCCs, order, per-component certificates")
 
     p_sim = sub.add_parser("simulate", help="sample one switched trajectory")
-    p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
+    p_sim.add_argument("--x0", required=True, help="comma-separated initial state; one that "
+                       "starts with '-' takes the = form, --x0=-0.5,0.1")
     p_sim.add_argument("--signal", required=True, help="signal literal")
     p_sim.add_argument("--t-end", type=float, required=True)
     p_sim.add_argument("--sample-dt", type=float, required=True)
@@ -312,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--kind", choices=["omega", "delta", "product"], required=True)
     p_met.add_argument("--a", required=True)
     p_met.add_argument("--b", required=True)
-    p_met.add_argument("--x", default=None, help="state point for --kind product")
-    p_met.add_argument("--y", default=None, help="state point for --kind product")
+    point = "state point for --kind product; one that starts with '-' takes the = form, --y=-0.5"
+    p_met.add_argument("--x", default=None, help=point)
+    p_met.add_argument("--y", default=None, help=point)
     p_met.add_argument("--check-isometry", action="store_true")
 
     sub.add_parser("chain-sets", help="build the chain graph and its components")

@@ -62,6 +62,17 @@ def _block(doc: dict, name: str | None, keys: str) -> dict:
     return block
 
 
+def _given(block: dict, name: str, **readers) -> dict:
+    """Each key of ``readers`` that ``block`` holds, read by its reader as
+    ``name.key``; a key left out keeps its dataclass default."""
+    return {key: read(block[key], f"{name}.{key}") for key, read in readers.items()
+            if key in block}
+
+
+def _intervals(value, key: str) -> tuple[tuple[float, float], ...]:
+    return tuple((require_real(lo, key), require_real(hi, key)) for lo, hi in value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     graph: DirectedGraph
@@ -91,8 +102,7 @@ class ExperimentConfig:
             _block(doc, "graph", "vertices edges labels")))
 
         sysdoc = _block(doc, "system", "box h substeps fields")
-        box = tuple((require_real(lo, "system.box"), require_real(hi, "system.box"))
-                    for lo, hi in sysdoc["box"])
+        box = _intervals(sysdoc["box"], "system.box")
         dim = len(box)
         raw_fields = sysdoc["fields"]
         if not isinstance(raw_fields, list):
@@ -103,9 +113,8 @@ class ExperimentConfig:
                 f"has {graph.n} vertices")
         fields: tuple[ExpressionField, ...] = tuple(
             field_from_config(sp, dim) for sp in raw_fields)
-        system = SwitchedSystem(
-            graph=graph, box=box, step=require_real(sysdoc["h"], "system.h"), fields=fields,
-            substeps=require_int(sysdoc.get("substeps", 20), "system.substeps"))
+        system = SwitchedSystem(graph=graph, box=box, step=require_real(sysdoc["h"], "system.h"),
+                                fields=fields, **_given(sysdoc, "system", substeps=require_int))
 
         analysis = None
         if "analysis" in doc:
@@ -113,25 +122,20 @@ class ExperimentConfig:
             cells = a["cells"]
             if not isinstance(cells, (list, tuple)):
                 cells = [cells] * dim
-            refs = tuple((require_real(lo, "analysis.references"),
-                          require_real(hi, "analysis.references"))
-                         for lo, hi in a.get("references", []))
-            if refs and dim != 1:
+            given = _given(a, "analysis", m=require_int, max_work=require_int,
+                           references=_intervals)
+            if given.get("references") and dim != 1:
                 raise ValidationError("analysis.references are compared by Hausdorff "
                                       f"distance only in 1-D; the box has {dim} axes")
             analysis = AnalysisConfig(
                 cells=tuple(require_int(c, "analysis.cells") for c in cells),
-                eps=require_real(a["eps"], "analysis.eps"),
-                m=require_int(a.get("m", 1), "analysis.m"),
-                max_work=require_int(a.get("max_work", 2_000_000), "analysis.max_work"),
-                references=refs)
+                eps=require_real(a["eps"], "analysis.eps"), **given)
             if len(analysis.cells) != dim:
                 raise ValidationError("analysis.cells must give one count per axis")
 
         r = _block(doc, "run", "seed out tol")
-        run = RunConfig(seed=require_int(r.get("seed", 0), "run.seed"),
-                        out=r.get("out", "out"),
-                        tol=require_real(r.get("tol", 1e-10), "run.tol"))
+        run = RunConfig(**_given(r, "run", seed=require_int, out=lambda value, key: value,
+                                 tol=require_real))
         return cls(graph, system, analysis, run, raw=doc)
 
     @classmethod

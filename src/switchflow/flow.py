@@ -68,15 +68,6 @@ class HybridState:
     f: SwitchingSignal
 
 
-def _state(sys: SwitchedSystem, x0) -> np.ndarray:
-    """``x0`` as a float array of shape (..., d)."""
-    x = np.asarray(x0, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != sys.dimension:
-        raise ValidationError(f"state of shape {x.shape} does not end in the "
-                              f"system dimension {sys.dimension}")
-    return x
-
-
 def _rk4_rows(field: ExpressionField, n_steps: int, half: float, hstep: float,
               sixth: float, x: np.ndarray) -> None:
     """``n_steps`` RK4 steps of the C-ordered ``(d, ...)`` array ``x`` of
@@ -141,85 +132,64 @@ def _lone_flow(sys: SwitchedSystem, x0, pieces) -> tuple[float, ...]:
         except ZeroDivisionError:
             # float64 gives inf or nan, which a later operation may make
             # finite again (exp(-1/0.0) is 0)
-            xs = integrate_segment(sys, index, np.array([xs]), dt)[0]
+            xs = _flow(sys, np.array([xs]), ((index, dt),))[0]
         if not all(map(math.isfinite, xs)):
             raise IntegrationError(f"state became non-finite under field {index}")
     return tuple(map(float, xs))
 
 
-def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
-                      dt: float) -> np.ndarray:
-    """Fixed-step RK4 under a single field for (possibly negative) time dt.
-
-    ``x0`` has shape (..., d).  A lone point runs ``_lone_flow``, the
-    field's compiled loop on its d coordinates as Python floats; a batch
-    runs ``_rk4_rows`` on a ``(d, ...)`` copy.  Both perform the operations
-    of the field's bodies in the same order, so every point comes out bit
-    for bit as if flowed alone, since ``+ - * /`` round the same on Python
-    floats as on float64.
-    """
-    x = _state(sys, x0)
-    if not math.isfinite(dt):
-        raise ValidationError(f"segment time {dt} is not finite")
-    if dt == 0.0:
-        return x.copy()
-    if x.ndim == 1:
-        return np.array(_lone_flow(sys, x, ((field_index, dt),)))
-    n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
-    hstep = dt / n_steps
-    # a C-ordered copy: the caller's array is never written, and each
-    # coordinate row is contiguous
+def _flow(sys: SwitchedSystem, x0, pieces) -> np.ndarray:
+    """``x0``, of shape (..., d), flowed through ``pieces``, (field index,
+    time) pairs, in turn: the one place that picks a path.  A lone point
+    runs ``_lone_flow``; a batch runs ``_rk4_rows`` on one C-ordered
+    ``(d, ...)`` copy for all pieces, so the caller's array is never
+    written.  Both run the operations of the field's bodies in the same
+    order, and ``+ - * /`` round the same on Python floats as on float64,
+    so every point comes out bit for bit as if flowed alone."""
+    x = np.asarray(x0, dtype=float)
+    if x.ndim <= 1:  # _lone_flow refuses a scalar
+        return np.array(_lone_flow(sys, x, pieces))
+    if x.shape[-1] != sys.dimension:
+        raise ValidationError(f"state of shape {x.shape} does not end in the "
+                              f"system dimension {sys.dimension}")
     rows = np.array(np.moveaxis(x, -1, 0), order="C")
     # an overflow or a division by zero is reported by the finiteness
     # check alone, as IntegrationError; exp(-1/0.0) is 0 and stays finite
     with np.errstate(all="ignore"):
-        _rk4_rows(sys.fields[field_index], n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
-    if not np.all(np.isfinite(rows)):
-        raise IntegrationError(f"state became non-finite under field {field_index}")
+        for index, dt in pieces:
+            n_steps = max(1, math.ceil(abs(dt) / sys.step)) * sys.substeps
+            hstep = dt / n_steps
+            _rk4_rows(sys.fields[index], n_steps, 0.5 * hstep, hstep, hstep / 6.0, rows)
+            if not np.all(np.isfinite(rows)):
+                raise IntegrationError(f"state became non-finite under field {index}")
     return np.moveaxis(rows, 0, -1).copy()
 
 
-def _breakpoints(f: SwitchingSignal, t: float) -> list[float]:
-    """Partition points of [0, t] (or [t, 0]) at the signal's cell boundaries."""
-    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
-    inner = []
-    b = f.breakpoint_after(lo)
-    while b < hi:
-        inner.append(b)
-        b += f.step
-    if t <= 0:
-        inner.reverse()
-    return [0.0, *inner, t]
+def integrate_segment(sys: SwitchedSystem, field_index: int, x0: np.ndarray,
+                      dt: float) -> np.ndarray:
+    """Fixed-step RK4 of ``x0``, of shape (..., d), under a single field for
+    (possibly negative) time dt: ``_flow`` with one piece, or none at 0."""
+    if not math.isfinite(dt):
+        raise ValidationError(f"segment time {dt} is not finite")
+    return _flow(sys, x0, ((field_index, dt),) if dt != 0.0 else ())
 
 
 def _pieces(sys: SwitchedSystem, t: float, f: SwitchingSignal) -> list[tuple[int, float]]:
-    """(field index, time) of each piece of the flow for time t, split at the
-    signal's breakpoints: the active field over a piece is the signal value
-    in its interior."""
+    """``f.pieces(t)``, once the graph, step and time are checked for ``sys``."""
     if f.graph != sys.graph:
         raise ValidationError("signal and system use different graphs")
     if abs(f.step - sys.step) > 1e-12 * sys.step:
         raise ValidationError("signal and system use different step h")
     if not math.isfinite(t):
         raise ValidationError(f"flow time {t} is not finite")
-    pts = _breakpoints(f, t)
-    return [(f.value_at(0.5 * (a + b)), b - a) for a, b in zip(pts, pts[1:]) if b != a]
+    return f.pieces(t)
 
 
 def switched_flow(sys: SwitchedSystem, t: float, x0: Sequence[float] | np.ndarray,
                   f: SwitchingSignal) -> np.ndarray:
-    """Flow the state for time t, switching fields at the signal's breakpoints.
-
-    Negative t integrates backward.  A lone state runs all its pieces in
-    ``_lone_flow``; a batch runs ``integrate_segment`` per piece.
-    """
-    pieces = _pieces(sys, t, f)
-    x = _state(sys, x0)
-    if x.ndim == 1:
-        return np.array(_lone_flow(sys, x, pieces))
-    for index, dt in pieces:
-        x = integrate_segment(sys, index, x, dt)
-    return x
+    """Flow the state for time t through the signal's pieces, switching
+    fields at its breakpoints; negative t integrates backward."""
+    return _flow(sys, x0, _pieces(sys, t, f))
 
 
 def skew_product(sys: SwitchedSystem, t: float, state: HybridState) -> HybridState:
@@ -232,7 +202,8 @@ def product_metric(a: HybridState, b: HybridState, tol: float = 1e-12) -> float:
     xa, xb = np.asarray(a.x, dtype=float), np.asarray(b.x, dtype=float)
     if xa.shape != xb.shape:
         raise ValidationError(f"states of shapes {xa.shape} and {xb.shape} differ in dimension")
-    distance = float(np.linalg.norm(xa - xb))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the distance inf
+        distance = float(np.linalg.norm(xa - xb))
     if not math.isfinite(distance):  # a coordinate is not finite, or the distance overflows
         for state, x in ((a, xa), (b, xb)):
             if not np.isfinite(x).all():

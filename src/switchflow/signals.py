@@ -47,9 +47,20 @@ class SwitchingSignal:
         """Active vertex at time t (right-continuous at cell boundaries)."""
         return self.base.at(self.cell_of(t))
 
-    def breakpoint_after(self, t: float) -> float:
-        """Smallest cell boundary strictly greater than t."""
-        return self.offset + (self.cell_of(t) + 1) * self.step
+    def pieces(self, t: float) -> list[tuple[int, float]]:
+        """(vertex, time) of each piece of the walk from 0 to t, forward or
+        backward, split at the cell boundaries: a piece's vertex is the
+        value at its midpoint, and its time has the sign of t."""
+        lo, hi = (0.0, t) if t > 0 else (t, 0.0)
+        inner = []
+        b = self.offset + (self.cell_of(lo) + 1) * self.step  # first boundary past lo
+        while b < hi:
+            inner.append(b)
+            b += self.step
+        if t <= 0:
+            inner.reverse()
+        pts = [0.0, *inner, t]
+        return [(self.value_at(0.5 * (a + b)), b - a) for a, b in zip(pts, pts[1:]) if b != a]
 
 
 def sigma_embed(x: SymbolicSequence, h: float) -> SwitchingSignal:

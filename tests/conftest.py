@@ -74,25 +74,33 @@ def reference_rk4(sys, field_index: int, x0, dt: float) -> np.ndarray:
     return x
 
 
-def reference_switched_flow(sys, t: float, x0, f) -> np.ndarray:
-    """``switched_flow`` of one state as the loop that the lone-point path
-    replaced: each piece between the signal's breakpoints flows the state
-    as a batch of one with ``reference_rk4``, under the signal value in the
+def reference_pieces(f, t: float) -> list[tuple[int, float]]:
+    """``SwitchingSignal.pieces`` as ``flow`` walked the cells before the
+    signal did: the breakpoints of [0, t] (or [t, 0]) from the smallest
+    cell boundary above the lower end, then the signal value in each
     piece's interior."""
     lo, hi = sorted((0.0, t))
     pts = [lo]
-    b = f.breakpoint_after(lo)
+    b = f.offset + (math.floor((lo - f.offset) / f.step) + 1) * f.step
     while b < hi:
         pts.append(b)
         b += f.step
     pts.append(hi)
     if t <= 0:
         pts.reverse()
-    x = np.asarray(x0, dtype=float)[None]
-    for a, b in zip(pts, pts[1:]):
-        if b != a:
-            x = reference_rk4(sys, f.value_at(0.5 * (a + b)), x, b - a)
-    return x[0]
+    return [(f.value_at(0.5 * (a + b)), b - a) for a, b in zip(pts, pts[1:]) if b != a]
+
+
+def reference_switched_flow(sys, t: float, x0, f) -> np.ndarray:
+    """``switched_flow`` of one state or a batch as the loop that the
+    lone-point path replaced: each piece of ``reference_pieces`` flows the
+    states, a lone one as a batch of one, with ``reference_rk4``."""
+    x = np.asarray(x0, dtype=float)
+    lone = x.ndim == 1
+    x = x[None] if lone else x
+    for vertex, dt in reference_pieces(f, t):
+        x = reference_rk4(sys, vertex, x, dt)
+    return x[0] if lone else x
 
 
 def velocity(field, x) -> np.ndarray:

@@ -305,6 +305,19 @@ def test_whole_float_count_is_a_count():
     assert (a.m, a.max_work) == (2, 1_000_000) and type(a.m) is int
 
 
+def test_keys_left_out_echo_their_defaults():
+    # each default is stated once, on its dataclass; a document that leaves
+    # out every optional key echoes them as they were always written
+    doc = {"graph": {"vertices": 1, "edges": [[0, 0]]},
+           "system": {"box": [[0.0, 1.0]], "h": 0.1, "fields": ["-x1"]},
+           "analysis": {"cells": 10, "eps": 0.1}}
+    assert ExperimentConfig.from_dict(doc).provenance_json() == (
+        '{"analysis":{"cells":[10],"eps":0.1,"m":1,"max_work":2000000,"references":[]},'
+        '"graph":{"edges":[[0,0]],"vertices":1},"run":{"out":"out","seed":0,"tol":1e-10},'
+        '"system":{"box":[[0.0,1.0]],"fields":["-x1"],"h":0.1,"substeps":20}}')
+    assert ExperimentConfig.from_dict({**doc, "run": {}}) == ExperimentConfig.from_dict(doc)
+
+
 CONSTANT_A = "left=(A) core=[] right=(A)"
 SIMULATE = ["simulate", "--signal", CONSTANT_A]
 PRODUCT = ["metric", "--kind", "product", "--a", CONSTANT_A, "--b", CONSTANT_A]
@@ -815,6 +828,30 @@ class TestCommands:
                      "--x", "0.0", "--y", "0.5"]) == 0
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["value"] == pytest.approx(0.5 + 5.0 / 3.0, abs=1e-9)
+
+    def test_negative_point_takes_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-0.5,0.1" after a space as an option, so a point
+        # that starts with '-' is given as --x0=-0.5,0.1, as the help says
+        config = str(CONFIG_DIR / "plane2d.json")
+        signal = ["--signal", "left=(A) core=[] right=(B)", "--t-end", "0.2", "--sample-dt", "0.1"]
+        with pytest.raises(SystemExit) as refused:
+            main(["--config", config, "--out", str(tmp_path / "o"), "simulate",
+                  "--x0", "-0.5,0.1", *signal])
+        assert refused.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["--config", config, "--out", str(tmp_path / "o"), "simulate",
+                     "--x0=-0.5,0.1", *signal]) == 0
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
+        assert rows[2] == "0.0,-0.5,0.1,B"
+        for command in ("simulate", "metric"):
+            with pytest.raises(SystemExit):
+                main(["--config", config, command, "--help"])
+            assert "takes the = form" in " ".join(capsys.readouterr().out.split())
+        # a distance past the floats is inf, with no overflow warning
+        assert main(["--config", str(CONFIG_DIR / "two_well_complete.json"), "metric",
+                     "--kind", "product", "--x", "1e308", "--y=-1e308",
+                     "--a", "left=(A) core=[] right=(A)", "--b", "left=(A) core=[] right=(A)"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == math.inf
 
     def test_numeric_failure_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(COMPLETE2))

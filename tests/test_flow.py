@@ -563,6 +563,15 @@ class TestIntegrateSegment:
         with pytest.raises(ValidationError, match="not finite"):
             switched_flow(sys, dt, np.array(x0), alternating_signal())
 
+    @pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_nonfinite_lone_state_named_at_time_zero(self, x):
+        # no piece runs at dt = 0, and the lone state is refused all the
+        # same, as switched_flow and skew_product refuse it at t = 0
+        message = re.escape(f"state {x} is not finite")
+        for dt in (0.0, -0.0, 0.1):
+            with pytest.raises(ValidationError, match=message):
+                integrate_segment(PLANE2D, 0, np.array(x), dt)
+
     def test_empty_box_rejected(self):
         g = DirectedGraph.from_edges(1, [(0, 0)])
         with pytest.raises(ValidationError, match="at least one interval"):
@@ -795,13 +804,21 @@ class TestSwitchedFlow:
             assert abs(float(hi[0] - lo[0])) / (2 * d) <= envelope
 
     def test_batched_initial_conditions(self):
+        # a batch runs all its pieces on one copy: bit for bit the per-piece
+        # batch of the reference and each state flowed alone, and the
+        # caller's array is never written
         sys = sys_decay_grow()
-        f = alternating_signal()
+        f = shift(alternating_signal(), 0.04)
         xs = np.linspace(-1, 1, 7)[:, None]
-        out = switched_flow(sys, 3 * H, xs, f)
-        assert out.shape == (7, 1)
-        single = switched_flow(sys, 3 * H, xs[2], f)
-        assert out[2, 0] == pytest.approx(single[0], abs=1e-14)
+        before = xs.copy()
+        for t in (3 * H, -3.5 * H, 5.25 * H):
+            out = switched_flow(sys, t, xs, f)
+            assert len(f.pieces(t)) >= 3
+            assert out.shape == (7, 1)
+            assert xs.tobytes() == before.tobytes()
+            assert not np.shares_memory(out, xs)
+            assert out.tobytes() == reference_switched_flow(sys, t, xs, f).tobytes()
+            assert out.tobytes() == np.stack([switched_flow(sys, t, x, f) for x in xs]).tobytes()
 
 
 class TestSkewProduct:
@@ -890,12 +907,13 @@ class TestLonePath:
         # rerun as a batch of one, whose state turns non-finite (1/x1) or
         # finite again (exp(-inf) is 0)
         batches = []
+        run = flow._flow
 
-        def recording_segment(sys, index, x, dt):
+        def recording_flow(sys, x, pieces):
             batches.append(np.shape(x))
-            return integrate_segment(sys, index, x, dt)
+            return run(sys, x, pieces)
 
-        monkeypatch.setattr(flow, "integrate_segment", recording_segment)
+        monkeypatch.setattr(flow, "_flow", recording_flow)
         g = DirectedGraph.from_edges(1, [(0, 0)])
         sys = SwitchedSystem(g, ((-1.0, 1.0),), H, (ExpressionField((expr,)),))
         f = sigma_embed(constant_sequence(g, 0), H)
@@ -949,8 +967,10 @@ class TestProductMetric:
         # both states are finite; only their distance exceeds the floats
         f = alternating_signal()
         a, b = HybridState((1e308,), f), HybridState((-1e308,), f)
-        with np.errstate(over="ignore"):
-            assert product_metric(a, b, 1e-10) == math.inf
+        assert product_metric(a, b, 1e-10) == math.inf
+        # the sum of squares overflows too, where the difference does not
+        a, b = HybridState((1e200, 1e200), f), HybridState((-1e200, 0.0), f)
+        assert product_metric(a, b, 1e-10) == math.inf
 
     def test_states_of_different_dimension_rejected(self):
         # numpy would broadcast (0.5,) against (0.1, 0.2) and return 0.5

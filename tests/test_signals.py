@@ -36,6 +36,7 @@ from conftest import (
     reference_continuity_gap,
     reference_metric_delta,
     reference_metric_omega,
+    reference_pieces,
     reference_sensitivity_witness,
     sequence_fields,
 )
@@ -129,6 +130,24 @@ class TestShiftFlow:
         rhs = sigma_embed(shift_discrete(x, 1), H)
         for u in np.linspace(-2, 2, 101):
             assert lhs.value_at(u) == rhs.value_at(u)
+
+
+class TestPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.sampled_from([0.1, 1 / 6, 0.3, 1.0, 7.0]),
+           tau=st.floats(0.0, 1.0, exclude_max=True),
+           cells=st.one_of(st.floats(-1000.0, 1000.0), st.integers(-1000, 1000)))
+    def test_walk_equals_reference(self, seed, h, tau, cells):
+        # the signal walks its own cells as flow walked them: the same
+        # breakpoints, the same vertex at each piece's midpoint, forward and
+        # backward, for |t| up to 1 000 cells and at whole cells
+        rng = np.random.default_rng(seed)
+        f = SwitchingSignal(random_sequence(random_strong_graph(rng, 3), rng), tau * h, h)
+        t = cells * h
+        pieces = f.pieces(t)
+        assert pieces == reference_pieces(f, t)
+        assert math.fsum(dt for _, dt in pieces) == pytest.approx(t, rel=1e-9, abs=1e-12)
+        assert all(dt != 0.0 and (dt > 0) == (t > 0) for _, dt in pieces)
 
 
 class TestSigmaEmbedding:
