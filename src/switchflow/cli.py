@@ -183,7 +183,10 @@ def cmd_metric(cfg: ExperimentConfig, kind: str, a_text: str, b_text: str,
         result = {"kind": kind, "value": value, "tol": tol}
     else:
         raise ValidationError(f"unknown metric kind {kind!r}")
-    print(json.dumps(result, sort_keys=True))
+    # strict JSON: a value past the floats (a distance that overflows) is null
+    result = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+              for k, v in result.items()}
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ are deterministic and the only error is the smooth per-field RK4 error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,17 +106,24 @@ def _rk4_rows(field: ExpressionField, n_steps: int, half: float, hstep: float,
         add(x, k1, out=x)
 
 
+def _coordinates(x0) -> list[float] | None:
+    """The coordinates of the point ``x0`` as Python floats, each read with
+    ``float``, as ``np.asarray(x0, dtype=float).tolist()`` converts them;
+    None for a scalar, a point nested in a sequence or text."""
+    try:
+        return list(map(float, x0))
+    except (TypeError, ValueError):
+        return None
+
+
 def _lone_flow(sys: SwitchedSystem, x0, pieces) -> tuple[float, ...]:
     """The one state ``x0`` flowed through ``pieces``, (field index, time)
     pairs, in turn, as d Python floats.  The coordinates enter through
-    ``float``, as ``np.asarray(x0, dtype=float).tolist()`` converts them,
-    and a state that is not finite is refused.  Each piece runs the field's
-    compiled loop, ``field.rk4``; where Python raises instead of float64
-    (division by zero), the piece is rerun as a batch of one."""
-    try:
-        xs = [float(v) for v in x0]
-    except TypeError:  # a scalar, or a point nested in a sequence
-        xs = None
+    ``_coordinates``, and a state that is not finite is refused.  Each
+    piece runs the field's compiled loop, ``field.rk4``; where Python
+    raises instead of float64 (division by zero), the piece is rerun as a
+    batch of one."""
+    xs = _coordinates(x0)
     if xs is None or len(xs) != sys.dimension:
         raise ValidationError(f"state of shape {np.shape(x0)} does not end in the "
                               f"system dimension {sys.dimension}")
@@ -198,14 +206,19 @@ def skew_product(sys: SwitchedSystem, t: float, state: HybridState) -> HybridSta
 
 
 def product_metric(a: HybridState, b: HybridState, tol: float = 1e-12) -> float:
-    """Euclidean distance on states plus the signal metric."""
-    xa, xb = np.asarray(a.x, dtype=float), np.asarray(b.x, dtype=float)
-    if xa.shape != xb.shape:
-        raise ValidationError(f"states of shapes {xa.shape} and {xb.shape} differ in dimension")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the distance inf
-        distance = float(np.linalg.norm(xa - xb))
+    """Euclidean distance on states plus the signal metric.  The state part
+    is ``math.hypot`` of the coordinate differences on Python floats, which
+    squares nothing and is correctly rounded on every CPU (a BLAS ``dot``
+    picks its kernel per CPU): it underflows or overflows, to ``inf``,
+    only with the distance itself."""
+    xa, xb = _coordinates(a.x), _coordinates(b.x)
+    if xa is None or xb is None:
+        raise ValidationError(f"state {(a.x if xa is None else b.x)!r} is not a sequence of numbers")
+    if len(xa) != len(xb):
+        raise ValidationError(f"states of {len(xa)} and {len(xb)} coordinates differ in dimension")
+    distance = math.hypot(*map(operator.sub, xa, xb))
     if not math.isfinite(distance):  # a coordinate is not finite, or the distance overflows
-        for state, x in ((a, xa), (b, xb)):
-            if not np.isfinite(x).all():
-                raise ValidationError(f"state {state.x} is not finite")
+        for x in (xa, xb):
+            if not all(map(math.isfinite, x)):
+                raise ValidationError(f"state {tuple(x)} is not finite")
     return distance + metric_delta(a.f, b.f, tol)

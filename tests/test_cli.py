@@ -847,11 +847,25 @@ class TestCommands:
             with pytest.raises(SystemExit):
                 main(["--config", config, command, "--help"])
             assert "takes the = form" in " ".join(capsys.readouterr().out.split())
-        # a distance past the floats is inf, with no overflow warning
+        # a distance past the floats is null, with no overflow warning
         assert main(["--config", str(CONFIG_DIR / "two_well_complete.json"), "metric",
                      "--kind", "product", "--x", "1e308", "--y=-1e308",
                      "--a", "left=(A) core=[] right=(A)", "--b", "left=(A) core=[] right=(A)"]) == 0
-        assert json.loads(capsys.readouterr().out)["value"] == math.inf
+        assert json.loads(capsys.readouterr().out)["value"] is None
+
+    @pytest.mark.parametrize("x, y, value", [("1e308", "-1e308", None), ("1e-200", "0", 1e-200),
+                                             ("0.5", "0.52", 0.020000000000000018)])
+    def test_metric_prints_strict_json(self, capsys, x, y, value):
+        # a distance that overflows is written null, not the non-standard
+        # Infinity that a strict JSON reader refuses; the exit code stays 0
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        signal = "left=(A) core=[] right=(A)"
+        assert main(["--config", str(CONFIG_DIR / "two_well_complete.json"), "metric",
+                     "--kind", "product", "--x", x, f"--y={y}", "--a", signal, "--b", signal]) == 0
+        printed = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert printed == {"kind": "product", "tol": 1e-10, "value": value}
 
     def test_numeric_failure_exit_code(self, tmp_path):
         doc = json.loads(json.dumps(COMPLETE2))

@@ -1,4 +1,5 @@
 import ast
+import decimal
 import json
 import math
 import re
@@ -953,6 +954,21 @@ class TestLonePath:
                 product_metric(a, b, 1e-10)
 
 
+# either sign, magnitudes from 1e-200 to 1e200, and zero
+_COORDINATE = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, m, e: sign * m * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+              st.floats(1.0, 10.0, exclude_max=True), st.integers(-200, 199)))
+
+
+def _rounded_distance(xa, xb) -> float:
+    """The square root of the sum of squares of the float differences
+    ``u - v``, taken in decimal at 120 digits and rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        return float(sum(decimal.Decimal(u - v) ** 2 for u, v in zip(xa, xb)).sqrt())
+
+
 class TestProductMetric:
     def test_zero_on_equal(self):
         st0 = HybridState((0.5,), alternating_signal())
@@ -968,15 +984,19 @@ class TestProductMetric:
         f = alternating_signal()
         a, b = HybridState((1e308,), f), HybridState((-1e308,), f)
         assert product_metric(a, b, 1e-10) == math.inf
-        # the sum of squares overflows too, where the difference does not
+        # the sum of squares overflows, where the distance does not: hypot
+        # squares nothing, and returns the distance sqrt(5) * 1e200
         a, b = HybridState((1e200, 1e200), f), HybridState((-1e200, 0.0), f)
-        assert product_metric(a, b, 1e-10) == math.inf
+        assert product_metric(a, b, 1e-10) == 2.2360679774997897e+200
 
     def test_states_of_different_dimension_rejected(self):
         # numpy would broadcast (0.5,) against (0.1, 0.2) and return 0.5
         f = alternating_signal()
         with pytest.raises(ValidationError, match="differ in dimension"):
             product_metric(HybridState((0.5,), f), HybridState((0.1, 0.2), f))
+        with pytest.raises(ValidationError) as info:
+            product_metric(HybridState((0.5, 0.1, 0.2), f), HybridState((0.1, 0.2), f))
+        assert str(info.value) == "states of 3 and 2 coordinates differ in dimension"
 
     def test_sum_of_parts(self):
         g = DirectedGraph.complete(2)
@@ -984,3 +1004,33 @@ class TestProductMetric:
         fb = sigma_embed(constant_sequence(g, 1), H)
         a, b = HybridState((0.0,), fa), HybridState((0.5,), fb)
         assert product_metric(a, b, 1e-10) == pytest.approx(0.5 + 5.0 / 3.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_state_part_is_correctly_rounded(self, data):
+        # equal signals, so delta is 0 and the metric is the state part alone;
+        # each coordinate of b is drawn apart from a's or close to it
+        d = data.draw(st.integers(1, 3))
+        xa = data.draw(st.lists(_COORDINATE, min_size=d, max_size=d))
+        xb = [data.draw(st.one_of(_COORDINATE, st.floats(-1e-6, 1e-6).map(lambda r: u + u * r)))
+              for u in xa]
+        f = alternating_signal()
+        a, b = HybridState(tuple(xa), f), HybridState(tuple(xb), f)
+        distance = product_metric(a, b, 1e-10)
+        assert distance == _rounded_distance(xa, xb)
+        assert product_metric(b, a, 1e-10) == distance
+
+    def test_distinct_tiny_states_are_apart(self):
+        # the squares of 1e-200 underflow to 0; the distance does not
+        f = alternating_signal()
+        for x in ((1e-200,), (1e-200, 0.0), (3e-200, 0.0, 4e-200)):
+            a, b = HybridState(x, f), HybridState((0.0,) * len(x), f)
+            assert product_metric(a, b, 1e-10) == _rounded_distance(x, b.x) > 0.0
+
+    def test_point_that_is_not_flat_refused(self):
+        f = alternating_signal()
+        flat = HybridState((0.5,), f)
+        for x in (((0.5,),), 0.5, np.array([[0.5]]), "0.5"):
+            for a, b in ((HybridState(x, f), flat), (flat, HybridState(x, f))):
+                with pytest.raises(ValidationError, match="is not a sequence of numbers"):
+                    product_metric(a, b, 1e-10)
